@@ -8,7 +8,7 @@ The variant is swappable through the ``checksum`` parameter of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 ResolverIndex = int
 
@@ -53,10 +53,12 @@ class ContentName:
 
     The canonical text form is the segments joined with ``/`` and a
     leading ``/``, e.g. ``/video/a.mp4``.  Equality and hashing follow
-    the segment tuple.
+    the segment tuple.  The canonical text is built once, at creation,
+    because the engine keys its tables by it on every hop.
     """
 
     segments: tuple[str, ...]
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -66,10 +68,11 @@ class ContentName:
                 raise NameFormatError(f"empty segment at position {i + 1}")
             if "/" in seg:
                 raise NameFormatError(f"segment {i + 1} contains '/'")
+        object.__setattr__(self, "_text", "/" + "/".join(self.segments))
 
     @property
     def canonical_text(self) -> str:
-        return "/" + "/".join(self.segments)
+        return self._text
 
     def encoded(self) -> bytes:
         """Canonical text as the raw bytes fed to the hash (no trailing slash)."""
@@ -113,9 +116,11 @@ class InterestPacket:
     """A request for named content.
 
     ``trace`` lists the node ids visited so far (metrics only, never
-    consulted by forwarding).  ``hop_count`` equals ``len(trace) - 1``
-    whenever the trace is non-empty.  The nonce never changes after
-    creation; each link crossing produces a new stamped copy.
+    consulted by forwarding).  It is opt-in: a packet created with an
+    empty trace keeps it empty on every hop.  ``hop_count`` equals
+    ``len(trace) - 1`` whenever the trace is non-empty.  The nonce never
+    changes after creation; each link crossing produces a new stamped
+    copy.
     """
 
     name: ContentName
@@ -131,7 +136,8 @@ class InterestPacket:
 
     def delivered_to(self, node_id: int) -> "InterestPacket":
         """Copy stamped for arrival at ``node_id`` after one link crossing."""
-        return replace(self, hop_count=self.hop_count + 1, trace=self.trace + (node_id,))
+        trace = self.trace + (node_id,) if self.trace else ()
+        return InterestPacket(self.name, self.nonce, self.hop_count + 1, trace)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +162,9 @@ class DataPacket:
             raise ValueError("signature placeholder must be 256 bits")
 
     def delivered_to(self, node_id: int) -> "DataPacket":
-        return replace(self, hop_count=self.hop_count + 1, trace=self.trace + (node_id,))
+        trace = self.trace + (node_id,) if self.trace else ()
+        return DataPacket(self.name, self.payload_size, self.signature,
+                          self.hop_count + 1, trace)
 
 
 def assign_resolver(name: ContentName, resolver_count: int, *, checksum=crc16) -> ResolverIndex:

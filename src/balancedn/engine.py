@@ -10,17 +10,26 @@ One engine instance is single-threaded; independent instances can run
 in parallel with no shared state.  The per-instance random generator
 is used only for Interest nonces, drawn once per injected request in
 injection order, so identical seeds replay exactly.
+
+Only PIT entries that hold a consumer's local face get an expiry event;
+the rest expire lazily (see ``balancedn.node``) and are reclaimed from
+one FIFO whenever a request is injected.  Per-hop traces are recorded
+only when ``track_edges`` is set.  Every run is bounded: once the events
+since the queue was last empty pass a budget derived from the topology's
+size and the requests injected meanwhile, ``run_until`` raises
+:class:`EventBudgetError` instead of running on.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import IO, Optional
 
 from .core import ContentName, DataPacket, InterestPacket
-from .node import LOCAL_FACE, NdnNode, FLOODING
+from .node import LOCAL_FACE, NdnNode, reclaim_expired
 from .topology import LinkDescriptor, Topology
 
 NS_PER_US = 1_000
@@ -34,13 +43,16 @@ DELIVER_INTEREST = "deliver_interest"
 DELIVER_DATA = "deliver_data"
 PIT_EXPIRY = "pit_expiry"
 REQUEST_INJECTION = "request_injection"
-REGISTRATION = "registration"
 
-EVENT_KINDS = (DELIVER_INTEREST, DELIVER_DATA, PIT_EXPIRY, REQUEST_INJECTION, REGISTRATION)
+EVENT_KINDS = (DELIVER_INTEREST, DELIVER_DATA, PIT_EXPIRY, REQUEST_INJECTION)
 
 
 class SchedulingError(ValueError):
     """Raised when an event is scheduled before the current clock."""
+
+
+class EventBudgetError(RuntimeError):
+    """Raised when a run outgrows the events any drained flood can need."""
 
 
 def link_transit_ns(link: LinkDescriptor, bits: int) -> int:
@@ -119,22 +131,42 @@ class Simulation:
     Used for the flooding baseline: every node runs the flooding
     strategy, content lives on producer nodes, and injected requests
     are traced until the Data returns (or the consumer's PIT entry
-    expires).
+    expires).  ``track_edges`` also records each Interest's per-hop
+    trace and its transmissions per directed edge.
     """
 
-    def __init__(self, topology: Topology, *, strategy: str = FLOODING,
-                 cs_capacity: int = 0, seed: int = 42,
+    def __init__(self, topology: Topology, *, cs_capacity: int = 0, seed: int = 42,
                  log: Optional[IO[str]] = None, track_edges: bool = False) -> None:
         self.topology = topology
         self.queue = EventQueue()
         self.rng = random.Random(seed)
         self.log = log
+        self._reclaim: deque = deque()
         self.nodes: dict[int, NdnNode] = {}
         for nid in sorted(topology.nodes):
-            node = NdnNode(nid, topology.adjacency[nid], strategy=strategy,
-                           cs_capacity=cs_capacity)
+            node = NdnNode(nid, topology.adjacency[nid], cs_capacity=cs_capacity)
             node.pit_expiry_hook = self._make_expiry_hook(nid)
+            node.pit_reclaim = self._reclaim
             self.nodes[nid] = node
+        # node -> face -> (neighbour, face at the neighbour, Interest transit
+        # ns, link); the local face has no entry
+        self._face_table: dict[int, list[tuple[int, int, int, LinkDescriptor] | None]] = {}
+        for nid, node in self.nodes.items():
+            row: list[tuple[int, int, int, LinkDescriptor] | None] = [None]
+            for face in range(1, len(node.faces)):
+                nbr = node.faces[face]
+                link = topology.link_between(nid, nbr)
+                row.append((nbr, self.nodes[nbr].face_of[nid],
+                            link_transit_ns(link, INTEREST_BITS), link))
+            self._face_table[nid] = row
+        # A flood that drains costs each request at most its injection, one
+        # expiry per node, 2|E| Interest deliveries (each node forwards a
+        # name once) and 4|E| Data deliveries (each PIT entry answers each
+        # in-face once, each producer each neighbour once).  The budget
+        # allows twice that.
+        self._events_per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
+        self._requests_since_drain = 0
+        self._events_since_drain = 0
         self.requests: dict[str, dict[int, RequestState]] = {}
         self.flows: dict[str, FlowStats] = {}
         self.injections = 0
@@ -169,49 +201,52 @@ class Simulation:
 
     def inject_request(self, consumer: int, name: ContentName, at: int) -> RequestState:
         """Schedule a consumer request; returns its live bookkeeping record."""
+        reclaim_expired(self._reclaim, self.queue.now)
         nonce = self.rng.getrandbits(64)
-        interest = InterestPacket(name, nonce, hop_count=0, trace=(consumer,))
+        trace = (consumer,) if self.track_edges else ()
+        interest = InterestPacket(name, nonce, 0, trace)
         key = name.canonical_text
         state = RequestState(name, consumer, at)
         self.requests.setdefault(key, {})[consumer] = state
         self.flows.setdefault(key, FlowStats())
         self.injections += 1
+        self._requests_since_drain += 1
         self.queue.schedule(Event(at, 0, REQUEST_INJECTION, consumer,
                                   face=LOCAL_FACE, packet=interest))
         return state
-
-    def schedule_registration(self, deployment, producer: int, name: ContentName,
-                              at: int) -> None:
-        """Run a deployment registration at a simulated instant."""
-        self.queue.schedule(Event(at, 0, REGISTRATION, producer,
-                                  payload=(deployment, name)))
 
     def transmit(self, link: LinkDescriptor, packet: InterestPacket | DataPacket,
                  from_node: int, now: int) -> Event:
         """Schedule delivery of ``packet`` across ``link``.
 
-        The delivered copy is stamped with hop_count + 1 and the
-        receiving node appended to its trace.
+        The delivered copy is stamped with hop_count + 1 and, when the
+        packet carries a trace, the receiving node appended to it.
         """
-        to_node = link.other(from_node)  # raises if from_node not on link
-        bits = packet.payload_size if isinstance(packet, DataPacket) else INTEREST_BITS
-        arrival = now + link_transit_ns(link, bits)
-        delivered = packet.delivered_to(to_node)
-        kind = DELIVER_DATA if isinstance(packet, DataPacket) else DELIVER_INTEREST
-        face = self.nodes[to_node].face_of[from_node]
-        event = Event(arrival, 0, kind, to_node, face=face, packet=delivered)
-        self.queue.schedule(event)
+        face = self.nodes[from_node].face_of[link.other(from_node)]
+        return self._send(from_node, face, packet, now)
 
+    def _send(self, from_node: int, face: int, packet: InterestPacket | DataPacket,
+              now: int) -> Event:
+        to_node, to_face, interest_ns, link = self._face_table[from_node][face]
         flow = self.flows.get(packet.name.canonical_text)
-        if flow is not None:
-            if kind == DELIVER_INTEREST:
-                flow.interest_traversals += 1
-            else:
+        if type(packet) is DataPacket:
+            bits = packet.payload_size
+            event = Event(now + link_transit_ns(link, bits), 0, DELIVER_DATA, to_node,
+                          to_face, packet.delivered_to(to_node))
+            if flow is not None:
                 flow.data_traversals += 1
+        else:
+            bits = INTEREST_BITS
+            event = Event(now + interest_ns, 0, DELIVER_INTEREST, to_node,
+                          to_face, packet.delivered_to(to_node))
+            if flow is not None:
+                flow.interest_traversals += 1
+            if self.track_edges:
+                edge = (from_node, to_node, packet.name.canonical_text)
+                self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
+        if flow is not None:
             flow.bits_moved += bits
-        if self.track_edges and kind == DELIVER_INTEREST:
-            edge = (from_node, to_node, packet.name.canonical_text)
-            self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
+        self.queue.schedule(event)
         return event
 
     # -- event loop ----------------------------------------------------------
@@ -220,37 +255,53 @@ class Simulation:
         """Process events in total order; returns how many were processed.
 
         Stops when the queue is empty or the next event would fire past
-        ``deadline`` (which is then left in the queue).
+        ``deadline`` (which is then left in the queue).  Raises
+        EventBudgetError once the events processed since the queue was
+        last empty outnumber what the requests injected meanwhile can
+        cost on this topology.
         """
+        queue = self.queue
+        budget = (max(self._requests_since_drain, 1) * self._events_per_request
+                  - self._events_since_drain)
         processed = 0
-        while len(self.queue):
-            fire_at = self.queue.peek_time()
-            if deadline is not None and fire_at > deadline:
+        while len(queue):
+            if deadline is not None and queue.peek_time() > deadline:
                 break
-            event = self.queue.pop()
-            self._dispatch(event)
+            if processed == budget:
+                self.processed += processed
+                self._events_since_drain += processed
+                raise EventBudgetError(
+                    f"{self._events_since_drain} events without draining for "
+                    f"{self._requests_since_drain} request(s), past the budget of "
+                    f"{self._events_per_request} per request; the flood does not "
+                    f"converge on this topology")
+            self._dispatch(queue.pop())
             processed += 1
         self.processed += processed
+        if len(queue):
+            self._events_since_drain += processed
+        else:
+            self._events_since_drain = 0
+            self._requests_since_drain = 0
         return processed
 
     def _dispatch(self, event: Event) -> None:
+        kind = event.kind
         now = event.fire_at
-        if event.kind in (REQUEST_INJECTION, DELIVER_INTEREST):
+        if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
             node = self.nodes[event.node]
-            self._log(event)
+            if self.log is not None:
+                self._log(event)
             emissions = node.on_interest(event.packet, event.face, now)
-            if any(isinstance(pkt, DataPacket) for _, pkt in emissions):
-                states = self.requests.get(event.packet.name.canonical_text, {})
-                for state in states.values():
-                    if not state.interest_path:
-                        state.interest_path = event.packet.trace
+            if event.packet.trace and emissions and type(emissions[0][1]) is DataPacket:
+                self._record_answered(event.packet)
             self._emit(node, emissions, now)
-        elif event.kind == DELIVER_DATA:
+        elif kind == DELIVER_DATA:
             node = self.nodes[event.node]
-            self._log(event)
-            emissions = node.on_data(event.packet, event.face, now)
-            self._emit(node, emissions, now)
-        elif event.kind == PIT_EXPIRY:
+            if self.log is not None:
+                self._log(event)
+            self._emit(node, node.on_data(event.packet, event.face, now), now)
+        elif kind == PIT_EXPIRY:
             key, token = event.payload
             entry = self.nodes[event.node].expire_pit(key, token, now)
             if entry is not None and LOCAL_FACE in entry.in_faces:
@@ -259,23 +310,24 @@ class Simulation:
                     state.failed = True
                     state.completed_at = now
                     self.failed += 1
-        elif event.kind == REGISTRATION:
-            deployment, name = event.payload
-            self._log(event)
-            deployment.register_content(event.node, name, now)
         else:
-            raise ValueError(f"unknown event kind {event.kind!r}")
+            raise ValueError(f"unknown event kind {kind!r}")
+
+    def _record_answered(self, interest: InterestPacket) -> None:
+        """Keep the trace of the first answered Interest of its own consumer."""
+        states = self.requests.get(interest.name.canonical_text, {})
+        state = states.get(interest.trace[0])
+        if state is not None and not state.interest_path:
+            state.interest_path = interest.trace
 
     def _emit(self, node: NdnNode,
               emissions: list[tuple[int, InterestPacket | DataPacket]], now: int) -> None:
         for face, packet in emissions:
             if face == LOCAL_FACE:
-                if isinstance(packet, DataPacket):
+                if type(packet) is DataPacket:
                     self._satisfy(node.id, packet, now)
                 continue
-            neighbor = node.faces[face]
-            link = self.topology.link_between(node.id, neighbor)
-            self.transmit(link, packet, node.id, now)
+            self._send(node.id, face, packet, now)
 
     def _satisfy(self, node_id: int, data: DataPacket, now: int) -> None:
         state = self.requests.get(data.name.canonical_text, {}).get(node_id)
@@ -288,8 +340,6 @@ class Simulation:
         self.satisfied += 1
 
     def _log(self, event: Event) -> None:
-        if self.log is None:
-            return
         packet = event.packet
         name = packet.name.canonical_text if packet is not None else "-"
         hops = packet.hop_count if packet is not None else 0
@@ -301,7 +351,8 @@ class Simulation:
         return self.flows[name.canonical_text]
 
     def conservation_holds(self) -> bool:
-        """Every injection ended satisfied or failed; duplicates tracked apart."""
-        terminal = self.satisfied + self.failed
-        return (terminal + self.duplicates_suppressed
-                == self.injections + self.duplicates_suppressed)
+        """Every injected request ended exactly one of satisfied or failed."""
+        states = [state for by_consumer in self.requests.values()
+                  for state in by_consumer.values()]
+        return (len(states) == self.injections
+                and all(state.satisfied != state.failed for state in states))

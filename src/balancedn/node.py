@@ -1,14 +1,23 @@
-"""Per-node forwarding state: PIT, FIB, content store, and strategies.
+"""Per-node forwarding state: PIT, content store, and the flooding strategy.
 
 Face ids map to neighbors; face 0 is always the local application face.
 Nodes are mutated only by the single-threaded event loop that owns them.
+
+PIT entries expire lazily.  Only an entry that holds the local face
+decides whether a request failed, so only such an entry gets an expiry
+timer (through ``pit_expiry_hook``).  Every other entry simply counts as
+absent once a lookup finds ``expiry <= now``; it is queued on the
+``pit_reclaim`` FIFO, and :func:`reclaim_expired` deletes it later.
+Every delivery is scheduled after the entry it meets was created, so an
+entry whose expiry equals the delivery time counts as gone, just as a
+timer set at its creation would already have removed it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable
 
 from .core import ContentName, DataPacket, InterestPacket
 
@@ -17,9 +26,6 @@ LOCAL_FACE = 0
 # PIT entries live 4 simulated seconds, then expire; late Data is dropped
 # by the no-PIT rule.
 PIT_LIFETIME_NS = 4_000_000_000
-
-FLOODING = "flooding"
-BEST_ROUTE = "best_route"
 
 
 class UnknownFaceError(ValueError):
@@ -33,21 +39,6 @@ class PitEntry:
     seen_nonces: set[int]
     expiry: int
     token: int
-
-
-@dataclass(frozen=True, slots=True)
-class FibEntry:
-    """Prefix route: faces kept ordered ascending by (cost, face id)."""
-
-    prefix: ContentName
-    faces: tuple[tuple[int, int], ...]  # (face id, cost)
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.faces, key=lambda fc: (fc[1], fc[0])))
-        object.__setattr__(self, "faces", ordered)
-
-    def best_face(self) -> int:
-        return self.faces[0][0]
 
 
 class ContentStore:
@@ -95,16 +86,6 @@ class ContentStore:
         return list(self._entries)
 
 
-def cs_insert(cs: ContentStore, name: ContentName, size: int, now: int) -> ContentName | None:
-    """Insert into the content store; returns the evicted name if any."""
-    evicted = cs.insert(name.canonical_text, size, now)
-    if evicted is None:
-        return None
-    from .core import parse_name
-
-    return parse_name(evicted)
-
-
 def face_layout(neighbors: Iterable[int]) -> dict[int, int | None]:
     """Face map convention: 0 is local, neighbors get 1..k by ascending id."""
     faces: dict[int, int | None] = {LOCAL_FACE: None}
@@ -117,43 +98,35 @@ class NdnNode:
     """One network node's forwarding engine."""
 
     def __init__(self, node_id: int, neighbors: Iterable[int], *,
-                 strategy: str = FLOODING, cs_capacity: int = 1000) -> None:
-        if strategy not in (FLOODING, BEST_ROUTE):
-            raise ValueError(f"unknown strategy {strategy!r}")
+                 cs_capacity: int = 1000) -> None:
         self.id = node_id
-        self.strategy = strategy
         self.faces = face_layout(neighbors)
         self.face_of = {nbr: face for face, nbr in self.faces.items() if nbr is not None}
+        out = [face for face in sorted(self.faces) if face != LOCAL_FACE]
+        # incoming face -> the faces a flood leaves on
+        self._flood_faces = {face: [f for f in out if f != face] for face in self.faces}
         self.pit: dict[str, PitEntry] = {}
-        self.fib: list[FibEntry] = []
         self.cs = ContentStore(cs_capacity)
         self.published: dict[str, int] = {}  # canonical name -> payload bits
         self.duplicates_suppressed = 0
         self._next_token = 0
-        # hook(name_key, token, expiry) lets the event loop schedule expiries
+        # hook(name_key, token, expiry) lets the event loop time entries
+        # that hold the local face
         self.pit_expiry_hook: Callable[[str, int, int], None] | None = None
+        # (expiry, node, name_key, token) of every other entry, in creation
+        # order; the event loop shares one FIFO among all its nodes
+        self.pit_reclaim: deque[tuple[int, NdnNode, str, int]] = deque()
 
     # -- content origin -------------------------------------------------
 
     def publish(self, name: ContentName, payload_bits: int) -> None:
         self.published[name.canonical_text] = payload_bits
 
-    # -- strategies ------------------------------------------------------
+    # -- strategy --------------------------------------------------------
 
     def strategy_flood(self, in_face: int) -> list[int]:
         """All non-local faces except the incoming one."""
-        return [f for f in sorted(self.faces) if f != LOCAL_FACE and f != in_face]
-
-    def strategy_best_route(self, name: ContentName) -> int | None:
-        """Longest-prefix FIB match; lowest (cost, face id) wins; None on miss."""
-        best: FibEntry | None = None
-        for entry in self.fib:
-            if name.has_prefix(entry.prefix):
-                if best is None or len(entry.prefix.segments) > len(best.prefix.segments):
-                    best = entry
-        if best is None or not best.faces:
-            return None
-        return best.best_face()
+        return self._flood_faces[in_face]
 
     # -- packet handling ---------------------------------------------------
 
@@ -167,40 +140,40 @@ class NdnNode:
         if size is None:
             size = self.cs.get(key, now)
         if size is not None:
-            data = DataPacket(interest.name, size, trace=(self.id,))
+            data = DataPacket(interest.name, size,
+                              trace=(self.id,) if interest.trace else ())
             return [(in_face, data)]
 
         entry = self.pit.get(key)
-        if entry is not None:
+        if entry is not None and entry.expiry > now:
             if interest.nonce in entry.seen_nonces:
                 self.duplicates_suppressed += 1
                 return []
+            if in_face == LOCAL_FACE and LOCAL_FACE not in entry.in_faces:
+                self._watch(key, entry.token, entry.expiry)
             entry.in_faces.add(in_face)
             entry.seen_nonces.add(interest.nonce)
             return []
 
         self._next_token += 1
-        entry = PitEntry(interest.name, {in_face}, {interest.nonce},
-                         now + PIT_LIFETIME_NS, self._next_token)
-        self.pit[key] = entry
-        if self.pit_expiry_hook is not None:
-            self.pit_expiry_hook(key, entry.token, entry.expiry)
-
-        if self.strategy == FLOODING:
-            out_faces = self.strategy_flood(in_face)
+        token = self._next_token
+        expiry = now + PIT_LIFETIME_NS
+        self.pit[key] = PitEntry(interest.name, {in_face}, {interest.nonce}, expiry, token)
+        if in_face == LOCAL_FACE:
+            self._watch(key, token, expiry)
         else:
-            face = self.strategy_best_route(interest.name)
-            out_faces = [face] if face is not None and face != in_face else []
-        return [(face, interest) for face in out_faces]
+            self.pit_reclaim.append((expiry, self, key, token))
+        return [(face, interest) for face in self.strategy_flood(in_face)]
 
     def on_data(self, data: DataPacket, in_face: int,
                 now: int) -> list[tuple[int, DataPacket]]:
         if in_face not in self.faces:
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
         key = data.name.canonical_text
-        entry = self.pit.pop(key, None)
-        if entry is None:
-            return []  # unsolicited data is dropped
+        entry = self.pit.get(key)
+        if entry is None or entry.expiry <= now:
+            return []  # unsolicited or late data is dropped
+        del self.pit[key]
         self.cs.insert(key, data.payload_size, now)
         return [(face, data) for face in sorted(entry.in_faces) if face != in_face]
 
@@ -212,34 +185,21 @@ class NdnNode:
             return entry
         return None
 
+    def _watch(self, key: str, token: int, expiry: int) -> None:
+        if self.pit_expiry_hook is not None:
+            self.pit_expiry_hook(key, token, expiry)
 
-def build_fib(topology, node_id: int,
-              anchors: Mapping[ContentName | str, int | Sequence[int]]) -> list[FibEntry]:
-    """FIB entries routing each prefix toward its nearest anchor node.
 
-    An anchor at the node itself yields the local face.  When several
-    anchors serve one prefix, the nearest wins, ties by lowest node id.
+def reclaim_expired(fifo: deque[tuple[int, NdnNode, str, int]], now: int) -> None:
+    """Delete the queued PIT entries whose lifetime ended by ``now``.
+
+    Entries are queued as they are created and all live the same
+    PIT_LIFETIME_NS, so the FIFO is ordered by expiry.  An entry the
+    local face joined later belongs to its expiry timer and is skipped.
     """
-    from .core import parse_name
-    from .topology import shortest_paths
-
-    table = shortest_paths(topology, node_id)
-    neighbors = topology.adjacency[node_id]
-    faces = face_layout(neighbors)
-    face_of = {nbr: face for face, nbr in faces.items() if nbr is not None}
-
-    entries: list[FibEntry] = []
-    for prefix, anchor_ids in anchors.items():
-        if isinstance(prefix, str):
-            prefix = parse_name(prefix)
-        ids = [anchor_ids] if isinstance(anchor_ids, int) else list(anchor_ids)
-        for aid in ids:
-            if aid not in topology.nodes:
-                raise KeyError(f"unknown anchor node {aid}")
-        dist, winner = min((table[aid][0], aid) for aid in ids)
-        if winner == node_id:
-            entries.append(FibEntry(prefix, ((LOCAL_FACE, 0),)))
-        else:
-            next_hop = table[winner][1]
-            entries.append(FibEntry(prefix, ((face_of[next_hop], dist),)))
-    return entries
+    while fifo and fifo[0][0] <= now:
+        _, node, key, token = fifo.popleft()
+        entry = node.pit.get(key)
+        if (entry is not None and entry.token == token
+                and LOCAL_FACE not in entry.in_faces):
+            del node.pit[key]

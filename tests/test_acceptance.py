@@ -204,7 +204,8 @@ def test_criterion_7_forwarding_invariants():
             distance = paths.distance(consumer, producer)
 
             # single request: reverse path, nonce bound, completeness
-            sim = Simulation(topology, cs_capacity=0, seed=round_no)
+            sim = Simulation(topology, cs_capacity=0, seed=round_no,
+                             track_edges=True)
             sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
             state = sim.inject_request(consumer, name, at=0)
             sim.run_until(None)

@@ -1,8 +1,13 @@
+import hashlib
+import subprocess
+import sys
+
 import pytest
 
 from balancedn.cli import main, parse_args
 from balancedn.core import assign_resolver, parse_name
 from balancedn.metrics import CSV_COLUMNS, parse_csv
+from varied_delay import storm_graph, topology_text
 
 NSFNET_SNIPPET = """\
 node 0 r0 router
@@ -116,3 +121,29 @@ class TestRunCommand:
                      "--out", str(out)]) == 0
         rows = parse_csv(out.read_text())
         assert {r["scheme"] for r in rows} == {"balancedn"}
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("s1_near", "a1b1dae2e3d69743f4ace3e5fac3bf2b5603a30b99dbf621c46497c9a75caa21"),
+        ("s1_mid", "35a86530eb0239be3df413b34b7c2c59c1b072ae82505fbee24cac289abdd622"),
+        ("s1_long", "7fc947cb1111ce7ab4ad02d6e8c4f33e1db73dd843bcbf9de00c7f708f45091e"),
+    ])
+    def test_single_request_csv_bytes_are_pinned(self, tmp_path, scenario, digest):
+        out = tmp_path / f"{scenario}.csv"
+        assert main(["run", "--scenario", scenario, "--seed", "42",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_flood_storm_exits_one(self, tmp_path):
+        topology, consumer, producer = storm_graph()
+        resolver = min(set(topology.nodes) - {consumer, producer})
+        path = tmp_path / "storm.topo"
+        path.write_text(topology_text(topology, {consumer: "consumer",
+                                                 producer: "producer",
+                                                 resolver: "resolver"}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "balancedn.cli", "run", "--scenario", "s1_mid",
+             "--topology", str(path), "--resolvers", "1", "--schemes", "flooding",
+             "--out", str(tmp_path / "storm.csv")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "budget" in proc.stderr

@@ -4,10 +4,13 @@ import random
 import pytest
 
 from balancedn.core import InterestPacket, parse_name
-from balancedn.engine import (DELIVER_INTEREST, Event, EventQueue,
-                              INTEREST_BITS, SchedulingError, Simulation,
-                              link_transit_ns)
-from balancedn.topology import LinkDescriptor, NodeDescriptor, Topology
+from balancedn.engine import (DELIVER_INTEREST, Event, EventBudgetError,
+                              EventQueue, INTEREST_BITS, SchedulingError,
+                              Simulation, link_transit_ns)
+from balancedn.node import PIT_LIFETIME_NS
+from balancedn.topology import (LinkDescriptor, NodeDescriptor, Topology,
+                                load_preset)
+from varied_delay import storm_graph
 
 NAME = parse_name("/video/a.mp4")
 
@@ -15,6 +18,12 @@ NAME = parse_name("/video/a.mp4")
 def two_node_topology():
     nodes = [NodeDescriptor(0, "c", "consumer"), NodeDescriptor(1, "p", "producer")]
     links = [LinkDescriptor(0, 1, 1.0, 1000.0)]
+    return Topology.build(nodes, links)
+
+
+def line_topology(n):
+    nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(n)]
+    links = [LinkDescriptor(i, i + 1, 1.0, 1000.0) for i in range(n - 1)]
     return Topology.build(nodes, links)
 
 
@@ -129,23 +138,6 @@ class TestRunUntil:
         assert counts[0] == counts[1]
 
 
-class TestRegistrationEvent:
-    def test_registration_dispatches_to_deployment(self):
-        from balancedn.resolution import Deployment
-
-        nodes = [NodeDescriptor(0, "c", "consumer"), NodeDescriptor(1, "r", "router"),
-                 NodeDescriptor(2, "res", "resolver"), NodeDescriptor(3, "t", "tld"),
-                 NodeDescriptor(4, "ns", "nameserver"), NodeDescriptor(5, "p", "producer")]
-        links = [LinkDescriptor(i, i + 1, 1.0, 1000.0) for i in range(5)]
-        topo = Topology.build(nodes, links)
-        deployment = Deployment(topo, resolver_count=1)
-        sim = Simulation(topo)
-        sim.schedule_registration(deployment, 5, NAME, at=100)
-        assert sim.run_until(None) == 1
-        shard = deployment.sites[2].shards[0]
-        assert shard.lookup(NAME.canonical_text) is not None
-
-
 class TestConservation:
     def test_flood_requests_all_accounted(self):
         rng = random.Random(3)
@@ -169,3 +161,84 @@ class TestConservation:
         assert sim.injections == 2
         assert sim.satisfied == 1 and sim.failed == 1
         assert sim.conservation_holds()
+
+    def test_pending_request_breaks_conservation(self):
+        sim = Simulation(two_node_topology())  # nothing published
+        sim.inject_request(0, NAME, at=0)
+        sim.run_until(500_000)
+        assert not sim.conservation_holds()
+        sim.run_until(None)
+        assert sim.failed == 1 and sim.conservation_holds()
+
+
+class TestAggregatedRequests:
+    def test_interest_path_belongs_to_its_own_consumer(self):
+        # line 0-1-2-3, producer 3: consumer 1's flood reaches the producer,
+        # consumer 0's is absorbed by node 1's entry and served from it
+        sim = Simulation(line_topology(4), track_edges=True)
+        sim.publish(3, NAME, 1024)
+        far = sim.inject_request(0, NAME, at=0)
+        near = sim.inject_request(1, NAME, at=0)
+        sim.run_until(None)
+        assert near.satisfied and far.satisfied
+        assert near.interest_path == (1, 2, 3)
+        assert near.data_path == (3, 2, 1)
+        assert far.interest_path == ()
+        assert far.data_path == (3, 2, 1, 0)
+
+    def test_traces_are_opt_in(self):
+        sim = Simulation(line_topology(4))
+        sim.publish(3, NAME, 1024)
+        state = sim.inject_request(0, NAME, at=0)
+        sim.run_until(None)
+        assert state.satisfied and state.path_hops == 3
+        assert state.interest_path == () and state.data_path == ()
+
+
+class TestLazyPitExpiry:
+    def test_local_request_joining_transit_entry_still_fails(self):
+        sim = Simulation(line_topology(3))  # nothing published
+        first = sim.inject_request(2, NAME, at=0)
+        sim.run_until(2_000_000)  # node 1 now holds a transit entry
+        transit = sim.nodes[1].pit[NAME.canonical_text]
+        joined = sim.inject_request(1, NAME, at=2_000_000)
+        sim.run_until(None)
+        assert first.failed and joined.failed
+        assert joined.completed_at == transit.expiry == 1_000_320 + PIT_LIFETIME_NS
+        assert sim.failed == 2 and sim.conservation_holds()
+
+    def test_only_local_entries_get_expiry_events(self):
+        sim = Simulation(line_topology(5))
+        sim.publish(4, NAME, 1024)
+        sim.inject_request(0, NAME, at=0)
+        # injection, 4 Interest and 4 Data deliveries, the consumer's expiry
+        assert sim.run_until(None) == 10
+
+    def test_sequential_floods_keep_pit_bounded(self):
+        topology = load_preset("oteglobe")
+        consumers = topology.nodes_with_role("consumer")
+        producers = topology.nodes_with_role("producer")
+        sim = Simulation(topology)
+        rng = random.Random(7)
+        peak = 0
+        for i in range(50):
+            name = parse_name(f"/seq/flood{i}")
+            sim.publish(rng.choice(producers), name, 1024)
+            state = sim.inject_request(rng.choice(consumers), name, at=sim.now)
+            sim.run_until(None)
+            assert state.satisfied
+            peak = max(peak, sum(len(node.pit) for node in sim.nodes.values()))
+        assert 0 < peak <= 2 * len(topology.nodes)  # a flood leaves <= |V| entries
+
+
+class TestRunBudget:
+    def test_storm_raises_instead_of_hanging(self):
+        topology, consumer, producer = storm_graph()
+        sim = Simulation(topology)
+        sim.publish(producer, NAME, 1024)
+        sim.inject_request(consumer, NAME, at=0)
+        with pytest.raises(EventBudgetError):
+            sim.run_until(None)
+        per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
+        assert sim.processed == per_request
+        assert len(sim.queue) > 0  # the storm was still going

@@ -3,14 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balancedn.core import DataPacket, InterestPacket, parse_name
-from balancedn.node import (BEST_ROUTE, FLOODING, LOCAL_FACE, ContentStore,
-                            FibEntry, NdnNode, UnknownFaceError, cs_insert)
+from balancedn.node import (LOCAL_FACE, PIT_LIFETIME_NS, ContentStore, NdnNode,
+                            UnknownFaceError, reclaim_expired)
 
 NAME = parse_name("/video/a.mp4")
 
 
 def flooding_node(node_id=1, neighbors=(2, 3, 4), cs_capacity=8):
-    return NdnNode(node_id, neighbors, strategy=FLOODING, cs_capacity=cs_capacity)
+    return NdnNode(node_id, neighbors, cs_capacity=cs_capacity)
 
 
 class TestOnInterest:
@@ -101,23 +101,6 @@ class TestStrategies:
         node = NdnNode(0, neighbors=(5, 6, 7))
         assert node.strategy_flood(LOCAL_FACE) == [1, 2, 3]
 
-    def test_best_route_longest_prefix_beats_cost(self):
-        node = NdnNode(0, neighbors=(1, 2, 3, 4, 5), strategy=BEST_ROUTE)
-        node.fib = [
-            FibEntry(parse_name("/a"), ((3, 2),)),
-            FibEntry(parse_name("/a/b"), ((5, 4),)),
-        ]
-        assert node.strategy_best_route(parse_name("/a/b/c")) == 5
-
-    def test_best_route_empty_fib_is_none(self):
-        node = NdnNode(0, neighbors=(1,), strategy=BEST_ROUTE)
-        assert node.strategy_best_route(NAME) is None
-
-    def test_best_route_cost_tie_prefers_lower_face(self):
-        node = NdnNode(0, neighbors=(1, 2, 3), strategy=BEST_ROUTE)
-        node.fib = [FibEntry(parse_name("/a"), ((3, 2), (2, 2)))]
-        assert node.strategy_best_route(parse_name("/a/x")) == 2
-
 
 class TestContentStore:
     def test_capacity_one_evicts_previous(self):
@@ -145,12 +128,6 @@ class TestContentStore:
         cs = ContentStore(0)
         assert cs.insert("/a", 8, 0) is None
         assert "/a" not in cs and len(cs) == 0
-
-    def test_cs_insert_wrapper_returns_content_name(self):
-        cs = ContentStore(1)
-        cs_insert(cs, parse_name("/a"), 8, 0)
-        evicted = cs_insert(cs, parse_name("/b"), 8, 1)
-        assert evicted == parse_name("/a")
 
     @given(st.lists(st.tuples(st.sampled_from(["get", "insert"]),
                               st.integers(min_value=0, max_value=7)),
@@ -204,3 +181,31 @@ class TestPitExpiry:
         entry = node.pit[NAME.canonical_text]
         node.on_data(DataPacket(NAME, 8), in_face=2, now=1)
         assert node.expire_pit(NAME.canonical_text, entry.token, entry.expiry) is None
+
+    def test_entry_counts_as_absent_from_its_expiry_on(self):
+        node = flooding_node()
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        assert node.on_data(DataPacket(NAME, 8), in_face=2, now=PIT_LIFETIME_NS) == []
+        out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=1,
+                               now=PIT_LIFETIME_NS)
+        assert [face for face, _ in out] == [2, 3]  # a fresh flood
+        assert node.pit[NAME.canonical_text].expiry == 2 * PIT_LIFETIME_NS
+
+    def test_reclaim_deletes_only_current_transit_entries(self):
+        node = flooding_node()
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        other = parse_name("/other")
+        node.on_interest(InterestPacket(other, nonce=2), in_face=LOCAL_FACE, now=0)
+        joined = parse_name("/joined")
+        node.on_interest(InterestPacket(joined, nonce=3), in_face=1, now=0)
+        node.on_interest(InterestPacket(joined, nonce=4), in_face=LOCAL_FACE, now=1)
+        stale = parse_name("/stale")
+        node.on_interest(InterestPacket(stale, nonce=5), in_face=1, now=0)
+        node.on_interest(InterestPacket(stale, nonce=6), in_face=2, now=PIT_LIFETIME_NS)
+        assert len(node.pit_reclaim) == 4  # the local entry has a timer instead
+        reclaim_expired(node.pit_reclaim, PIT_LIFETIME_NS)
+        # the expired transit entry is gone; the local one, the one a local
+        # request joined (its timer owns it) and the re-created one stay
+        assert set(node.pit) == {other.canonical_text, joined.canonical_text,
+                                 stale.canonical_text}
+        assert len(node.pit_reclaim) == 1

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from balancedn.node import LOCAL_FACE, build_fib
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, TopologyError, load_preset,
                                 load_topology, shortest_paths)
@@ -191,34 +190,3 @@ class TestShortestPaths:
                  LinkDescriptor(1, 3, 1, 1000), LinkDescriptor(2, 3, 1, 1000)]
         topo = Topology.build(nodes, links)
         assert shortest_paths(topo, 0)[3] == (2, 1)
-
-
-class TestBuildFib:
-    def test_anchor_at_node_itself_uses_local_face(self):
-        topo = make_line(3)
-        fib = build_fib(topo, 1, {"/a": 1})
-        assert fib[0].faces == ((LOCAL_FACE, 0),)
-
-    def test_anchor_one_hop_away_names_that_neighbor(self):
-        topo = make_line(3)
-        fib = build_fib(topo, 0, {"/a": 1})
-        face, cost = fib[0].faces[0]
-        assert cost == 1
-        # node 0's only neighbor is node 1, on face 1
-        assert face == 1
-
-    def test_equidistant_anchors_lowest_id_wins(self):
-        # diamond: 0-1, 0-2, 1-3, 2-3; anchors at 1 and 2 from node 3
-        nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(4)]
-        links = [LinkDescriptor(0, 1, 1, 1000), LinkDescriptor(0, 2, 1, 1000),
-                 LinkDescriptor(1, 3, 1, 1000), LinkDescriptor(2, 3, 1, 1000)]
-        topo = Topology.build(nodes, links)
-        fib = build_fib(topo, 3, {"/a": [2, 1]})
-        face, cost = fib[0].faces[0]
-        assert cost == 1
-        # faces at node 3: 1 -> neighbor 1, 2 -> neighbor 2; anchor 1 wins
-        assert face == 1
-
-    def test_unknown_anchor(self):
-        with pytest.raises(KeyError):
-            build_fib(make_line(2), 0, {"/a": 7})
