@@ -106,11 +106,6 @@ def parse_name(text: str) -> ContentName:
     return ContentName(tuple(segments))
 
 
-def name(text: str) -> ContentName:
-    """Shorthand alias for :func:`parse_name`."""
-    return parse_name(text)
-
-
 @dataclass(frozen=True, slots=True)
 class InterestPacket:
     """A request for named content.

@@ -168,6 +168,8 @@ class Simulation:
         self._requests_since_drain = 0
         self._events_since_drain = 0
         self.requests: dict[str, dict[int, RequestState]] = {}
+        # ended requests that a later request of the same consumer and name replaced
+        self._replaced_requests: list[RequestState] = []
         self.flows: dict[str, FlowStats] = {}
         self.injections = 0
         self.satisfied = 0
@@ -200,14 +202,25 @@ class Simulation:
     # -- scheduling --------------------------------------------------------
 
     def inject_request(self, consumer: int, name: ContentName, at: int) -> RequestState:
-        """Schedule a consumer request; returns its live bookkeeping record."""
+        """Schedule a consumer request; returns its live bookkeeping record.
+
+        A consumer may repeat a name only once its earlier request for it
+        has been satisfied or has failed; until then ``ValueError``.
+        """
+        key = name.canonical_text
+        by_consumer = self.requests.setdefault(key, {})
+        earlier = by_consumer.get(consumer)
+        if earlier is not None:
+            if not earlier.satisfied and not earlier.failed:
+                raise ValueError(f"consumer {consumer} already has a pending "
+                                 f"request for {key}")
+            self._replaced_requests.append(earlier)
         reclaim_expired(self._reclaim, self.queue.now)
         nonce = self.rng.getrandbits(64)
         trace = (consumer,) if self.track_edges else ()
         interest = InterestPacket(name, nonce, 0, trace)
-        key = name.canonical_text
         state = RequestState(name, consumer, at)
-        self.requests.setdefault(key, {})[consumer] = state
+        by_consumer[consumer] = state
         self.flows.setdefault(key, FlowStats())
         self.injections += 1
         self._requests_since_drain += 1
@@ -354,5 +367,6 @@ class Simulation:
         """Every injected request ended exactly one of satisfied or failed."""
         states = [state for by_consumer in self.requests.values()
                   for state in by_consumer.values()]
+        states += self._replaced_requests
         return (len(states) == self.injections
                 and all(state.satisfied != state.failed for state in states))

@@ -23,13 +23,13 @@ from __future__ import annotations
 import gc
 import statistics
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .core import ContentName, assign_resolver, crc16, crc16_update
 from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
-from .node import ContentStore
-from .topology import PathTable, Topology
+from .topology import Topology
 
 # the nameserver's record reply is a small control Data packet
 LOCATOR_REPLY_BITS = 512
@@ -74,30 +74,31 @@ class ResolverShard:
 
     index: int
     host_node: int
+    cache_capacity: int = 10_000
     authoritative: dict[str, LocatorRecord] = field(default_factory=dict)
-    cache: ContentStore = field(default_factory=lambda: ContentStore(10_000))
-    cached_records: dict[str, LocatorRecord] = field(default_factory=dict)
+    cache: OrderedDict[str, LocatorRecord] = field(default_factory=OrderedDict)
+
+    def __post_init__(self) -> None:
+        if self.cache_capacity < 0:
+            raise ValueError("cache capacity must be non-negative")
 
     def lookup(self, key: str) -> LocatorRecord | None:
+        """Exact-name match, authoritative before cached; hits refresh recency."""
         record = self.authoritative.get(key)
         if record is not None:
             return record
-        if self.cache.get(key, 0) is None:
-            return None
-        return self.cached_records[key]
+        record = self.cache.get(key)
+        if record is not None:
+            self.cache.move_to_end(key)
+        return record
 
     def store_cached(self, record: LocatorRecord) -> None:
-        if record.name in self.authoritative or self.cache.capacity == 0:
+        if record.name in self.authoritative or self.cache_capacity == 0:
             return
-        evicted = self.cache.insert(record.name, 1, 0)
-        self.cached_records[record.name] = record
-        if evicted is not None:
-            del self.cached_records[evicted]
-
-
-def shard_lookup(shard: ResolverShard, name: ContentName) -> LocatorRecord | None:
-    """Exact-name match, authoritative before cached; hits refresh recency."""
-    return shard.lookup(name.canonical_text)
+        self.cache[record.name] = record
+        self.cache.move_to_end(record.name)
+        if len(self.cache) > self.cache_capacity:
+            self.cache.popitem(last=False)
 
 
 @dataclass(slots=True)
@@ -176,10 +177,11 @@ class Deployment:
         self.topology = topology
         self.resolver_count = resolver_count
         self.checksum = checksum
-        self.paths = PathTable(topology)
+        self.paths = topology.paths
+        self._legs: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.sites: dict[int, ClusterSite] = {
             nid: ClusterSite(nid, [
-                ResolverShard(i, nid, cache=ContentStore(cache_capacity))
+                ResolverShard(i, nid, cache_capacity)
                 for i in range(resolver_count)
             ])
             for nid in resolver_nodes
@@ -335,6 +337,7 @@ class Deployment:
                 return ResolutionOutcome(name, None, steps, False, False,
                                          interest_traversals, data_traversals,
                                          latency, bits_moved)
+            # the record reply caches the locator at the consumer-side site
             shard.store_cached(record)
 
         producer = record.producer
@@ -343,57 +346,30 @@ class Deployment:
         return_hops += data_leg(shard.host_node, ingress, payload_bits)
         return_hops += data_leg(ingress, consumer, payload_bits)
         steps.append((STAGE_DATA_RETURN, return_hops))
-        # returning Data re-caches the record at the consumer-side site
-        shard.store_cached(record)
 
         return ResolutionOutcome(name, producer, steps, shortcut, True,
                                  interest_traversals, data_traversals,
                                  latency, bits_moved)
 
     def _leg(self, src: int, dst: int, bits: int) -> tuple[int, int]:
-        """Hop count and summed transit time of the shortest path src -> dst."""
-        if src == dst:
-            return 0, 0
-        path = self.paths.path(src, dst)
-        transit = 0
-        for a, b in zip(path, path[1:]):
-            transit += link_transit_ns(self.topology.link_between(a, b), bits)
-        return len(path) - 1, transit
+        """Hop count and summed transit time of the shortest path src -> dst.
 
-
-def lookup_timing_probe(shard: ResolverShard, probe_names: Sequence[ContentName],
-                        repetitions: int) -> float:
-    """Typical wall-clock lookup time in milliseconds over the probe set.
-
-    Each repetition times len(probe_names) lookups against the shard's
-    record table with a monotonic clock and yields a per-lookup mean;
-    the median of the repetition means is returned.  One untimed warmup
-    pass runs first and the garbage collector is paused while timing,
-    so the result tracks table size rather than allocator pauses or
-    scheduler stalls landing inside a single timing window.
-    """
-    if not probe_names:
-        raise ValueError("probe_names must not be empty")
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    keys = [n.canonical_text for n in probe_names]
-    lookup = shard.lookup
-    for key in keys:
-        lookup(key)
-    per_rep_ms: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repetitions):
-            start = time.perf_counter()
-            for key in keys:
-                lookup(key)
-            elapsed = time.perf_counter() - start
-            per_rep_ms.append(elapsed * 1000.0 / len(keys))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return statistics.median(per_rep_ms)
+        Memoized per (src, dst, bits); the first call walks the path and
+        rounds each link's transit time as the event engine does.
+        """
+        key = (src, dst, bits)
+        leg = self._legs.get(key)
+        if leg is None:
+            if src == dst:
+                leg = (0, 0)
+            else:
+                path = self.paths.path(src, dst)
+                transit = 0
+                for a, b in zip(path, path[1:]):
+                    transit += link_transit_ns(self.topology.link_between(a, b), bits)
+                leg = (len(path) - 1, transit)
+            self._legs[key] = leg
+        return leg
 
 
 def interleaved_timing_probe(probe_sets: Sequence[tuple[ResolverShard, Sequence[ContentName]]],
@@ -402,8 +378,12 @@ def interleaved_timing_probe(probe_sets: Sequence[tuple[ResolverShard, Sequence[
 
     Each repetition pass times every shard once before the next pass
     starts, so ambient load hits all shards alike and their ratio stays
-    meaningful.  Per-shard results are medians of the repetition means,
-    as in :func:`lookup_timing_probe`.
+    meaningful.  Each repetition times the shard's probe names with a
+    monotonic clock and yields a per-lookup mean; per-shard results are
+    medians of the repetition means.  One untimed warmup pass runs first
+    and the garbage collector is paused while timing, so the result
+    tracks table size rather than allocator pauses or scheduler stalls
+    landing inside a single timing window.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
@@ -500,7 +480,7 @@ def build_skewed_shards(loads: dict[int, int], resolver_count: int, *,
     offset = 0
     for index in range(resolver_count):
         count = loads.get(index, 0)
-        shard = ResolverShard(index, host_node, cache=ContentStore(0))
+        shard = ResolverShard(index, host_node, cache_capacity=0)
         for key in synthesize_shard_names(index, count, resolver_count, start=offset):
             shard.authoritative[key] = LocatorRecord(key, host_node, 0)
         offset += count

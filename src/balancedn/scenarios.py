@@ -187,7 +187,7 @@ def _balancedn_record(outcome, scenario: str, consumer: int, producer: int,
 
 
 def _run_single_request(topology: Topology, config: ScenarioConfig) -> ScenarioReport:
-    paths = PathTable(topology)
+    paths = topology.paths
     consumers = topology.nodes_with_role("consumer")
     producers = topology.nodes_with_role("producer")
     if not consumers or not producers:
@@ -252,7 +252,7 @@ def _cross_subnet_pairs(topology: Topology,
 
 def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioReport:
     """Scenario 2/3 protocol: every consumer fetches foreign unique content."""
-    paths = PathTable(topology)
+    paths = topology.paths
     producers = topology.nodes_with_role("producer")
     corpus = synthetic_corpus(config.content_count, config.seed)
 

@@ -55,7 +55,11 @@ class LinkDescriptor:
 
 
 class Topology:
-    """Validated, immutable-after-build network graph."""
+    """Validated, immutable-after-build network graph.
+
+    ``paths`` is the graph's one shortest-path table, filled lazily, so
+    every caller that routes over this graph shares its BFS results.
+    """
 
     def __init__(self, nodes: Mapping[int, NodeDescriptor],
                  links: Mapping[tuple[int, int], LinkDescriptor]) -> None:
@@ -68,6 +72,7 @@ class Topology:
         self.adjacency: dict[int, tuple[int, ...]] = {
             nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()
         }
+        self.paths = PathTable(self)
 
     @classmethod
     def build(cls, nodes: Iterable[NodeDescriptor],
@@ -131,20 +136,6 @@ class Topology:
 
     def role_of(self, node_id: int) -> str:
         return self.nodes[node_id].role
-
-    def access_router(self, node_id: int) -> int:
-        """Nearest router-role node (ties broken by lowest id)."""
-        if self.nodes[node_id].role == "router":
-            return node_id
-        best: tuple[int, int] | None = None
-        dist = shortest_paths(self, node_id)
-        for rid in self.nodes_with_role("router"):
-            cand = (dist[rid][0], rid)
-            if best is None or cand < best:
-                best = cand
-        if best is None:
-            raise TopologyError("topology has no router nodes")
-        return best[1]
 
     def with_extra_node(self, node: NodeDescriptor,
                         links: Sequence[LinkDescriptor]) -> "Topology":

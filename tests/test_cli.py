@@ -133,6 +133,14 @@ class TestRunCommand:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_s3_balancedn_csv_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "s3.csv"
+        assert main(["run", "--scenario", "s3", "--content", "20000",
+                     "--schemes", "balancedn", "--seed", "42",
+                     "--out", str(out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "7b97f50d72df01f3cd4eb5d7051c9a2a759c5f0032079937841b95ca3a190d96")
+
     def test_flood_storm_exits_one(self, tmp_path):
         topology, consumer, producer = storm_graph()
         resolver = min(set(topology.nodes) - {consumer, producer})

@@ -170,6 +170,28 @@ class TestConservation:
         sim.run_until(None)
         assert sim.failed == 1 and sim.conservation_holds()
 
+    def test_repeat_while_pending_is_rejected(self):
+        sim = Simulation(two_node_topology())
+        sim.publish(1, NAME, 1024)
+        first = sim.inject_request(0, NAME, at=0)
+        with pytest.raises(ValueError, match=r"consumer 0 .*/video/a\.mp4"):
+            sim.inject_request(0, NAME, at=0)
+        sim.run_until(None)
+        assert first.satisfied and sim.injections == 1
+        assert sim.conservation_holds()
+
+    def test_repeat_after_satisfied_keeps_conservation(self):
+        sim = Simulation(two_node_topology())
+        sim.publish(1, NAME, 1024)
+        first = sim.inject_request(0, NAME, at=0)
+        sim.run_until(None)
+        second = sim.inject_request(0, NAME, at=sim.now)
+        assert not sim.conservation_holds()
+        sim.run_until(None)
+        assert first.satisfied and second.satisfied
+        assert sim.injections == 2 and sim.satisfied == 2
+        assert sim.conservation_holds()
+
 
 class TestAggregatedRequests:
     def test_interest_path_belongs_to_its_own_consumer(self):

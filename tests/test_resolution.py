@@ -1,19 +1,18 @@
-import math
 import random
 
 import pytest
 
 from balancedn.core import assign_resolver, parse_name
-from balancedn.engine import Simulation
-from balancedn.node import ContentStore
-from balancedn.resolution import (ConfigurationError, Deployment,
-                                  LocatorRecord, RegistrationConflictError,
-                                  ResolverShard, STAGE_ORDER,
-                                  build_skewed_shards, interleaved_timing_probe,
-                                  lookup_timing_probe, shard_lookup,
+from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
+from balancedn.resolution import (LOCATOR_REPLY_BITS, ConfigurationError,
+                                  Deployment, LocatorRecord,
+                                  RegistrationConflictError, ResolverShard,
+                                  STAGE_ORDER, build_skewed_shards,
+                                  interleaved_timing_probe,
                                   synthesize_shard_names)
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, load_preset)
+from varied_delay import varied_delay_graph
 
 NAME = parse_name("/video/a.mp4")
 
@@ -258,11 +257,11 @@ class TestShardLookup:
         deployment = Deployment(line_topology(), resolver_count=1)
         deployment.register_content(5, NAME)
         shard = deployment.sites[4].shards[0]
-        assert shard_lookup(shard, NAME) is not None
-        assert shard_lookup(shard, parse_name("/other/x")) is None
+        assert shard.lookup(NAME.canonical_text) is not None
+        assert shard.lookup("/other/x") is None
 
     def test_cached_record_evicted_after_capacity_overflow(self):
-        shard = ResolverShard(0, 0, cache=ContentStore(2))
+        shard = ResolverShard(0, 0, cache_capacity=2)
         records = [LocatorRecord(f"/c/{i}", producer=9, registered_at=0)
                    for i in range(3)]
         for record in records:
@@ -272,7 +271,7 @@ class TestShardLookup:
         assert shard.lookup("/c/2") is not None
 
     def test_cache_hit_refreshes_recency(self):
-        shard = ResolverShard(0, 0, cache=ContentStore(2))
+        shard = ResolverShard(0, 0, cache_capacity=2)
         shard.store_cached(LocatorRecord("/c/0", 9, 0))
         shard.store_cached(LocatorRecord("/c/1", 9, 0))
         shard.lookup("/c/0")
@@ -280,22 +279,57 @@ class TestShardLookup:
         assert shard.lookup("/c/1") is None
         assert shard.lookup("/c/0") is not None
 
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            Deployment(line_topology(), cache_capacity=-1)
+
+
+def with_hierarchy_roles(topology):
+    """The graph with nodes 0, 1, 2 as resolver, tld and nameserver."""
+    roles = {0: "resolver", 1: "tld", 2: "nameserver"}
+    nodes = [NodeDescriptor(nid, nd.label, roles.get(nid, nd.role))
+             for nid, nd in topology.nodes.items()]
+    return Topology.build(nodes, topology.links.values())
+
+
+class TestLegMemo:
+    BITS = (INTEREST_BITS, LOCATOR_REPLY_BITS, 1024)
+
+    @staticmethod
+    def walked(topology, table, src, dst, bits):
+        """Hop count and per-link transit sum along ``table``'s path."""
+        path = table.path(src, dst)
+        transit = sum(link_transit_ns(topology.link_between(a, b), bits)
+                      for a, b in zip(path, path[1:]))
+        return len(path) - 1, transit
+
+    def test_memoized_legs_equal_hop_by_hop_sums_on_unequal_delays(self):
+        rng = random.Random(11)
+        for _ in range(4):
+            topo = with_hierarchy_roles(varied_delay_graph(rng)[0])
+            deployment = Deployment(topo, resolver_count=1)
+            fresh = PathTable(topo)
+            for bits in self.BITS:
+                for src in topo.nodes:
+                    for dst in topo.nodes:
+                        expected = self.walked(topo, fresh, src, dst, bits)
+                        assert deployment._leg(src, dst, bits) == expected
+                        assert deployment._leg(src, dst, bits) == expected
+            assert len(deployment._legs) == len(self.BITS) * len(topo.nodes) ** 2
+
+    def test_deployment_shares_the_topology_path_table(self):
+        topo = line_topology()
+        assert Deployment(topo).paths is topo.paths
+
 
 class TestTimingProbe:
-    def test_single_record_probe_is_positive_and_finite(self):
-        shard = ResolverShard(0, 0)
-        shard.authoritative[NAME.canonical_text] = LocatorRecord(
-            NAME.canonical_text, 5, 0)
-        ms = lookup_timing_probe(shard, [NAME], repetitions=3)
-        assert ms > 0 and math.isfinite(ms)
-
     def test_empty_probe_list_rejected(self):
         with pytest.raises(ValueError):
-            lookup_timing_probe(ResolverShard(0, 0), [], repetitions=1)
+            interleaved_timing_probe([(ResolverShard(0, 0), [])], repetitions=1)
 
     def test_repetitions_must_be_positive(self):
         with pytest.raises(ValueError):
-            lookup_timing_probe(ResolverShard(0, 0), [NAME], repetitions=0)
+            interleaved_timing_probe([(ResolverShard(0, 0), [NAME])], repetitions=0)
 
     def test_interleaved_probe_covers_all_shards(self):
         shards = build_skewed_shards({0: 50, 1: 80}, 2)

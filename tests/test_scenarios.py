@@ -1,5 +1,6 @@
 import pytest
 
+from balancedn import topology as topology_module
 from balancedn.core import parse_name
 from balancedn.scenarios import (ScenarioConfig, ScenarioError,
                                  default_topology, run_scenario,
@@ -112,6 +113,20 @@ class TestPairSweep:
         report = run_scenario(ScenarioConfig(scenario="s2", content_count=4000,
                                              schemes=("balancedn",)))
         assert sum(report.shard_loads.values()) == 4000
+
+    def test_s3_balancedn_runs_at_most_one_bfs_per_node(self, monkeypatch):
+        calls = []
+        real = topology_module.shortest_paths
+
+        def counted(topology, source):
+            calls.append(topology)
+            return real(topology, source)
+
+        monkeypatch.setattr(topology_module, "shortest_paths", counted)
+        run_scenario(ScenarioConfig(scenario="s3", content_count=20_000,
+                                    schemes=("balancedn",)))
+        assert calls and len({id(t) for t in calls}) == 1
+        assert len(calls) <= len(calls[0].nodes)
 
     def test_resolver_bound_checked_against_topology(self):
         with pytest.raises(ScenarioError, match="exceeds"):
