@@ -2,15 +2,11 @@
 
 The checksum is CRC-16/ARC: width=16, poly=0x8005, init=0, refIn=True,
 refOut=True, xorOut=0.  Check value: crc16(b"123456789") == 0xBB3D.
-The variant is swappable through the ``checksum`` parameter of
-``assign_resolver`` so experiments can plug in alternates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-ResolverIndex = int
 
 SIGNATURE_BITS = 256
 _SIGNATURE_PLACEHOLDER = bytes(SIGNATURE_BITS // 8)
@@ -162,8 +158,8 @@ class DataPacket:
                           self.hop_count + 1, trace)
 
 
-def assign_resolver(name: ContentName, resolver_count: int, *, checksum=crc16) -> ResolverIndex:
-    """Map a name to a resolver shard index: checksum(canonical bytes) mod N."""
+def assign_resolver(name: ContentName, resolver_count: int) -> int:
+    """Map a name to a resolver shard index: crc16(canonical bytes) mod N."""
     if resolver_count < 1:
         raise ValueError("resolver_count must be at least 1")
-    return checksum(name.encoded()) % resolver_count
+    return crc16(name.encoded()) % resolver_count

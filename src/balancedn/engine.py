@@ -228,16 +228,6 @@ class Simulation:
                                   face=LOCAL_FACE, packet=interest))
         return state
 
-    def transmit(self, link: LinkDescriptor, packet: InterestPacket | DataPacket,
-                 from_node: int, now: int) -> Event:
-        """Schedule delivery of ``packet`` across ``link``.
-
-        The delivered copy is stamped with hop_count + 1 and, when the
-        packet carries a trace, the receiving node appended to it.
-        """
-        face = self.nodes[from_node].face_of[link.other(from_node)]
-        return self._send(from_node, face, packet, now)
-
     def _send(self, from_node: int, face: int, packet: InterestPacket | DataPacket,
               now: int) -> Event:
         to_node, to_face, interest_ns, link = self._face_table[from_node][face]

@@ -75,7 +75,6 @@ def top5_avg(values: Iterable[int]) -> int:
 class BinStats:
     requests: int
     interest_mean: float
-    interest_max: int
     interest_top5: int
     path_hops_mean: float
     data_mean: float
@@ -97,7 +96,6 @@ def bin_by_distance(records: Iterable[RequestRecord]) -> dict[int, dict[str, Bin
             out[distance][scheme] = BinStats(
                 requests=n,
                 interest_mean=sum(interests) / n,
-                interest_max=max(interests),
                 interest_top5=top5_avg(interests),
                 path_hops_mean=sum(r.path_hops for r in recs) / n,
                 data_mean=sum(r.data_traversals for r in recs) / n,
@@ -125,9 +123,6 @@ class ScenarioReport:
 
     def bins(self) -> dict[int, dict[str, BinStats]]:
         return bin_by_distance(self.records)
-
-    def total_bytes(self) -> int:
-        return sum(r.bytes_moved for r in self.records)
 
     def rows(self) -> list[dict[str, object]]:
         """CSV rows ordered by (scenario, distance, scheme, case)."""

@@ -4,14 +4,15 @@ Every resolver-role node hosts one cluster site holding N shard tables
 (shard index = crc16(name) mod N).  A producer registers each name at
 its nearest site's shard and in the global nameserver zone; the TLD
 server keeps the prefix delegations.  A consumer's request walks the
-numbered stages:
+numbered stages from its nearest site, the ingress, whose shard for
+the name's hash answers locally:
 
-    consumer -> nearest cluster site -> shard (by hash)
+    consumer -> ingress site
       shard record hit:  skip straight to the fetch (shortcut)
-      shard record miss: ask the TLD, then the delegated nameserver
-    shard -> producer (fetch), then Data returns producer -> site ->
-    consumer, and the locator record is cached at the site on the way
-    back so the next lookup for that name short-circuits.
+      shard record miss: ingress -> TLD -> delegated nameserver
+    ingress -> producer (fetch), then Data returns producer -> ingress
+    -> consumer, and the locator record is cached at the ingress on the
+    way back so the next lookup for that name short-circuits.
 
 Stage traversal counts are shortest-path hop distances; latency sums
 the same per-link transit times the event engine charges, so the two
@@ -25,7 +26,7 @@ import statistics
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import ContentName, assign_resolver, crc16, crc16_update
 from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
@@ -35,7 +36,6 @@ from .topology import Topology
 LOCATOR_REPLY_BITS = 512
 
 STAGE_CONSUMER_TO_CLUSTER = "consumer_to_cluster"
-STAGE_CLUSTER_TO_RESOLVER = "cluster_to_resolver"
 STAGE_RESOLVER_TO_TLD = "resolver_to_tld"
 STAGE_TLD_TO_NAMESERVER = "tld_to_nameserver"
 STAGE_FETCH = "fetch"
@@ -43,7 +43,6 @@ STAGE_DATA_RETURN = "data_return"
 
 STAGE_ORDER = (
     STAGE_CONSUMER_TO_CLUSTER,
-    STAGE_CLUSTER_TO_RESOLVER,
     STAGE_RESOLVER_TO_TLD,
     STAGE_TLD_TO_NAMESERVER,
     STAGE_FETCH,
@@ -73,7 +72,6 @@ class ResolverShard:
     """One shard table: authoritative records plus an LRU record cache."""
 
     index: int
-    host_node: int
     cache_capacity: int = 10_000
     authoritative: dict[str, LocatorRecord] = field(default_factory=dict)
     cache: OrderedDict[str, LocatorRecord] = field(default_factory=OrderedDict)
@@ -119,17 +117,6 @@ class TldServer:
 class NameServer:
     host_node: int
     zone: dict[str, LocatorRecord] = field(default_factory=dict)
-    delegated_prefixes: set[str] = field(default_factory=set)
-
-
-@dataclass(frozen=True, slots=True)
-class RegistrationReport:
-    name: ContentName
-    producer: int
-    site_node: int
-    shard_index: int
-    nameserver_node: int
-    link_traversals: int
 
 
 @dataclass(slots=True)
@@ -160,8 +147,7 @@ class Deployment:
     """Resolver sites plus the TLD/nameserver hierarchy over one topology."""
 
     def __init__(self, topology: Topology, resolver_count: int = 8, *,
-                 cache_capacity: int = 10_000,
-                 checksum: Callable[[bytes], int] = crc16) -> None:
+                 cache_capacity: int = 10_000) -> None:
         if resolver_count < 1:
             raise ConfigurationError("resolver_count must be at least 1")
         resolver_nodes = topology.nodes_with_role("resolver")
@@ -176,12 +162,11 @@ class Deployment:
 
         self.topology = topology
         self.resolver_count = resolver_count
-        self.checksum = checksum
         self.paths = topology.paths
         self._legs: dict[tuple[int, int, int], tuple[int, int]] = {}
         self.sites: dict[int, ClusterSite] = {
             nid: ClusterSite(nid, [
-                ResolverShard(i, nid, cache_capacity)
+                ResolverShard(i, cache_capacity)
                 for i in range(resolver_count)
             ])
             for nid in resolver_nodes
@@ -192,9 +177,6 @@ class Deployment:
         self._nearest_site: dict[int, int] = {}
 
     # -- placement ---------------------------------------------------------
-
-    def shard_index(self, name: ContentName) -> int:
-        return assign_resolver(name, self.resolver_count, checksum=self.checksum)
 
     def nearest_site(self, node_id: int) -> ClusterSite:
         site_node = self._nearest_site.get(node_id)
@@ -211,46 +193,16 @@ class Deployment:
 
     # -- registration ------------------------------------------------------
 
-    def register_content(self, producer: int, name: ContentName,
-                         now: int = 0) -> RegistrationReport:
-        """Install a name's locator record at the producer's site and zone.
-
-        Re-registering the same (name, producer) pair is idempotent; a
-        different producer for a known name is a conflict.
-        """
-        node = self.topology.nodes.get(producer)
-        if node is None or node.role != "producer":
-            raise ConfigurationError(f"node {producer} is not a producer")
-        if not self.nameservers:
-            raise ConfigurationError("no nameserver delegated for any prefix")
-        key = name.canonical_text
-        prefix = name.segments[0]
-        ns = self._nameserver_for(prefix)
-        existing = ns.zone.get(key)
-        if existing is not None and existing.producer != producer:
-            raise RegistrationConflictError(
-                f"{key} is already registered to producer {existing.producer}")
-
-        idx = self.shard_index(name)
-        site = self.nearest_site(producer)
-        if existing is None:
-            record = LocatorRecord(key, producer, now)
-            ns.zone[key] = record
-            ns.delegated_prefixes.add(prefix)
-            self.tld.delegations.setdefault(prefix, ns.host_node)
-            site.shards[idx].authoritative[key] = record
-        traversals = (self.paths.distance(producer, site.node)
-                      + self.paths.distance(producer, ns.host_node))
-        return RegistrationReport(name, producer, site.node, idx,
-                                  ns.host_node, traversals)
-
     def register_bulk(self, pairs: Iterable[tuple[str, int]], now: int = 0) -> int:
-        """Register many (canonical name, producer) pairs; returns traversals.
+        """Register (canonical name, producer) pairs; returns link traversals.
 
-        Streamlined loop for scenario setup; placement is identical to
-        register_content, including the conflict and idempotency rules.
+        A new name gets one locator record, in its prefix's nameserver
+        zone and in shard crc16(name) mod N of the producer's nearest
+        site, and costs the producer's hops to that site plus its hops
+        to the nameserver.  A pair already registered to the same
+        producer is skipped and costs nothing; a different producer for
+        a known name raises RegistrationConflictError.
         """
-        checksum = self.checksum
         n = self.resolver_count
         tld_delegations = self.tld.delegations
         site_of: dict[int, ClusterSite] = {}
@@ -279,9 +231,8 @@ class Deployment:
                 dist_cache[(producer, ns.host_node)] = hops
             record = LocatorRecord(key, producer, now)
             ns.zone[key] = record
-            ns.delegated_prefixes.add(prefix)
             tld_delegations.setdefault(prefix, ns.host_node)
-            site.shards[checksum(key.encode()) % n].authoritative[key] = record
+            site.shards[crc16(key.encode()) % n].authoritative[key] = record
             total += hops
         return total
 
@@ -295,7 +246,7 @@ class Deployment:
         key = name.canonical_text
         site = self.nearest_site(consumer)
         ingress = site.node
-        shard = site.shards[self.shard_index(name)]
+        shard = site.shards[assign_resolver(name, self.resolver_count)]
 
         steps: list[tuple[str, int]] = []
         latency = 0
@@ -320,19 +271,18 @@ class Deployment:
             return hops
 
         interest_leg(STAGE_CONSUMER_TO_CLUSTER, consumer, ingress)
-        interest_leg(STAGE_CLUSTER_TO_RESOLVER, ingress, shard.host_node)
 
         record = shard.lookup(key)
         shortcut = record is not None
         if not shortcut:
             tld_node = self.tld.host_node
             ns = self._nameserver_for(name.segments[0])
-            interest_leg(STAGE_RESOLVER_TO_TLD, shard.host_node, tld_node)
+            interest_leg(STAGE_RESOLVER_TO_TLD, ingress, tld_node)
             interest_leg(STAGE_TLD_TO_NAMESERVER, tld_node, ns.host_node)
             record = ns.zone.get(key)
-            # the record reply retraces nameserver -> tld -> shard
+            # the record reply retraces nameserver -> tld -> ingress
             data_leg(ns.host_node, tld_node, LOCATOR_REPLY_BITS)
-            data_leg(tld_node, shard.host_node, LOCATOR_REPLY_BITS)
+            data_leg(tld_node, ingress, LOCATOR_REPLY_BITS)
             if record is None:
                 return ResolutionOutcome(name, None, steps, False, False,
                                          interest_traversals, data_traversals,
@@ -341,9 +291,8 @@ class Deployment:
             shard.store_cached(record)
 
         producer = record.producer
-        interest_leg(STAGE_FETCH, shard.host_node, producer)
-        return_hops = data_leg(producer, shard.host_node, payload_bits)
-        return_hops += data_leg(shard.host_node, ingress, payload_bits)
+        interest_leg(STAGE_FETCH, ingress, producer)
+        return_hops = data_leg(producer, ingress, payload_bits)
         return_hops += data_leg(ingress, consumer, payload_bits)
         steps.append((STAGE_DATA_RETURN, return_hops))
 
@@ -473,16 +422,15 @@ def synthesize_shard_names(index: int, count: int, resolver_count: int, *,
     return names
 
 
-def build_skewed_shards(loads: dict[int, int], resolver_count: int, *,
-                        host_node: int = 0) -> list[ResolverShard]:
+def build_skewed_shards(loads: dict[int, int], resolver_count: int) -> list[ResolverShard]:
     """Shard tables sized per the load map, for lookup-timing experiments."""
     shards = []
     offset = 0
     for index in range(resolver_count):
         count = loads.get(index, 0)
-        shard = ResolverShard(index, host_node, cache_capacity=0)
+        shard = ResolverShard(index, cache_capacity=0)
         for key in synthesize_shard_names(index, count, resolver_count, start=offset):
-            shard.authoritative[key] = LocatorRecord(key, host_node, 0)
+            shard.authoritative[key] = LocatorRecord(key, 0, 0)
         offset += count
         shards.append(shard)
     return shards

@@ -222,7 +222,7 @@ def _run_single_request(topology: Topology, config: ScenarioConfig) -> ScenarioR
                                     distance, state))
     if "balancedn" in config.schemes:
         deployment = Deployment(topology, config.resolver_count)
-        deployment.register_content(producer, name)
+        deployment.register_bulk([(name.canonical_text, producer)])
         outcome = deployment.resolve_and_fetch(consumer, name)
         report.add(_balancedn_record(outcome, config.scenario, consumer,
                                      producer, distance))

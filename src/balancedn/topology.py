@@ -46,13 +46,6 @@ class LinkDescriptor:
         a, b = self.endpoint_a, self.endpoint_b
         return (a, b) if a < b else (b, a)
 
-    def other(self, node_id: int) -> int:
-        if node_id == self.endpoint_a:
-            return self.endpoint_b
-        if node_id == self.endpoint_b:
-            return self.endpoint_a
-        raise TopologyError(f"node {node_id} is not on link {self.key}")
-
 
 class Topology:
     """Validated, immutable-after-build network graph.
@@ -128,14 +121,8 @@ class Topology:
         except KeyError:
             raise TopologyError(f"no link between {a} and {b}") from None
 
-    def neighbors(self, node_id: int) -> tuple[int, ...]:
-        return self.adjacency[node_id]
-
     def nodes_with_role(self, role: str) -> list[int]:
         return sorted(nid for nid, nd in self.nodes.items() if nd.role == role)
-
-    def role_of(self, node_id: int) -> str:
-        return self.nodes[node_id].role
 
     def with_extra_node(self, node: NodeDescriptor,
                         links: Sequence[LinkDescriptor]) -> "Topology":
@@ -190,31 +177,31 @@ def shortest_paths(topology: Topology, source: int) -> dict[int, tuple[int, int]
 
     Returns dest -> (distance, next_hop), where next_hop is the neighbor
     of ``source`` on a shortest path; among shortest paths the lowest
-    next-hop id wins.  The source maps to (0, source).
+    next-hop id wins.  The source maps to (0, source).  Each node
+    inherits the first hop of the node that reaches it first.  The
+    source's neighbours are sorted, so every frontier is ordered by
+    first hop, and the first node to reach a node carries the lowest
+    first hop over all its shortest paths.
     """
     if source not in topology.nodes:
         raise TopologyError(f"unknown source node {source}")
-    dist: dict[int, int] = {source: 0}
-    next_hop: dict[int, int] = {source: source}
-    frontier = [source]
-    depth = 0
+    adjacency = topology.adjacency
+    table: dict[int, tuple[int, int]] = {source: (0, source)}
+    frontier = list(adjacency[source])
+    for v in frontier:
+        table[v] = (1, v)
+    depth = 1
     while frontier:
         depth += 1
         upcoming: list[int] = []
         for u in frontier:
-            for v in topology.adjacency[u]:
-                if v not in dist:
-                    dist[v] = depth
+            hop = table[u][1]
+            for v in adjacency[u]:
+                if v not in table:
+                    table[v] = (depth, hop)
                     upcoming.append(v)
-        # lowest first-hop id over every shortest path to v
-        for v in upcoming:
-            if depth == 1:
-                next_hop[v] = v
-            else:
-                next_hop[v] = min(next_hop[u] for u in topology.adjacency[v]
-                                  if dist.get(u) == depth - 1)
         frontier = upcoming
-    return {nid: (dist[nid], next_hop[nid]) for nid in dist}
+    return table
 
 
 class PathTable:

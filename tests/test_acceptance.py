@@ -10,9 +10,11 @@ import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import balancedn
 from balancedn.core import crc16, parse_name
 from balancedn.engine import (DEFAULT_PAYLOAD_BITS, INTEREST_BITS, Simulation,
                               link_transit_ns)
@@ -24,6 +26,10 @@ from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
 from crc_reference import crc16_arc_bitwise
 
 CHI_SQUARE_999_7DF = 24.32
+
+# ``python -m`` puts its working directory first on sys.path, so a CLI
+# subprocess started there imports the package under test.
+SRC = Path(balancedn.__file__).resolve().parents[1]
 
 
 @contextlib.contextmanager
@@ -104,7 +110,7 @@ def test_criterion_3_scheme_dominance_on_nsfnet():
                 if distance < 2:
                     continue
                 name = parse_name(f"/pair{i}/obj{j}")
-                deployment.register_content(producer, name)
+                deployment.register_bulk([(name.canonical_text, producer)])
                 sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
                 outcome = deployment.resolve_and_fetch(consumer, name)
                 state = sim.inject_request(consumer, name, at=sim.now)
@@ -174,7 +180,7 @@ def test_criterion_6_caching_payoff():
                             == paths.nearest(producer, resolvers)):
                         continue
                     name = parse_name(f"/payoff/{preset}/{consumer}/{producer}")
-                    deployment.register_content(producer, name)
+                    deployment.register_bulk([(name.canonical_text, producer)])
                     first = deployment.resolve_and_fetch(consumer, name)
                     second = deployment.resolve_and_fetch(consumer, name)
                     assert not first.shortcut_taken
@@ -266,7 +272,7 @@ def test_criterion_8_determinism_of_cli_runs():
             proc = subprocess.run(
                 [sys.executable, "-m", "balancedn.cli", "run", "--scenario", "s2",
                  "--seed", "42", "--out", out],
-                capture_output=True, text=True, timeout=120)
+                capture_output=True, text=True, timeout=120, cwd=SRC)
             assert proc.returncode == 0, proc.stderr
             with open(out, "rb") as fh:
                 payloads.append(fh.read())

@@ -1,9 +1,11 @@
 import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import balancedn
 from balancedn.cli import main, parse_args
 from balancedn.core import assign_resolver, parse_name
 from balancedn.metrics import CSV_COLUMNS, parse_csv
@@ -16,6 +18,10 @@ node 2 p0 producer
 link 0 1 1 1000
 link 0 2 1 1000
 """
+
+# ``python -m`` puts its working directory first on sys.path, so a CLI
+# subprocess started there imports the package under test.
+SRC = Path(balancedn.__file__).resolve().parents[1]
 
 
 class TestParseArgs:
@@ -152,6 +158,6 @@ class TestRunCommand:
             [sys.executable, "-m", "balancedn.cli", "run", "--scenario", "s1_mid",
              "--topology", str(path), "--resolvers", "1", "--schemes", "flooding",
              "--out", str(tmp_path / "storm.csv")],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60, cwd=SRC)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr

@@ -69,20 +69,11 @@ class TestLinkTransit:
 
 class TestTransmit:
     def test_delivery_stamps_hop_and_trace(self):
-        sim = Simulation(two_node_topology())
-        link = sim.topology.link_between(0, 1)
         interest = InterestPacket(NAME, nonce=1, hop_count=0, trace=(0,))
-        event = sim.transmit(link, interest, from_node=0, now=0)
-        assert event.fire_at == 1_000_320
-        assert event.packet.hop_count == 1
-        assert event.packet.trace == (0, 1)
-
-    def test_sender_must_be_on_link(self):
-        sim = Simulation(two_node_topology())
-        link = sim.topology.link_between(0, 1)
-        interest = InterestPacket(NAME, nonce=1)
-        with pytest.raises(Exception):
-            sim.transmit(link, interest, from_node=9, now=0)
+        delivered = interest.delivered_to(1)
+        assert delivered.hop_count == 1
+        assert delivered.trace == (0, 1)
+        assert delivered.nonce == interest.nonce
 
 
 class TestRunUntil:

@@ -17,6 +17,11 @@ from varied_delay import varied_delay_graph
 NAME = parse_name("/video/a.mp4")
 
 
+def register(deployment, producer, name):
+    """Register one name; returns the link traversals it cost."""
+    return deployment.register_bulk([(name.canonical_text, producer)])
+
+
 def line_topology(extra_producer=False):
     """Six-node line with a resolver site at each end of the hierarchy:
 
@@ -38,11 +43,9 @@ def line_topology(extra_producer=False):
 class TestRegistration:
     def test_record_lands_in_hashed_shard_and_zone(self):
         deployment = Deployment(line_topology(), resolver_count=4)
-        report = deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         idx = assign_resolver(NAME, 4)
-        assert report.shard_index == idx
         # producer 5's nearest site is resolver node 4
-        assert report.site_node == 4
         record = deployment.sites[4].shards[idx].lookup(NAME.canonical_text)
         assert record is not None and record.producer == 5
         ns = deployment.nameservers[3]
@@ -51,34 +54,32 @@ class TestRegistration:
 
     def test_registration_traversal_count(self):
         deployment = Deployment(line_topology(), resolver_count=1)
-        report = deployment.register_content(5, NAME)
         # producer 5 to its site (node 4) is 1 hop, to the nameserver 2 hops
-        assert report.link_traversals == 3
+        assert register(deployment, 5, NAME) == 3
 
     def test_idempotent_reregistration(self):
         deployment = Deployment(line_topology(), resolver_count=2)
-        first = deployment.register_content(5, NAME)
-        again = deployment.register_content(5, NAME)
-        assert first.link_traversals == again.link_traversals
+        assert register(deployment, 5, NAME) == 3
+        assert register(deployment, 5, NAME) == 0  # a repeat is skipped
         idx = assign_resolver(NAME, 2)
         assert len(deployment.sites[4].shards[idx].authoritative) == 1
 
     def test_conflicting_producer_rejected(self):
         deployment = Deployment(line_topology(extra_producer=True), resolver_count=2)
-        deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         with pytest.raises(RegistrationConflictError):
-            deployment.register_content(6, NAME)
+            register(deployment, 6, NAME)
 
     def test_non_producer_cannot_register(self):
         deployment = Deployment(line_topology(), resolver_count=2)
         with pytest.raises(ConfigurationError):
-            deployment.register_content(1, NAME)
+            register(deployment, 1, NAME)
 
     def test_bulk_matches_single_registration(self):
         names = [f"/cat{i}/obj{i}" for i in range(20)]
         single = Deployment(line_topology(), resolver_count=4)
         for key in names:
-            single.register_content(5, parse_name(key))
+            register(single, 5, parse_name(key))
         bulk = Deployment(line_topology(), resolver_count=4)
         bulk.register_bulk((key, 5) for key in names)
         for idx in range(4):
@@ -111,7 +112,7 @@ class TestRegistration:
         rng = random.Random(5)
         for i in range(300):
             name = parse_name(f"/cat{rng.randrange(16)}/obj{i}")
-            deployment.register_content(producers[i % len(producers)], name)
+            register(deployment, producers[i % len(producers)], name)
         for site in deployment.sites.values():
             for shard in site.shards:
                 for key in shard.authoritative:
@@ -131,7 +132,7 @@ class TestDeploymentValidation:
 
     def test_unknown_consumer_rejected(self):
         deployment = Deployment(line_topology(), resolver_count=1)
-        deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         with pytest.raises(ConfigurationError):
             deployment.resolve_and_fetch(99, NAME)
 
@@ -139,38 +140,37 @@ class TestDeploymentValidation:
 class TestResolveAndFetch:
     def test_cold_flow_hand_counted_on_line(self):
         deployment = Deployment(line_topology(), resolver_count=1)
-        deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         outcome = deployment.resolve_and_fetch(0, NAME)
         assert outcome.satisfied and outcome.producer == 5
         assert not outcome.shortcut_taken
         assert outcome.steps == [
             ("consumer_to_cluster", 1),
-            ("cluster_to_resolver", 0),
             ("resolver_to_tld", 1),
             ("tld_to_nameserver", 1),
             ("fetch", 4),
             ("data_return", 5),
         ]
-        assert outcome.interest_traversals == 1 + 0 + 1 + 1 + 4
-        # record reply retraces nameserver -> tld -> shard (2 hops)
+        assert outcome.interest_traversals == 1 + 1 + 1 + 4
+        # record reply retraces nameserver -> tld -> ingress (2 hops)
         assert outcome.data_traversals == 2 + 5
         # 7 interest hops at 320 bits, 2 reply hops at 512, 5 data hops at 1024
         assert outcome.latency_ns == (7 * 1_000_320 + 2 * 1_000_512 + 5 * 1_001_024)
 
     def test_second_request_takes_shortcut_and_saves_hops(self):
         deployment = Deployment(line_topology(), resolver_count=1)
-        deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         first = deployment.resolve_and_fetch(0, NAME)
         second = deployment.resolve_and_fetch(0, NAME)
         assert not first.shortcut_taken and second.shortcut_taken
         assert second.stage_names() == [
-            "consumer_to_cluster", "cluster_to_resolver", "fetch", "data_return"]
-        assert second.interest_traversals == 1 + 0 + 4
+            "consumer_to_cluster", "fetch", "data_return"]
+        assert second.interest_traversals == 1 + 4
         assert second.interest_traversals < first.interest_traversals
 
     def test_shortcut_monotonicity_over_repeats(self):
         deployment = Deployment(line_topology(), resolver_count=1)
-        deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         costs = [deployment.resolve_and_fetch(0, NAME).interest_traversals
                  for _ in range(4)]
         assert all(b <= a for a, b in zip(costs, costs[1:]))
@@ -180,13 +180,13 @@ class TestResolveAndFetch:
         # producer's nearest site serves the consumer too: authoritative hit
         topo = load_preset("nsfnet")
         deployment = Deployment(topo, resolver_count=8)
-        deployment.register_content(45, NAME)  # producer on router 0
+        register(deployment, 45, NAME)  # producer on router 0
         outcome = deployment.resolve_and_fetch(11, NAME)  # consumer on router 0
         assert outcome.shortcut_taken and outcome.satisfied
 
     def test_stage_sequences_follow_flow_order(self):
         deployment = Deployment(line_topology(), resolver_count=1)
-        deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         outcomes = [
             deployment.resolve_and_fetch(0, NAME),       # cold, full flow
             deployment.resolve_and_fetch(0, NAME),       # warm, shortcut
@@ -203,8 +203,7 @@ class TestResolveAndFetch:
         outcome = deployment.resolve_and_fetch(0, parse_name("/nope/x"))
         assert not outcome.satisfied and outcome.producer is None
         assert outcome.stage_names() == [
-            "consumer_to_cluster", "cluster_to_resolver",
-            "resolver_to_tld", "tld_to_nameserver"]
+            "consumer_to_cluster", "resolver_to_tld", "tld_to_nameserver"]
         assert outcome.interest_traversals == 3
         assert outcome.data_traversals == 2  # negative reply retraces
 
@@ -217,11 +216,14 @@ class TestResolveAndFetch:
             names = {}
             for i, producer in enumerate(producers[:6]):
                 name = parse_name(f"/cat{i}/obj{i}")
-                deployment.register_content(producer, name)
+                register(deployment, producer, name)
                 names[name] = producer
             for name, producer in names.items():
                 outcome = deployment.resolve_and_fetch(consumers[3], name)
                 assert outcome.satisfied and outcome.producer == producer
+                forward = [hops for stage, hops in outcome.steps
+                           if stage != "data_return"]
+                assert sum(forward) == outcome.interest_traversals
 
 
 class TestSchemeComparison:
@@ -242,7 +244,7 @@ class TestSchemeComparison:
         sim = Simulation(topo, cs_capacity=0)
         for i, (c, p) in enumerate(pairs):
             name = parse_name(f"/cmp{i}/obj{i}")
-            deployment.register_content(p, name)
+            register(deployment, p, name)
             sim.publish(p, name, 1024)
             outcome = deployment.resolve_and_fetch(c, name)
             state = sim.inject_request(c, name, at=sim.now)
@@ -255,13 +257,13 @@ class TestSchemeComparison:
 class TestShardLookup:
     def test_hit_and_miss(self):
         deployment = Deployment(line_topology(), resolver_count=1)
-        deployment.register_content(5, NAME)
+        register(deployment, 5, NAME)
         shard = deployment.sites[4].shards[0]
         assert shard.lookup(NAME.canonical_text) is not None
         assert shard.lookup("/other/x") is None
 
     def test_cached_record_evicted_after_capacity_overflow(self):
-        shard = ResolverShard(0, 0, cache_capacity=2)
+        shard = ResolverShard(0, cache_capacity=2)
         records = [LocatorRecord(f"/c/{i}", producer=9, registered_at=0)
                    for i in range(3)]
         for record in records:
@@ -271,7 +273,7 @@ class TestShardLookup:
         assert shard.lookup("/c/2") is not None
 
     def test_cache_hit_refreshes_recency(self):
-        shard = ResolverShard(0, 0, cache_capacity=2)
+        shard = ResolverShard(0, cache_capacity=2)
         shard.store_cached(LocatorRecord("/c/0", 9, 0))
         shard.store_cached(LocatorRecord("/c/1", 9, 0))
         shard.lookup("/c/0")
@@ -325,11 +327,11 @@ class TestLegMemo:
 class TestTimingProbe:
     def test_empty_probe_list_rejected(self):
         with pytest.raises(ValueError):
-            interleaved_timing_probe([(ResolverShard(0, 0), [])], repetitions=1)
+            interleaved_timing_probe([(ResolverShard(0), [])], repetitions=1)
 
     def test_repetitions_must_be_positive(self):
         with pytest.raises(ValueError):
-            interleaved_timing_probe([(ResolverShard(0, 0), [NAME])], repetitions=0)
+            interleaved_timing_probe([(ResolverShard(0), [NAME])], repetitions=0)
 
     def test_interleaved_probe_covers_all_shards(self):
         shards = build_skewed_shards({0: 50, 1: 80}, 2)

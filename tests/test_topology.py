@@ -34,6 +34,18 @@ def random_connected(rng, n, extra_edges=2):
     return Topology.build(nodes, links)
 
 
+def bfs_distances(topology, source):
+    """Hop distance from ``source`` to every node, by a plain BFS."""
+    dist = {source: 0}
+    queue = [source]
+    for node in queue:
+        for nbr in topology.adjacency[node]:
+            if nbr not in dist:
+                dist[nbr] = dist[node] + 1
+                queue.append(nbr)
+    return dist
+
+
 def brute_force_distance(topology, source, dest):
     """Minimum length over all simple paths, by exhaustive enumeration."""
     best = [None]
@@ -190,3 +202,18 @@ class TestShortestPaths:
                  LinkDescriptor(1, 3, 1, 1000), LinkDescriptor(2, 3, 1, 1000)]
         topo = Topology.build(nodes, links)
         assert shortest_paths(topo, 0)[3] == (2, 1)
+
+    def test_next_hop_is_lowest_neighbor_one_step_closer(self):
+        # dense extra edges leave many equal-length paths to break ties over
+        rng = random.Random(9)
+        for n, extra in ((12, 10), (20, 15), (30, 25)):
+            topo = random_connected(rng, n, extra_edges=extra)
+            dist = {u: bfs_distances(topo, u) for u in topo.nodes}
+            for u in topo.nodes:
+                table = shortest_paths(topo, u)
+                for v in topo.nodes:
+                    if u == v:
+                        continue
+                    expected = min(nbr for nbr in topo.adjacency[u]
+                                   if dist[nbr][v] == dist[u][v] - 1)
+                    assert table[v] == (dist[u][v], expected), (u, v)
