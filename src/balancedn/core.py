@@ -2,10 +2,15 @@
 
 The checksum is CRC-16/ARC: width=16, poly=0x8005, init=0, refIn=True,
 refOut=True, xorOut=0.  Check value: crc16(b"123456789") == 0xBB3D.
+It has two entry points that agree on every input: ``crc16`` hashes one
+byte string (single lookups), and ``crc16_many`` hashes a batch one
+byte column at a time (bulk registration, skewed-shard generation).
 """
 
 from __future__ import annotations
 
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 SIGNATURE_BITS = 256
@@ -23,6 +28,11 @@ def _build_crc_table() -> tuple[int, ...]:
 
 
 _CRC_TABLE = _build_crc_table()
+# the table split into low and high bytes, for bytes.translate
+_CRC_LO = bytes(v & 0xFF for v in _CRC_TABLE)
+_CRC_HI = bytes(v >> 8 for v in _CRC_TABLE)
+# where a CRC's low byte sits in a native-order 16-bit array item
+_LO_SLOT = 0 if sys.byteorder == "little" else 1
 
 
 def crc16(data: bytes) -> int:
@@ -32,6 +42,40 @@ def crc16(data: bytes) -> int:
     for byte in data:
         crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc
+
+
+def crc16_many(items: list[bytes]) -> list[int]:
+    """Return ``[crc16(x) for x in items]``, one byte column at a time.
+
+    Items are grouped by length, so none is padded.  A group of L-byte
+    items is joined into one block whose column j, ``block[j::L]``,
+    holds byte j of every item.  The CRC state is kept as two columns,
+    low and high byte, one byte per item, and each step of the table
+    loop runs on whole columns: ``idx = lo ^ column``,
+    ``lo = LO[idx] ^ hi``, ``hi = HI[idx]``, with the lookups done by
+    ``bytes.translate`` and the XORs on integers built from the columns.
+    """
+    groups: defaultdict[int, list[int]] = defaultdict(list)
+    for i, length in enumerate(map(len, items)):
+        groups[length].append(i)
+    out = [0] * len(items)
+    for length, positions in groups.items():
+        if not length:
+            continue
+        count = len(positions)
+        block = b"".join(map(items.__getitem__, positions))
+        lo = hi = 0
+        for j in range(length):
+            column = int.from_bytes(block[j::length], "little")
+            idx = (lo ^ column).to_bytes(count, "little")
+            lo = int.from_bytes(idx.translate(_CRC_LO), "little") ^ hi
+            hi = int.from_bytes(idx.translate(_CRC_HI), "little")
+        both = bytearray(2 * count)
+        both[_LO_SLOT::2] = lo.to_bytes(count, "little")
+        both[1 - _LO_SLOT::2] = hi.to_bytes(count, "little")
+        for pos, crc in zip(positions, memoryview(both).cast("H")):
+            out[pos] = crc
+    return out
 
 
 def crc16_update(crc: int, byte: int) -> int:

@@ -26,14 +26,19 @@ import statistics
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import ContentName, assign_resolver, crc16, crc16_update
+from .core import ContentName, assign_resolver, crc16_many, crc16_update
 from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
 from .topology import Topology
 
 # the nameserver's record reply is a small control Data packet
 LOCATOR_REPLY_BITS = 512
+
+# names hashed per crc16_many call; a fixed chunk keeps the extra
+# memory of a bulk call small however many names it gets
+CRC_CHUNK = 4096
 
 STAGE_CONSUMER_TO_CLUSTER = "consumer_to_cluster"
 STAGE_RESOLVER_TO_TLD = "resolver_to_tld"
@@ -201,39 +206,47 @@ class Deployment:
         site, and costs the producer's hops to that site plus its hops
         to the nameserver.  A pair already registered to the same
         producer is skipped and costs nothing; a different producer for
-        a known name raises RegistrationConflictError.
+        a known name raises RegistrationConflictError.  Pairs are taken
+        CRC_CHUNK at a time and each chunk's names are hashed with
+        one crc16_many call; the rules still apply pair by pair, in
+        input order, so the pairs before a failing one stay registered.
         """
         n = self.resolver_count
         tld_delegations = self.tld.delegations
-        site_of: dict[int, ClusterSite] = {}
-        dist_cache: dict[tuple[int, int], int] = {}
+        ns_of: dict[str, NameServer] = {}
+        # (producer, nameserver node) -> (nearest site's shards, hops)
+        placement: dict[tuple[int, int], tuple[list[ResolverShard], int]] = {}
         total = 0
-        for key, producer in pairs:
-            prefix = key[1:key.index("/", 1)] if key.count("/") > 1 else key[1:]
-            ns = self._nameserver_for(prefix)
-            existing = ns.zone.get(key)
-            if existing is not None:
-                if existing.producer != producer:
-                    raise RegistrationConflictError(
-                        f"{key} is already registered to producer {existing.producer}")
-                continue
-            site = site_of.get(producer)
-            if site is None:
-                node = self.topology.nodes.get(producer)
-                if node is None or node.role != "producer":
-                    raise ConfigurationError(f"node {producer} is not a producer")
-                site = self.nearest_site(producer)
-                site_of[producer] = site
-            hops = dist_cache.get((producer, ns.host_node))
-            if hops is None:
-                hops = (self.paths.distance(producer, site.node)
-                        + self.paths.distance(producer, ns.host_node))
-                dist_cache[(producer, ns.host_node)] = hops
-            record = LocatorRecord(key, producer, now)
-            ns.zone[key] = record
-            tld_delegations.setdefault(prefix, ns.host_node)
-            site.shards[crc16(key.encode()) % n].authoritative[key] = record
-            total += hops
+        pairs = iter(pairs)
+        while chunk := list(islice(pairs, CRC_CHUNK)):
+            crcs = crc16_many([key.encode() for key, _ in chunk])
+            for (key, producer), crc in zip(chunk, crcs):
+                cut = key.find("/", 1)
+                prefix = key[1:cut] if cut > 0 else key[1:]
+                ns = ns_of.get(prefix)
+                if ns is None:
+                    ns = ns_of[prefix] = self._nameserver_for(prefix)
+                existing = ns.zone.get(key)
+                if existing is not None:
+                    if existing.producer != producer:
+                        raise RegistrationConflictError(
+                            f"{key} is already registered to producer {existing.producer}")
+                    continue
+                place = placement.get((producer, ns.host_node))
+                if place is None:
+                    node = self.topology.nodes.get(producer)
+                    if node is None or node.role != "producer":
+                        raise ConfigurationError(f"node {producer} is not a producer")
+                    site = self.nearest_site(producer)
+                    place = (site.shards, self.paths.distance(producer, site.node)
+                             + self.paths.distance(producer, ns.host_node))
+                    placement[(producer, ns.host_node)] = place
+                shards, hops = place
+                record = LocatorRecord(key, producer, now)
+                ns.zone[key] = record
+                tld_delegations.setdefault(prefix, ns.host_node)
+                shards[crc % n].authoritative[key] = record
+                total += hops
         return total
 
     # -- resolution ----------------------------------------------------------
@@ -400,25 +413,26 @@ def synthesize_shard_names(index: int, count: int, resolver_count: int, *,
     Each name is a sequential base with the shortest suffix that lands
     the checksum in the right residue class, so skewed shard tables can
     be built directly while keeping placement consistent with the hash.
+    The bases are hashed CRC_CHUNK at a time with crc16_many; the padding
+    walk, when a base has no one-char finisher, goes on byte by byte.
     """
     suffixes = _suffix_table(resolver_count)
     names: list[str] = []
-    i = start
-    while len(names) < count:
-        base = f"/cat{i % 16}/obj{i}"
-        crc = crc16(base.encode())
-        ch = suffixes[crc][index]
-        depth = 0
-        while ch is None:
-            # pad with a depth-varying character so the walk cannot cycle
-            # through checksum states that lack a one-char finisher
-            pad = _SUFFIX_ALPHABET[depth % len(_SUFFIX_ALPHABET)]
-            base += pad
-            crc = crc16_update(crc, ord(pad))
-            depth += 1
+    stop = start + count
+    for first in range(start, stop, CRC_CHUNK):
+        bases = [f"/cat{i % 16}/obj{i}" for i in range(first, min(first + CRC_CHUNK, stop))]
+        for base, crc in zip(bases, crc16_many([base.encode() for base in bases])):
             ch = suffixes[crc][index]
-        names.append(base + ch)
-        i += 1
+            depth = 0
+            while ch is None:
+                # pad with a depth-varying character so the walk cannot cycle
+                # through checksum states that lack a one-char finisher
+                pad = _SUFFIX_ALPHABET[depth % len(_SUFFIX_ALPHABET)]
+                base += pad
+                crc = crc16_update(crc, ord(pad))
+                depth += 1
+                ch = suffixes[crc][index]
+            names.append(base + ch)
     return names
 
 

@@ -112,7 +112,8 @@ def synthetic_corpus(count: int, seed: int) -> list[str]:
     """Deterministic canonical names, hash-diverse via a seeded tag."""
     rng = random.Random(seed)
     bits = rng.getrandbits
-    return [f"/cat{i % 16}/obj{i}-{bits(16):04x}" for i in range(count)]
+    stems = [f"/cat{k}/obj" for k in range(16)]
+    return [f"{stems[i & 15]}{i}-{bits(16):04x}" for i in range(count)]
 
 
 def _check_resolver_bound(config: ScenarioConfig, topology: Topology) -> None:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from balancedn.core import (ContentName, DataPacket, InterestPacket,
                             NameFormatError, assign_resolver, crc16,
-                            crc16_update, parse_name)
+                            crc16_many, crc16_update, parse_name)
 from crc_reference import crc16_arc_bitwise
 
 SEGMENT_TEXT = st.text(
@@ -52,6 +52,44 @@ class TestCrc16:
 
     def test_pure_function(self):
         assert crc16(b"/a/b") == crc16(b"/a/b")
+
+
+class TestCrc16Many:
+    def test_empty_batch(self):
+        assert crc16_many([]) == []
+
+    def test_batch_with_empty_item(self):
+        batch = [b"/a", b"", b"123456789", b""]
+        assert crc16_many(batch) == [crc16_arc_bitwise(x) for x in batch]
+        assert crc16_many([b""]) == [0]
+
+    def test_published_check_value(self):
+        assert crc16_many([b"123456789"]) == [0xBB3D]
+
+    def test_all_one_and_two_byte_inputs_in_one_batch(self):
+        batch = [bytes([b]) for b in range(256)]
+        batch += [bytes([a, b]) for a in range(256) for b in range(256)]
+        assert crc16_many(batch) == [crc16_arc_bitwise(x) for x in batch]
+
+    def test_leading_nul_bytes_and_utf8(self):
+        # leading zero bytes leave a zero-init CRC at 0, so these share a
+        # checksum with their unpadded tails while sitting in other groups
+        batch = [b"\x00", b"\x00\x00/a", b"/a", b"\x00" * 7 + b"/cat3/obj42",
+                 "/vidéo/ü.mp4".encode(), "/名前/データ".encode(), "/😀".encode()]
+        expected = [crc16_arc_bitwise(x) for x in batch]
+        assert crc16_many(batch) == expected
+        assert expected[1] == expected[2]
+
+    def test_random_mixed_lengths_in_one_batch(self):
+        rng = random.Random(11)
+        batch = [rng.randbytes(rng.randrange(0, 301)) for _ in range(600)]
+        assert len({len(x) for x in batch}) > 200
+        assert crc16_many(batch) == [crc16_arc_bitwise(x) for x in batch]
+
+    @given(st.lists(st.binary(min_size=0, max_size=40), max_size=50))
+    @settings(max_examples=200)
+    def test_matches_per_item_crc16(self, batch):
+        assert crc16_many(batch) == [crc16(x) for x in batch]
 
 
 class TestParseName:

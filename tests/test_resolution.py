@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from balancedn.core import assign_resolver, parse_name
+from balancedn.core import assign_resolver, crc16, crc16_update, parse_name
 from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
-from balancedn.resolution import (LOCATOR_REPLY_BITS, ConfigurationError,
-                                  Deployment, LocatorRecord,
+from balancedn.resolution import (CRC_CHUNK, LOCATOR_REPLY_BITS,
+                                  ConfigurationError, Deployment, LocatorRecord,
                                   RegistrationConflictError, ResolverShard,
                                   STAGE_ORDER, build_skewed_shards,
                                   interleaved_timing_probe,
@@ -22,14 +22,15 @@ def register(deployment, producer, name):
     return deployment.register_bulk([(name.canonical_text, producer)])
 
 
-def line_topology(extra_producer=False):
+def line_topology(extra_producer=False, extra_nameserver=False):
     """Six-node line with a resolver site at each end of the hierarchy:
 
         consumer(0) - resolver(1) - tld(2) - nameserver(3) - resolver(4) - producer(5)
 
     The producer registers at site 4, so a request from the consumer
     (site 1) misses locally and walks the full TLD path; every stage
-    hop count below is a hand-counted line distance.
+    hop count below is a hand-counted line distance.  The extras hang
+    off the TLD node: producer 6 and nameserver 7.
     """
     roles = ["consumer", "resolver", "tld", "nameserver", "resolver", "producer"]
     nodes = [NodeDescriptor(i, f"n{i}", role) for i, role in enumerate(roles)]
@@ -37,6 +38,9 @@ def line_topology(extra_producer=False):
     if extra_producer:
         nodes.append(NodeDescriptor(6, "p2", "producer"))
         links.append(LinkDescriptor(6, 2, 1.0, 1000.0))
+    if extra_nameserver:
+        nodes.append(NodeDescriptor(7, "ns2", "nameserver"))
+        links.append(LinkDescriptor(7, 2, 1.0, 1000.0))
     return Topology.build(nodes, links)
 
 
@@ -117,6 +121,68 @@ class TestRegistration:
             for shard in site.shards:
                 for key in shard.authoritative:
                     assert assign_resolver(parse_name(key), 8) == shard.index
+
+
+class TestBulkAcrossChunks:
+    """One register_bulk call over more than two CRC_CHUNK-sized chunks."""
+
+    COUNT = 3 * CRC_CHUNK + 5
+
+    def pairs(self):
+        # two producers, sixteen two-segment prefixes plus one-segment names
+        return [(f"/solo{i}" if i % 7 == 0 else f"/cat{i % 16}/obj{i}",
+                 5 if i % 3 else 6) for i in range(self.COUNT)]
+
+    def deployment(self):
+        deployment = Deployment(line_topology(extra_producer=True, extra_nameserver=True),
+                                resolver_count=4)
+        deployment.tld.delegations["cat3"] = 7  # one prefix on the second nameserver
+        return deployment
+
+    def state(self, deployment):
+        return ({node: [list(shard.authoritative.items()) for shard in site.shards]
+                 for node, site in deployment.sites.items()},
+                {node: list(ns.zone.items())
+                 for node, ns in deployment.nameservers.items()},
+                list(deployment.tld.delegations.items()))
+
+    def test_one_call_equals_one_call_per_pair(self):
+        pairs = self.pairs()
+        single = self.deployment()
+        single_total = sum(single.register_bulk([pair]) for pair in pairs)
+        bulk = self.deployment()
+        assert bulk.register_bulk(pair for pair in pairs) == single_total
+        assert self.state(bulk) == self.state(single)
+        assert dict(bulk.tld.delegations) == {
+            parse_name(key).segments[0]: 7 if key.startswith("/cat3/") else 3
+            for key, _ in pairs}
+        assert len(bulk.nameservers[7].zone) == sum(
+            1 for key, _ in pairs if key.startswith("/cat3/"))
+
+    def test_repeat_in_later_chunk_is_skipped_at_no_cost(self):
+        pairs = self.pairs()
+        cut = 3 * CRC_CHUNK  # the repeats of chunks 0 and 1 land in chunk 3
+        repeated = pairs[:cut] + [pairs[10], pairs[CRC_CHUNK + 1]] + pairs[cut:]
+        plain = self.deployment()
+        plain_total = plain.register_bulk(pair for pair in pairs)
+        with_repeats = self.deployment()
+        assert with_repeats.register_bulk(pair for pair in repeated) == plain_total
+        assert self.state(with_repeats) == self.state(plain)
+
+    @pytest.mark.parametrize("bad_pair, error", [
+        (("/cat4/obj4", 6), RegistrationConflictError),  # chunk 0 gave it producer 5
+        (("/fresh/name", 1), ConfigurationError),  # node 1 is a resolver
+    ])
+    def test_failure_in_later_chunk_keeps_earlier_pairs(self, bad_pair, error):
+        pairs = self.pairs()
+        at = 2 * CRC_CHUNK + 10
+        assert pairs[4] == ("/cat4/obj4", 5)
+        failing = self.deployment()
+        with pytest.raises(error):
+            failing.register_bulk(pair for pair in pairs[:at] + [bad_pair] + pairs[at:])
+        before = self.deployment()
+        before.register_bulk(pair for pair in pairs[:at])
+        assert self.state(failing) == self.state(before)
 
 
 class TestDeploymentValidation:
@@ -350,9 +416,42 @@ class TestSynthesizedNames:
             for key in names:
                 assert assign_resolver(parse_name(key), n) == idx
 
+    @pytest.mark.parametrize("n", [8, 3])
+    @pytest.mark.parametrize("start", [0, 1, CRC_CHUNK - 3, 50_000])
+    def test_names_equal_per_name_crc16_reference(self, n, start):
+        count = CRC_CHUNK + 40  # crosses a chunk boundary from every start
+        for idx in (0, n - 1):
+            assert (synthesize_shard_names(idx, count, n, start=start)
+                    == reference_shard_names(idx, count, n, start))
+
     def test_build_skewed_shards_sizes(self):
         shards = build_skewed_shards({0: 120, 2: 30}, 3)
         assert [len(s.authoritative) for s in shards] == [120, 0, 30]
         for shard in shards:
             for key in shard.authoritative:
                 assert assign_resolver(parse_name(key), 3) == shard.index
+
+
+
+SUFFIX_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def reference_shard_names(index, count, resolver_count, start):
+    """synthesize_shard_names rebuilt with one crc16 call per base name
+    and a direct search of the alphabet in place of the suffix table."""
+    names = []
+    for i in range(start, start + count):
+        base = f"/cat{i % 16}/obj{i}"
+        crc = crc16(base.encode())
+        depth = 0
+        while True:
+            finishers = [ch for ch in SUFFIX_ALPHABET
+                         if crc16_update(crc, ord(ch)) % resolver_count == index]
+            if finishers:
+                break
+            pad = SUFFIX_ALPHABET[depth % len(SUFFIX_ALPHABET)]
+            base += pad
+            crc = crc16_update(crc, ord(pad))
+            depth += 1
+        names.append(base + finishers[0])
+    return names

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from balancedn import topology as topology_module
@@ -60,6 +62,14 @@ class TestSyntheticCorpus:
     def test_deterministic_per_seed(self):
         assert synthetic_corpus(100, 42) == synthetic_corpus(100, 42)
         assert synthetic_corpus(100, 42) != synthetic_corpus(100, 43)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2024])
+    def test_names_equal_plain_format(self, seed):
+        for count in (0, 1, 17, 5000):
+            rng = random.Random(seed)
+            expected = [f"/cat{i % 16}/obj{i}-{rng.getrandbits(16):04x}"
+                        for i in range(count)]
+            assert synthetic_corpus(count, seed) == expected
 
     def test_names_are_distinct_and_parse(self):
         names = synthetic_corpus(1000, 7)
