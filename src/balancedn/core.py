@@ -154,8 +154,9 @@ class InterestPacket:
     consulted by forwarding).  It is opt-in: a packet created with an
     empty trace keeps it empty on every hop.  ``hop_count`` equals
     ``len(trace) - 1`` whenever the trace is non-empty.  The nonce never
-    changes after creation; each link crossing produces a new stamped
-    copy.
+    changes after creation.  The engine stamps a new copy of a traced
+    packet on each link crossing (:meth:`delivered_to`) and sends an
+    untraced one unchanged, carrying the hop count on its events.
     """
 
     name: ContentName

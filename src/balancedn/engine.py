@@ -2,9 +2,18 @@
 
 Simulation time is an integer nanosecond count so that link transit
 times (delay plus serialization) stay exact and event order never
-depends on float rounding.  Events are totally ordered by
-(fire_at, sequence); the sequence number is assigned at scheduling
-time, so simultaneous events dequeue in scheduling order.
+depends on float rounding.  An event is a plain tuple
+``(kind, node, face, packet, hops)``.  The queue keeps one list of
+events per fire time and a heap of the distinct times, and fires each
+time's events in scheduling order, so events are totally ordered by
+(fire_at, scheduling order).  An event scheduled for the current time
+while that time's events run (a link whose transit rounds to 0 ns)
+fires after them.
+
+A flood sends one Interest object on every hop: the hop count travels
+on the event, and it is the only hop count the engine reads, for a
+request's ``path_hops`` and for the ``log``.  Only a traced packet
+(``track_edges``) is copied per hop, to stamp its trace.
 
 One engine instance is single-threaded; independent instances can run
 in parallel with no shared state.  The per-instance random generator
@@ -39,12 +48,15 @@ NS_PER_MS = 1_000_000
 INTEREST_BITS = 320
 DEFAULT_PAYLOAD_BITS = 1024
 
-DELIVER_INTEREST = "deliver_interest"
-DELIVER_DATA = "deliver_data"
-PIT_EXPIRY = "pit_expiry"
-REQUEST_INJECTION = "request_injection"
+# Event kinds.  An event is a plain tuple (kind, node, face, packet, hops):
+# the packet delivered to ``node`` on ``face`` and the links it has crossed
+# so far, or for PIT_EXPIRY the (name key, token) its timer was set for.
+DELIVER_INTEREST = 0
+DELIVER_DATA = 1
+PIT_EXPIRY = 2
+REQUEST_INJECTION = 3
 
-EVENT_KINDS = (DELIVER_INTEREST, DELIVER_DATA, PIT_EXPIRY, REQUEST_INJECTION)
+EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_injection")
 
 
 class SchedulingError(ValueError):
@@ -62,43 +74,66 @@ def link_transit_ns(link: LinkDescriptor, bits: int) -> int:
     return delay + serialization
 
 
-@dataclass(slots=True)
-class Event:
-    fire_at: int
-    sequence: int
-    kind: str
-    node: int
-    face: int = LOCAL_FACE
-    packet: InterestPacket | DataPacket | None = None
-    payload: object = None
-
-
 class EventQueue:
-    """Priority queue over (fire_at, sequence); tracks the current clock."""
+    """Events bucketed by fire time, each bucket in scheduling order.
+
+    A heap holds each distinct pending time once; on equal-delay links a
+    whole flood wave shares one time, so the heap stays small.  The
+    clock ``now`` is the time of the bucket last taken.  ``len`` counts
+    the events not yet dispatched, including the rest of a bucket that
+    is being drained.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Event]] = []
-        self._next_seq = 0
+        self._buckets: dict[int, list[tuple]] = {}
+        self._times: list[int] = []
+        self._size = 0
         self.now = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._size
 
-    def schedule(self, event: Event) -> None:
-        if event.fire_at < self.now:
+    def schedule(self, fire_at: int, event: tuple) -> None:
+        if fire_at < self.now:
             raise SchedulingError(
-                f"cannot schedule at t={event.fire_at} ns; clock is {self.now} ns")
-        event.sequence = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.sequence, event))
+                f"cannot schedule at t={fire_at} ns; clock is {self.now} ns")
+        bucket = self._buckets.get(fire_at)
+        if bucket is None:
+            self._buckets[fire_at] = [event]
+            heapq.heappush(self._times, fire_at)
+        else:
+            bucket.append(event)
+        self._size += 1
 
     def peek_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
+        return self._times[0] if self._times else None
 
-    def pop(self) -> Event:
-        _, _, event = heapq.heappop(self._heap)
-        self.now = event.fire_at
-        return event
+    def pop_bucket(self) -> list[tuple]:
+        """Take the earliest bucket and move the clock to its time.
+
+        Its events stay counted until the caller marks each one
+        dispatched with :meth:`done`.  An event scheduled for the same
+        time meanwhile opens a new bucket, which fires after this one.
+        """
+        fire_at = heapq.heappop(self._times)
+        self.now = fire_at
+        return self._buckets.pop(fire_at)
+
+    def done(self) -> None:
+        self._size -= 1
+
+    def push_front(self, events: list[tuple]) -> None:
+        """Return undispatched events of the current bucket to the queue.
+
+        They fire before any event scheduled for the same time since the
+        bucket was taken, as their scheduling order requires.
+        """
+        bucket = self._buckets.get(self.now)
+        if bucket is None:
+            self._buckets[self.now] = events
+            heapq.heappush(self._times, self.now)
+        else:
+            bucket[:0] = events
 
 
 @dataclass(slots=True)
@@ -183,8 +218,7 @@ class Simulation:
 
     def _make_expiry_hook(self, node_id: int):
         def hook(key: str, token: int, expiry: int) -> None:
-            self.queue.schedule(Event(expiry, 0, PIT_EXPIRY, node_id,
-                                      payload=(key, token)))
+            self.queue.schedule(expiry, (PIT_EXPIRY, node_id, LOCAL_FACE, (key, token), 0))
         return hook
 
     @property
@@ -224,62 +258,48 @@ class Simulation:
         self.flows.setdefault(key, FlowStats())
         self.injections += 1
         self._requests_since_drain += 1
-        self.queue.schedule(Event(at, 0, REQUEST_INJECTION, consumer,
-                                  face=LOCAL_FACE, packet=interest))
+        self.queue.schedule(at, (REQUEST_INJECTION, consumer, LOCAL_FACE, interest, 0))
         return state
-
-    def _send(self, from_node: int, face: int, packet: InterestPacket | DataPacket,
-              now: int) -> Event:
-        to_node, to_face, interest_ns, link = self._face_table[from_node][face]
-        flow = self.flows.get(packet.name.canonical_text)
-        if type(packet) is DataPacket:
-            bits = packet.payload_size
-            event = Event(now + link_transit_ns(link, bits), 0, DELIVER_DATA, to_node,
-                          to_face, packet.delivered_to(to_node))
-            if flow is not None:
-                flow.data_traversals += 1
-        else:
-            bits = INTEREST_BITS
-            event = Event(now + interest_ns, 0, DELIVER_INTEREST, to_node,
-                          to_face, packet.delivered_to(to_node))
-            if flow is not None:
-                flow.interest_traversals += 1
-            if self.track_edges:
-                edge = (from_node, to_node, packet.name.canonical_text)
-                self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
-        if flow is not None:
-            flow.bits_moved += bits
-        self.queue.schedule(event)
-        return event
 
     # -- event loop ----------------------------------------------------------
 
     def run_until(self, deadline: int | None = None) -> int:
-        """Process events in total order; returns how many were processed.
+        """Process events in time order; returns how many were processed.
 
-        Stops when the queue is empty or the next event would fire past
-        ``deadline`` (which is then left in the queue).  Raises
-        EventBudgetError once the events processed since the queue was
-        last empty outnumber what the requests injected meanwhile can
-        cost on this topology.
+        Drains the queue one time bucket at a time and stops when it is
+        empty or the next bucket would fire past ``deadline`` (which is
+        then left in the queue).  Raises EventBudgetError once the events
+        processed since the queue was last empty outnumber what the
+        requests injected meanwhile can cost on this topology; the events
+        not yet run stay queued.
         """
         queue = self.queue
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
                   - self._events_since_drain)
+        dispatch = self._dispatch
         processed = 0
         while len(queue):
-            if deadline is not None and queue.peek_time() > deadline:
+            now = queue.peek_time()
+            if deadline is not None and now > deadline:
                 break
-            if processed == budget:
-                self.processed += processed
-                self._events_since_drain += processed
+            bucket = queue.pop_bucket()
+            if processed + len(bucket) > budget:
+                allowed = budget - processed
+                for event in bucket[:allowed]:
+                    queue.done()
+                    dispatch(event, now)
+                queue.push_front(bucket[allowed:])
+                self.processed += budget
+                self._events_since_drain += budget
                 raise EventBudgetError(
                     f"{self._events_since_drain} events without draining for "
                     f"{self._requests_since_drain} request(s), past the budget of "
                     f"{self._events_per_request} per request; the flood does not "
                     f"converge on this topology")
-            self._dispatch(queue.pop())
-            processed += 1
+            for event in bucket:
+                queue.done()
+                dispatch(event, now)
+            processed += len(bucket)
         self.processed += processed
         if len(queue):
             self._events_since_drain += processed
@@ -288,27 +308,32 @@ class Simulation:
             self._requests_since_drain = 0
         return processed
 
-    def _dispatch(self, event: Event) -> None:
-        kind = event.kind
-        now = event.fire_at
+    def _dispatch(self, event: tuple, now: int) -> None:
+        kind, node_id, face, packet, hops = event
         if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
-            node = self.nodes[event.node]
+            node = self.nodes[node_id]
             if self.log is not None:
-                self._log(event)
-            emissions = node.on_interest(event.packet, event.face, now)
-            if event.packet.trace and emissions and type(emissions[0][1]) is DataPacket:
-                self._record_answered(event.packet)
-            self._emit(node, emissions, now)
+                self._log(event, now)
+            emissions = node.on_interest(packet, face, now)
+            if not emissions:
+                return
+            if type(emissions[0][1]) is DataPacket:
+                # answered from content or cache: the Data starts at 0 hops
+                if packet.trace:
+                    self._record_answered(packet)
+                hops = 0
+            self._emit(node_id, emissions, now, hops)
         elif kind == DELIVER_DATA:
-            node = self.nodes[event.node]
             if self.log is not None:
-                self._log(event)
-            self._emit(node, node.on_data(event.packet, event.face, now), now)
+                self._log(event, now)
+            emissions = self.nodes[node_id].on_data(packet, face, now)
+            if emissions:
+                self._emit(node_id, emissions, now, hops)
         elif kind == PIT_EXPIRY:
-            key, token = event.payload
-            entry = self.nodes[event.node].expire_pit(key, token, now)
+            key, token = packet
+            entry = self.nodes[node_id].expire_pit(key, token, now)
             if entry is not None and LOCAL_FACE in entry.in_faces:
-                state = self.requests.get(key, {}).get(event.node)
+                state = self.requests.get(key, {}).get(node_id)
                 if state is not None and not state.satisfied and not state.failed:
                     state.failed = True
                     state.completed_at = now
@@ -323,30 +348,60 @@ class Simulation:
         if state is not None and not state.interest_path:
             state.interest_path = interest.trace
 
-    def _emit(self, node: NdnNode,
-              emissions: list[tuple[int, InterestPacket | DataPacket]], now: int) -> None:
-        for face, packet in emissions:
-            if face == LOCAL_FACE:
-                if type(packet) is DataPacket:
-                    self._satisfy(node.id, packet, now)
-                continue
-            self._send(node.id, face, packet, now)
+    def _emit(self, node_id: int, emissions: list[tuple[int, InterestPacket | DataPacket]],
+              now: int, hops: int) -> None:
+        """Send one node's emissions, all of one packet kind and name.
 
-    def _satisfy(self, node_id: int, data: DataPacket, now: int) -> None:
+        ``hops`` is the packet's hop count at this node; each copy
+        arrives one hop further.  Only a traced packet is copied per hop.
+        """
+        first = emissions[0][1]
+        key = first.name.canonical_text
+        flow = self.flows[key]
+        row = self._face_table[node_id]
+        schedule = self.queue.schedule
+        arrival_hops = hops + 1
+        if type(first) is DataPacket:
+            bits = first.payload_size
+            sent = 0
+            for face, data in emissions:
+                if face == LOCAL_FACE:
+                    self._satisfy(node_id, data, now, hops)
+                    continue
+                to_node, to_face, _, link = row[face]
+                if data.trace:
+                    data = data.delivered_to(to_node)
+                schedule(now + link_transit_ns(link, bits),
+                         (DELIVER_DATA, to_node, to_face, data, arrival_hops))
+                sent += 1
+            flow.data_traversals += sent
+            flow.bits_moved += sent * bits
+            return
+        for face, interest in emissions:
+            to_node, to_face, interest_ns, _ = row[face]
+            if interest.trace:
+                interest = interest.delivered_to(to_node)
+                edge = (node_id, to_node, key)
+                self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
+            schedule(now + interest_ns,
+                     (DELIVER_INTEREST, to_node, to_face, interest, arrival_hops))
+        flow.interest_traversals += len(emissions)
+        flow.bits_moved += len(emissions) * INTEREST_BITS
+
+    def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
         state = self.requests.get(data.name.canonical_text, {}).get(node_id)
         if state is None or state.satisfied or state.failed:
             return
         state.satisfied = True
         state.completed_at = now
-        state.path_hops = data.hop_count
+        state.path_hops = hops
         state.data_path = data.trace
         self.satisfied += 1
 
-    def _log(self, event: Event) -> None:
-        packet = event.packet
-        name = packet.name.canonical_text if packet is not None else "-"
-        hops = packet.hop_count if packet is not None else 0
-        self.log.write(f"{event.fire_at} {event.kind} {event.node} {name} {hops}\n")
+    def _log(self, event: tuple, now: int) -> None:
+        kind, node_id, _, packet, hops = event
+        self.log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
+                       f"{packet.name.canonical_text} {hops}\n")
 
     # -- reporting -------------------------------------------------------
 

@@ -11,6 +11,14 @@ absent once a lookup finds ``expiry <= now``; it is queued on the
 Every delivery is scheduled after the entry it meets was created, so an
 entry whose expiry equals the delivery time counts as gone, just as a
 timer set at its creation would already have removed it.
+
+Each node also keeps a dead-nonce list: the (name, nonce) pairs it has
+answered, from its own content or its content store, and the nonces of
+every PIT entry that Data consumed.  A copy of such an Interest that
+arrives later is dropped as a duplicate for ``PIT_LIFETIME_NS``, so a
+producer answers each flood once and a late copy cannot flood again
+after the Data has passed.  Dead entries expire lazily like transit PIT
+entries and are reclaimed from the same FIFO.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from .core import ContentName, DataPacket, InterestPacket
 
 LOCAL_FACE = 0
 
-# PIT entries live 4 simulated seconds, then expire; late Data is dropped
-# by the no-PIT rule.
+# PIT entries and dead nonces live 4 simulated seconds, then expire; late
+# Data is dropped by the no-PIT rule.
 PIT_LIFETIME_NS = 4_000_000_000
 
 
@@ -108,14 +116,18 @@ class NdnNode:
         self.pit: dict[str, PitEntry] = {}
         self.cs = ContentStore(cs_capacity)
         self.published: dict[str, int] = {}  # canonical name -> payload bits
+        # (canonical name, nonce) -> expiry of the pairs this node has answered
+        # or whose PIT entry Data consumed
+        self.dead_nonces: dict[tuple[str, int], int] = {}
         self.duplicates_suppressed = 0
         self._next_token = 0
         # hook(name_key, token, expiry) lets the event loop time entries
         # that hold the local face
         self.pit_expiry_hook: Callable[[str, int, int], None] | None = None
-        # (expiry, node, name_key, token) of every other entry, in creation
-        # order; the event loop shares one FIFO among all its nodes
-        self.pit_reclaim: deque[tuple[int, NdnNode, str, int]] = deque()
+        # (expiry, node, name_key, token) of every other entry, and
+        # (expiry, node, (name_key, nonce), None) of every dead nonce, in
+        # creation order; the event loop shares one FIFO among all its nodes
+        self.pit_reclaim: deque[tuple] = deque()
 
     # -- content origin -------------------------------------------------
 
@@ -135,11 +147,16 @@ class NdnNode:
         if in_face not in self.faces:
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
         key = interest.name.canonical_text
+        pair = (key, interest.nonce)
+        if self.dead_nonces.get(pair, now) > now:
+            self.duplicates_suppressed += 1
+            return []
 
         size = self.published.get(key)
         if size is None:
             size = self.cs.get(key, now)
         if size is not None:
+            self._mark_dead(pair, now)
             data = DataPacket(interest.name, size,
                               trace=(self.id,) if interest.trace else ())
             return [(in_face, data)]
@@ -174,6 +191,8 @@ class NdnNode:
         if entry is None or entry.expiry <= now:
             return []  # unsolicited or late data is dropped
         del self.pit[key]
+        for nonce in entry.seen_nonces:
+            self._mark_dead((key, nonce), now)
         self.cs.insert(key, data.payload_size, now)
         return [(face, data) for face in sorted(entry.in_faces) if face != in_face]
 
@@ -185,20 +204,30 @@ class NdnNode:
             return entry
         return None
 
+    def _mark_dead(self, pair: tuple[str, int], now: int) -> None:
+        expiry = now + PIT_LIFETIME_NS
+        self.dead_nonces[pair] = expiry
+        self.pit_reclaim.append((expiry, self, pair, None))
+
     def _watch(self, key: str, token: int, expiry: int) -> None:
         if self.pit_expiry_hook is not None:
             self.pit_expiry_hook(key, token, expiry)
 
 
-def reclaim_expired(fifo: deque[tuple[int, NdnNode, str, int]], now: int) -> None:
-    """Delete the queued PIT entries whose lifetime ended by ``now``.
+def reclaim_expired(fifo: deque[tuple], now: int) -> None:
+    """Delete the queued PIT entries and dead nonces whose lifetime ended by ``now``.
 
     Entries are queued as they are created and all live the same
     PIT_LIFETIME_NS, so the FIFO is ordered by expiry.  An entry the
-    local face joined later belongs to its expiry timer and is skipped.
+    local face joined later belongs to its expiry timer and is skipped,
+    and so is a dead nonce marked again after its expiry.
     """
     while fifo and fifo[0][0] <= now:
         _, node, key, token = fifo.popleft()
+        if token is None:
+            if node.dead_nonces.get(key, now) <= now:
+                node.dead_nonces.pop(key, None)
+            continue
         entry = node.pit.get(key)
         if (entry is not None and entry.token == token
                 and LOCAL_FACE not in entry.in_faces):

@@ -129,7 +129,7 @@ class TestRunCommand:
         assert {r["scheme"] for r in rows} == {"balancedn"}
 
     @pytest.mark.parametrize("scenario, digest", [
-        ("s1_near", "a1b1dae2e3d69743f4ace3e5fac3bf2b5603a30b99dbf621c46497c9a75caa21"),
+        ("s1_near", "87348734282a8fee8c9bd899f2e713c38f0084fe18349fafc0cbf47759191855"),
         ("s1_mid", "35a86530eb0239be3df413b34b7c2c59c1b072ae82505fbee24cac289abdd622"),
         ("s1_long", "7fc947cb1111ce7ab4ad02d6e8c4f33e1db73dd843bcbf9de00c7f708f45091e"),
     ])
@@ -138,6 +138,17 @@ class TestRunCommand:
         assert main(["run", "--scenario", scenario, "--seed", "42",
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("s1_mid", "99e2f23316451b25002a2b4f0bbeb433f37b28a7e17c96a4e07f81444d8743c5"),
+        ("s1_long", "5ffa85dc51aaa9fa42a2e6762f449a1969920fac56461e630ff78e3410e2b11a"),
+    ])
+    def test_verbose_event_log_is_pinned(self, tmp_path, capsys, scenario, digest):
+        out = tmp_path / f"{scenario}.csv"
+        assert main(["run", "--scenario", scenario, "--seed", "42", "--verbose",
+                     "--out", str(out)]) == 0
+        log = capsys.readouterr().err
+        assert hashlib.sha256(log.encode()).hexdigest() == digest
 
     def test_s3_balancedn_csv_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "s3.csv"
@@ -148,12 +159,10 @@ class TestRunCommand:
                 == "7b97f50d72df01f3cd4eb5d7051c9a2a759c5f0032079937841b95ca3a190d96")
 
     def test_flood_storm_exits_one(self, tmp_path):
-        topology, consumer, producer = storm_graph()
-        resolver = min(set(topology.nodes) - {consumer, producer})
+        topology, _, _ = storm_graph()
         path = tmp_path / "storm.topo"
-        path.write_text(topology_text(topology, {consumer: "consumer",
-                                                 producer: "producer",
-                                                 resolver: "resolver"}))
+        path.write_text(topology_text(topology))
+        assert main(["validate", "--topology", str(path)]) == 0
         proc = subprocess.run(
             [sys.executable, "-m", "balancedn.cli", "run", "--scenario", "s1_mid",
              "--topology", str(path), "--resolvers", "1", "--schemes", "flooding",

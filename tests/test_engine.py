@@ -4,13 +4,13 @@ import random
 import pytest
 
 from balancedn.core import InterestPacket, parse_name
-from balancedn.engine import (DELIVER_INTEREST, Event, EventBudgetError,
-                              EventQueue, INTEREST_BITS, SchedulingError,
-                              Simulation, link_transit_ns)
+from balancedn.engine import (DELIVER_INTEREST, EventBudgetError, EventQueue,
+                              INTEREST_BITS, SchedulingError, Simulation,
+                              link_transit_ns)
 from balancedn.node import PIT_LIFETIME_NS
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, Topology,
                                 load_preset)
-from varied_delay import storm_graph
+from varied_delay import VARIED_SEED, storm_graph, varied_delay_graph
 
 NAME = parse_name("/video/a.mp4")
 
@@ -27,29 +27,90 @@ def line_topology(n):
     return Topology.build(nodes, links)
 
 
+def event(node):
+    return (DELIVER_INTEREST, node, 0, None, 0)
+
+
 class TestEventQueue:
     def test_pops_in_time_order(self):
         q = EventQueue()
-        q.schedule(Event(5, 0, DELIVER_INTEREST, 0))
-        q.schedule(Event(3, 0, DELIVER_INTEREST, 0))
-        assert q.pop().fire_at == 3
-        assert q.pop().fire_at == 5
+        q.schedule(5, event(0))
+        q.schedule(3, event(1))
+        q.schedule(9, event(2))
+        q.schedule(5, event(3))
+        assert len(q) == 4
+        times = []
+        while len(q):
+            bucket = q.pop_bucket()
+            for _ in bucket:
+                q.done()
+            times.append((q.now, [e[1] for e in bucket]))
+        assert times == [(3, [1]), (5, [0, 3]), (9, [2])]
 
     def test_simultaneous_events_fifo(self):
         q = EventQueue()
-        first = Event(7, 0, DELIVER_INTEREST, 1)
-        second = Event(7, 0, DELIVER_INTEREST, 2)
-        q.schedule(first)
-        q.schedule(second)
-        assert q.pop() is first
-        assert q.pop() is second
+        first, second, third = event(1), event(2), event(3)
+        q.schedule(7, first)
+        q.schedule(7, second)
+        q.schedule(7, third)
+        bucket = q.pop_bucket()
+        assert bucket[0] is first and bucket[1] is second and bucket[2] is third
+        assert len(q) == 3  # counted until marked dispatched
+        q.done()
+        assert len(q) == 2
+
+    def test_same_time_event_scheduled_during_drain_fires_after_bucket(self):
+        q = EventQueue()
+        q.schedule(7, event(1))
+        q.schedule(7, event(2))
+        q.pop_bucket()
+        q.done()
+        q.done()
+        late = event(3)
+        q.schedule(7, late)
+        assert q.peek_time() == 7 and q.pop_bucket() == [late]
+
+    def test_push_front_keeps_scheduling_order(self):
+        q = EventQueue()
+        q.schedule(7, event(1))
+        q.schedule(7, event(2))
+        bucket = q.pop_bucket()
+        q.done()
+        q.schedule(7, event(3))
+        q.push_front(bucket[1:])
+        assert len(q) == 2
+        assert [e[1] for e in q.pop_bucket()] == [2, 3]
 
     def test_scheduling_into_the_past_rejected(self):
         q = EventQueue()
-        q.schedule(Event(10, 0, DELIVER_INTEREST, 0))
-        q.pop()
+        q.schedule(10, event(0))
+        q.pop_bucket()
         with pytest.raises(SchedulingError):
-            q.schedule(Event(3, 0, DELIVER_INTEREST, 0))
+            q.schedule(3, event(0))
+
+
+class TestZeroTransit:
+    def test_same_time_delivery_fires_after_its_bucket(self):
+        # consumer 0 floods to 1 and 2, both 1 ms away, so both deliveries
+        # share one bucket; node 1 forwards to 3 over a link with no delay
+        # whose serialization rounds to 0 ns, so that delivery has the same
+        # time and must wait for node 2's, which was scheduled first
+        nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(4)]
+        links = [LinkDescriptor(0, 1, 1.0, 1000.0), LinkDescriptor(0, 2, 1.0, 1000.0),
+                 LinkDescriptor(1, 3, 0.0, 1e9), LinkDescriptor(2, 3, 1.0, 1000.0)]
+        topology = Topology.build(nodes, links)
+        assert link_transit_ns(topology.link_between(1, 3), INTEREST_BITS) == 0
+        out = io.StringIO()
+        sim = Simulation(topology, log=out)
+        sim.inject_request(0, NAME, at=0)
+        sim.run_until(None)
+        first = [line.split() for line in out.getvalue().splitlines()[:4]]
+        t = str(1_000_320)
+        assert first == [["0", "request_injection", "0", "/video/a.mp4", "0"],
+                         [t, "deliver_interest", "1", "/video/a.mp4", "1"],
+                         [t, "deliver_interest", "2", "/video/a.mp4", "1"],
+                         [t, "deliver_interest", "3", "/video/a.mp4", "2"]]
+        assert sim.nodes[3].duplicates_suppressed == 1  # node 2's copy, 1 ms later
 
 
 class TestLinkTransit:
@@ -255,3 +316,48 @@ class TestRunBudget:
         per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
         assert sim.processed == per_request
         assert len(sim.queue) > 0  # the storm was still going
+
+    def test_raise_mid_bucket_leaves_unrun_events_queued(self):
+        # three storming floods, one answered: their events share buckets
+        # unevenly, and the budget runs out inside one
+        topology, consumer, producer = storm_graph()
+        sim = Simulation(topology)
+        queue = sim.queue
+        scheduled, sizes = [], []
+        schedule, pop_bucket = queue.schedule, queue.pop_bucket
+
+        def counting_schedule(fire_at, event):
+            scheduled.append(event)
+            schedule(fire_at, event)
+
+        def sizing_pop_bucket():
+            bucket = pop_bucket()
+            sizes.append(len(bucket))
+            return bucket
+
+        queue.schedule, queue.pop_bucket = counting_schedule, sizing_pop_bucket
+        sim.publish(producer, parse_name("/a"), 1024)
+        for name in ("/a", "/b", "/c"):
+            sim.inject_request(consumer, parse_name(name), at=0)
+        with pytest.raises(EventBudgetError):
+            sim.run_until(None)
+        ran_of_last = sim.processed - sum(sizes[:-1])
+        assert 0 < ran_of_last < sizes[-1]
+        assert len(queue) == len(scheduled) - sim.processed
+        assert queue.peek_time() == queue.now
+
+
+class TestVariedDelayFloods:
+    def test_floods_drain_and_hold_invariants(self):
+        rng = random.Random(VARIED_SEED)
+        for _ in range(200):
+            topology, consumer, producer = varied_delay_graph(rng)
+            sim = Simulation(topology, track_edges=True)
+            sim.publish(producer, NAME, 1024)
+            state = sim.inject_request(consumer, NAME, at=0)
+            sim.run_until(None)
+            flow = sim.flow_stats(NAME)
+            assert len(sim.queue) == 0 and state.satisfied
+            assert flow.data_traversals == state.path_hops
+            assert flow.interest_traversals <= 2 * len(topology.links)
+            assert all(count == 1 for count in sim.edge_interest_counts.values())

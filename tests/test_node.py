@@ -88,6 +88,57 @@ class TestOnData:
         assert [face for face, _ in out] == [2]
 
 
+class TestDeadNonces:
+    def test_producer_answers_each_nonce_once(self):
+        node = flooding_node()
+        node.publish(NAME, 1024)
+        assert len(node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)) == 1
+        assert node.on_interest(InterestPacket(NAME, nonce=5), in_face=2, now=1) == []
+        assert node.duplicates_suppressed == 1
+        # another consumer's Interest has its own nonce and is answered
+        assert len(node.on_interest(InterestPacket(NAME, nonce=6), in_face=2, now=1)) == 1
+
+    def test_cache_answer_marks_nonce_dead(self):
+        node = flooding_node()
+        node.cs.insert(NAME.canonical_text, 1024, now=0)
+        node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
+        assert node.on_interest(InterestPacket(NAME, nonce=5), in_face=3, now=1) == []
+        assert node.duplicates_suppressed == 1
+
+    def test_consumed_entry_nonces_stop_late_copies(self):
+        node = flooding_node()
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        node.on_interest(InterestPacket(NAME, nonce=2), in_face=2, now=0)
+        node.on_data(DataPacket(NAME, 1024), in_face=3, now=10)
+        for nonce in (1, 2):
+            assert node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=3,
+                                    now=20) == []
+        assert node.duplicates_suppressed == 2 and not node.pit
+        assert set(node.dead_nonces) == {(NAME.canonical_text, 1), (NAME.canonical_text, 2)}
+
+    def test_dead_nonce_lives_one_pit_lifetime(self):
+        node = flooding_node()
+        node.publish(NAME, 1024)
+        node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
+        late = InterestPacket(NAME, nonce=5)
+        assert node.on_interest(late, in_face=1, now=PIT_LIFETIME_NS - 1) == []
+        assert len(node.on_interest(late, in_face=1, now=PIT_LIFETIME_NS)) == 1
+
+    def test_reclaim_drops_expired_dead_nonces_only(self):
+        node = flooding_node()
+        node.publish(NAME, 1024)
+        node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
+        node.on_interest(InterestPacket(NAME, nonce=6), in_face=1, now=10)
+        # nonce 5 answered again once its entry expired: marked dead anew
+        node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=PIT_LIFETIME_NS)
+        reclaim_expired(node.pit_reclaim, PIT_LIFETIME_NS)
+        assert set(node.dead_nonces) == {(NAME.canonical_text, 5), (NAME.canonical_text, 6)}
+        reclaim_expired(node.pit_reclaim, PIT_LIFETIME_NS + 10)
+        assert set(node.dead_nonces) == {(NAME.canonical_text, 5)}
+        reclaim_expired(node.pit_reclaim, 2 * PIT_LIFETIME_NS)
+        assert not node.dead_nonces and not node.pit_reclaim
+
+
 class TestStrategies:
     def test_flood_excludes_incoming_and_local(self):
         node = NdnNode(0, neighbors=(5, 6, 7, 8))  # faces 1..4
