@@ -118,11 +118,6 @@ class ContentName:
         """Canonical text as the raw bytes fed to the hash (no trailing slash)."""
         return self.canonical_text.encode("utf-8")
 
-    def has_prefix(self, prefix: "ContentName") -> bool:
-        """True when ``prefix``'s segments are a leading subsequence of ours."""
-        n = len(prefix.segments)
-        return n <= len(self.segments) and self.segments[:n] == prefix.segments
-
     def __str__(self) -> str:
         return self.canonical_text
 
@@ -152,28 +147,21 @@ class InterestPacket:
 
     ``trace`` lists the node ids visited so far (metrics only, never
     consulted by forwarding).  It is opt-in: a packet created with an
-    empty trace keeps it empty on every hop.  ``hop_count`` equals
-    ``len(trace) - 1`` whenever the trace is non-empty.  The nonce never
-    changes after creation.  The engine stamps a new copy of a traced
-    packet on each link crossing (:meth:`delivered_to`) and sends an
-    untraced one unchanged, carrying the hop count on its events.
+    empty trace keeps it empty on every hop, and a traced packet has
+    made ``len(trace) - 1`` hops.  The nonce never changes after
+    creation.  The engine stamps a new copy of a traced packet on each
+    link crossing (:meth:`delivered_to`) and sends an untraced one
+    unchanged; it carries the hop count on its events, not the packet.
     """
 
     name: ContentName
     nonce: int
-    hop_count: int = 0
     trace: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.hop_count < 0:
-            raise ValueError("hop_count must be non-negative")
-        if self.trace and self.hop_count != len(self.trace) - 1:
-            raise ValueError("hop_count must equal len(trace) - 1")
 
     def delivered_to(self, node_id: int) -> "InterestPacket":
         """Copy stamped for arrival at ``node_id`` after one link crossing."""
         trace = self.trace + (node_id,) if self.trace else ()
-        return InterestPacket(self.name, self.nonce, self.hop_count + 1, trace)
+        return InterestPacket(self.name, self.nonce, trace)
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,7 +176,6 @@ class DataPacket:
     name: ContentName
     payload_size: int
     signature: bytes = _SIGNATURE_PLACEHOLDER
-    hop_count: int = 0
     trace: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
@@ -199,8 +186,7 @@ class DataPacket:
 
     def delivered_to(self, node_id: int) -> "DataPacket":
         trace = self.trace + (node_id,) if self.trace else ()
-        return DataPacket(self.name, self.payload_size, self.signature,
-                          self.hop_count + 1, trace)
+        return DataPacket(self.name, self.payload_size, self.signature, trace)
 
 
 def assign_resolver(name: ContentName, resolver_count: int) -> int:

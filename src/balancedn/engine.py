@@ -252,7 +252,7 @@ class Simulation:
         reclaim_expired(self._reclaim, self.queue.now)
         nonce = self.rng.getrandbits(64)
         trace = (consumer,) if self.track_edges else ()
-        interest = InterestPacket(name, nonce, 0, trace)
+        interest = InterestPacket(name, nonce, trace)
         state = RequestState(name, consumer, at)
         by_consumer[consumer] = state
         self.flows.setdefault(key, FlowStats())

@@ -153,7 +153,7 @@ class NdnNode:
             return []
 
         size = self.published.get(key)
-        if size is None:
+        if size is None and self.cs.capacity:
             size = self.cs.get(key, now)
         if size is not None:
             self._mark_dead(pair, now)

@@ -14,6 +14,10 @@ the name's hash answers locally:
     -> consumer, and the locator record is cached at the ingress on the
     way back so the next lookup for that name short-circuits.
 
+A locator record is the producer id itself: the nameserver zones and
+the shard tables map canonical name text to an int, so a registered
+corpus holds no object per name for the garbage collector to track.
+
 Stage traversal counts are shortest-path hop distances; latency sums
 the same per-link transit times the event engine charges, so the two
 schemes' accounting is directly comparable.
@@ -63,29 +67,24 @@ class RegistrationConflictError(ValueError):
     """A name is already registered to a different producer."""
 
 
-@dataclass(frozen=True, slots=True)
-class LocatorRecord:
-    """Binding of a content name (canonical text) to its producer node."""
-
-    name: str
-    producer: int
-    registered_at: int
-
-
 @dataclass(slots=True)
 class ResolverShard:
-    """One shard table: authoritative records plus an LRU record cache."""
+    """One shard table: authoritative records plus an LRU record cache.
+
+    A record is the producer id a canonical name resolves to.  Producer
+    0 is a valid id, so a miss is None, never a false value.
+    """
 
     index: int
     cache_capacity: int = 10_000
-    authoritative: dict[str, LocatorRecord] = field(default_factory=dict)
-    cache: OrderedDict[str, LocatorRecord] = field(default_factory=OrderedDict)
+    authoritative: dict[str, int] = field(default_factory=dict)
+    cache: OrderedDict[str, int] = field(default_factory=OrderedDict)
 
     def __post_init__(self) -> None:
         if self.cache_capacity < 0:
             raise ValueError("cache capacity must be non-negative")
 
-    def lookup(self, key: str) -> LocatorRecord | None:
+    def lookup(self, key: str) -> int | None:
         """Exact-name match, authoritative before cached; hits refresh recency."""
         record = self.authoritative.get(key)
         if record is not None:
@@ -95,11 +94,11 @@ class ResolverShard:
             self.cache.move_to_end(key)
         return record
 
-    def store_cached(self, record: LocatorRecord) -> None:
-        if record.name in self.authoritative or self.cache_capacity == 0:
+    def store_cached(self, key: str, producer: int) -> None:
+        if key in self.authoritative or self.cache_capacity == 0:
             return
-        self.cache[record.name] = record
-        self.cache.move_to_end(record.name)
+        self.cache[key] = producer
+        self.cache.move_to_end(key)
         if len(self.cache) > self.cache_capacity:
             self.cache.popitem(last=False)
 
@@ -121,7 +120,7 @@ class TldServer:
 @dataclass(slots=True)
 class NameServer:
     host_node: int
-    zone: dict[str, LocatorRecord] = field(default_factory=dict)
+    zone: dict[str, int] = field(default_factory=dict)  # canonical name -> producer
 
 
 @dataclass(slots=True)
@@ -143,9 +142,6 @@ class ResolutionOutcome:
     data_traversals: int
     latency_ns: int
     bits_moved: int
-
-    def stage_names(self) -> list[str]:
-        return [stage for stage, _ in self.steps]
 
 
 class Deployment:
@@ -198,7 +194,7 @@ class Deployment:
 
     # -- registration ------------------------------------------------------
 
-    def register_bulk(self, pairs: Iterable[tuple[str, int]], now: int = 0) -> int:
+    def register_bulk(self, pairs: Iterable[tuple[str, int]]) -> int:
         """Register (canonical name, producer) pairs; returns link traversals.
 
         A new name gets one locator record, in its prefix's nameserver
@@ -228,9 +224,9 @@ class Deployment:
                     ns = ns_of[prefix] = self._nameserver_for(prefix)
                 existing = ns.zone.get(key)
                 if existing is not None:
-                    if existing.producer != producer:
+                    if existing != producer:
                         raise RegistrationConflictError(
-                            f"{key} is already registered to producer {existing.producer}")
+                            f"{key} is already registered to producer {existing}")
                     continue
                 place = placement.get((producer, ns.host_node))
                 if place is None:
@@ -242,16 +238,15 @@ class Deployment:
                              + self.paths.distance(producer, ns.host_node))
                     placement[(producer, ns.host_node)] = place
                 shards, hops = place
-                record = LocatorRecord(key, producer, now)
-                ns.zone[key] = record
+                ns.zone[key] = producer
                 tld_delegations.setdefault(prefix, ns.host_node)
-                shards[crc % n].authoritative[key] = record
+                shards[crc % n].authoritative[key] = producer
                 total += hops
         return total
 
     # -- resolution ----------------------------------------------------------
 
-    def resolve_and_fetch(self, consumer: int, name: ContentName, now: int = 0,
+    def resolve_and_fetch(self, consumer: int, name: ContentName,
                           payload_bits: int = DEFAULT_PAYLOAD_BITS) -> ResolutionOutcome:
         """Run the full numbered flow for one request; see module docstring."""
         if consumer not in self.topology.nodes:
@@ -285,25 +280,24 @@ class Deployment:
 
         interest_leg(STAGE_CONSUMER_TO_CLUSTER, consumer, ingress)
 
-        record = shard.lookup(key)
-        shortcut = record is not None
+        producer = shard.lookup(key)
+        shortcut = producer is not None
         if not shortcut:
             tld_node = self.tld.host_node
             ns = self._nameserver_for(name.segments[0])
             interest_leg(STAGE_RESOLVER_TO_TLD, ingress, tld_node)
             interest_leg(STAGE_TLD_TO_NAMESERVER, tld_node, ns.host_node)
-            record = ns.zone.get(key)
+            producer = ns.zone.get(key)
             # the record reply retraces nameserver -> tld -> ingress
             data_leg(ns.host_node, tld_node, LOCATOR_REPLY_BITS)
             data_leg(tld_node, ingress, LOCATOR_REPLY_BITS)
-            if record is None:
+            if producer is None:
                 return ResolutionOutcome(name, None, steps, False, False,
                                          interest_traversals, data_traversals,
                                          latency, bits_moved)
             # the record reply caches the locator at the consumer-side site
-            shard.store_cached(record)
+            shard.store_cached(key, producer)
 
-        producer = record.producer
         interest_leg(STAGE_FETCH, ingress, producer)
         return_hops = data_leg(producer, ingress, payload_bits)
         return_hops += data_leg(ingress, consumer, payload_bits)
@@ -444,7 +438,7 @@ def build_skewed_shards(loads: dict[int, int], resolver_count: int) -> list[Reso
         count = loads.get(index, 0)
         shard = ResolverShard(index, cache_capacity=0)
         for key in synthesize_shard_names(index, count, resolver_count, start=offset):
-            shard.authoritative[key] = LocatorRecord(key, 0, 0)
+            shard.authoritative[key] = 0
         offset += count
         shards.append(shard)
     return shards

@@ -130,11 +130,6 @@ class TestParseName:
         name = ContentName(tuple(segments))
         assert parse_name(name.canonical_text) == name
 
-    def test_prefix_matching(self):
-        assert parse_name("/a/b/c").has_prefix(parse_name("/a/b"))
-        assert not parse_name("/a/b").has_prefix(parse_name("/a/b/c"))
-        assert not parse_name("/a/b").has_prefix(parse_name("/x"))
-
 
 class TestAssignResolver:
     def test_mod_one_is_always_zero(self):
@@ -179,14 +174,21 @@ class TestAssignResolver:
 
 class TestPackets:
     def test_interest_trace_invariant(self):
-        interest = InterestPacket(parse_name("/a"), nonce=1, hop_count=0, trace=(5,))
+        interest = InterestPacket(parse_name("/a"), nonce=1, trace=(5,))
         hopped = interest.delivered_to(7)
-        assert hopped.hop_count == 1 and hopped.trace == (5, 7)
+        assert hopped.trace == (5, 7)  # one hop: len(trace) - 1
         assert hopped.nonce == interest.nonce
+        assert interest.trace == (5,)  # the original is not changed
 
-    def test_interest_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            InterestPacket(parse_name("/a"), nonce=1, hop_count=3, trace=(5,))
+    def test_untraced_packets_stay_untraced(self):
+        interest = InterestPacket(parse_name("/a"), nonce=1)
+        data = DataPacket(parse_name("/a"), payload_size=8)
+        for node_id in (3, 4, 5):
+            interest = interest.delivered_to(node_id)
+            data = data.delivered_to(node_id)
+        assert interest.trace == () and data.trace == ()
+        traced = DataPacket(parse_name("/a"), payload_size=8, trace=(5,))
+        assert traced.delivered_to(4).delivered_to(3).trace == (5, 4, 3)
 
     def test_data_packet_validation(self):
         with pytest.raises(ValueError):

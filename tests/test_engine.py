@@ -130,9 +130,9 @@ class TestLinkTransit:
 
 class TestTransmit:
     def test_delivery_stamps_hop_and_trace(self):
-        interest = InterestPacket(NAME, nonce=1, hop_count=0, trace=(0,))
+        interest = InterestPacket(NAME, nonce=1, trace=(0,))
         delivered = interest.delivered_to(1)
-        assert delivered.hop_count == 1
+        assert len(delivered.trace) - 1 == 1
         assert delivered.trace == (0, 1)
         assert delivered.nonce == interest.nonce
 

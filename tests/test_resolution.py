@@ -5,7 +5,7 @@ import pytest
 from balancedn.core import assign_resolver, crc16, crc16_update, parse_name
 from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
 from balancedn.resolution import (CRC_CHUNK, LOCATOR_REPLY_BITS,
-                                  ConfigurationError, Deployment, LocatorRecord,
+                                  ConfigurationError, Deployment,
                                   RegistrationConflictError, ResolverShard,
                                   STAGE_ORDER, build_skewed_shards,
                                   interleaved_timing_probe,
@@ -50,10 +50,9 @@ class TestRegistration:
         register(deployment, 5, NAME)
         idx = assign_resolver(NAME, 4)
         # producer 5's nearest site is resolver node 4
-        record = deployment.sites[4].shards[idx].lookup(NAME.canonical_text)
-        assert record is not None and record.producer == 5
+        assert deployment.sites[4].shards[idx].lookup(NAME.canonical_text) == 5
         ns = deployment.nameservers[3]
-        assert ns.zone[NAME.canonical_text].producer == 5
+        assert ns.zone[NAME.canonical_text] == 5
         assert deployment.tld.delegations["video"] == 3
 
     def test_registration_traversal_count(self):
@@ -78,6 +77,35 @@ class TestRegistration:
         deployment = Deployment(line_topology(), resolver_count=2)
         with pytest.raises(ConfigurationError):
             register(deployment, 1, NAME)
+
+    def test_producer_zero_is_a_record_like_any_other(self):
+        # the line reversed: producer(0) - resolver(1) - tld(2) -
+        # nameserver(3) - resolver(4) - consumer(5), producer 6 off the TLD
+        roles = ["producer", "resolver", "tld", "nameserver", "resolver", "consumer"]
+        nodes = [NodeDescriptor(i, f"n{i}", role) for i, role in enumerate(roles)]
+        nodes.append(NodeDescriptor(6, "p2", "producer"))
+        links = [LinkDescriptor(i, i + 1, 1.0, 1000.0) for i in range(5)]
+        links.append(LinkDescriptor(6, 2, 1.0, 1000.0))
+        deployment = Deployment(Topology.build(nodes, links), resolver_count=2)
+        key = NAME.canonical_text
+        # producer 0 to its site (node 1) is 1 hop, to the nameserver 3 hops
+        assert register(deployment, 0, NAME) == 4
+        assert register(deployment, 0, NAME) == 0  # a repeat is skipped
+        with pytest.raises(RegistrationConflictError, match="producer 0"):
+            register(deployment, 6, NAME)
+        assert deployment.nameservers[3].zone == {key: 0}
+        idx = assign_resolver(NAME, 2)
+        assert deployment.sites[1].shards[idx].lookup(key) == 0
+        cold = deployment.resolve_and_fetch(5, NAME)
+        assert cold.satisfied and cold.producer == 0 and not cold.shortcut_taken
+        assert cold.steps == [("consumer_to_cluster", 1), ("resolver_to_tld", 2),
+                              ("tld_to_nameserver", 1), ("fetch", 4),
+                              ("data_return", 5)]
+        assert deployment.sites[4].shards[idx].cache == {key: 0}
+        warm = deployment.resolve_and_fetch(5, NAME)
+        assert warm.satisfied and warm.producer == 0 and warm.shortcut_taken
+        assert warm.steps == [("consumer_to_cluster", 1), ("fetch", 4),
+                              ("data_return", 5)]
 
     def test_bulk_matches_single_registration(self):
         names = [f"/cat{i}/obj{i}" for i in range(20)]
@@ -159,6 +187,20 @@ class TestBulkAcrossChunks:
         assert len(bulk.nameservers[7].zone) == sum(
             1 for key, _ in pairs if key.startswith("/cat3/"))
 
+    def test_every_stored_record_is_a_plain_int(self):
+        deployment = self.deployment()
+        deployment.register_bulk(pair for pair in self.pairs())
+        for key, _ in self.pairs()[:50]:
+            deployment.resolve_and_fetch(0, parse_name(key))  # fills the caches
+        tables = [ns.zone for ns in deployment.nameservers.values()]
+        for site in deployment.sites.values():
+            tables += [table for shard in site.shards
+                       for table in (shard.authoritative, shard.cache)]
+        tables += [shard.authoritative for shard in build_skewed_shards({0: 40, 1: 9}, 2)]
+        values = [value for table in tables for value in table.values()]
+        assert len(values) > 2 * len(set(self.pairs()))
+        assert all(type(value) is int for value in values)
+
     def test_repeat_in_later_chunk_is_skipped_at_no_cost(self):
         pairs = self.pairs()
         cut = 3 * CRC_CHUNK  # the repeats of chunks 0 and 1 land in chunk 3
@@ -229,7 +271,7 @@ class TestResolveAndFetch:
         first = deployment.resolve_and_fetch(0, NAME)
         second = deployment.resolve_and_fetch(0, NAME)
         assert not first.shortcut_taken and second.shortcut_taken
-        assert second.stage_names() == [
+        assert [stage for stage, _ in second.steps] == [
             "consumer_to_cluster", "fetch", "data_return"]
         assert second.interest_traversals == 1 + 4
         assert second.interest_traversals < first.interest_traversals
@@ -259,7 +301,7 @@ class TestResolveAndFetch:
             deployment.resolve_and_fetch(0, parse_name("/not/registered")),
         ]
         for outcome in outcomes:
-            stages = outcome.stage_names()
+            stages = [stage for stage, _ in outcome.steps]
             positions = [STAGE_ORDER.index(s) for s in stages]
             assert positions == sorted(positions)
             assert len(set(stages)) == len(stages)
@@ -268,7 +310,7 @@ class TestResolveAndFetch:
         deployment = Deployment(line_topology(), resolver_count=1)
         outcome = deployment.resolve_and_fetch(0, parse_name("/nope/x"))
         assert not outcome.satisfied and outcome.producer is None
-        assert outcome.stage_names() == [
+        assert [stage for stage, _ in outcome.steps] == [
             "consumer_to_cluster", "resolver_to_tld", "tld_to_nameserver"]
         assert outcome.interest_traversals == 3
         assert outcome.data_traversals == 2  # negative reply retraces
@@ -330,22 +372,29 @@ class TestShardLookup:
 
     def test_cached_record_evicted_after_capacity_overflow(self):
         shard = ResolverShard(0, cache_capacity=2)
-        records = [LocatorRecord(f"/c/{i}", producer=9, registered_at=0)
-                   for i in range(3)]
-        for record in records:
-            shard.store_cached(record)
+        for i in range(3):
+            shard.store_cached(f"/c/{i}", 9)
         assert shard.lookup("/c/0") is None  # least recent, evicted
-        assert shard.lookup("/c/1") is not None
-        assert shard.lookup("/c/2") is not None
+        assert shard.lookup("/c/1") == 9
+        assert shard.lookup("/c/2") == 9
 
     def test_cache_hit_refreshes_recency(self):
         shard = ResolverShard(0, cache_capacity=2)
-        shard.store_cached(LocatorRecord("/c/0", 9, 0))
-        shard.store_cached(LocatorRecord("/c/1", 9, 0))
+        shard.store_cached("/c/0", 9)
+        shard.store_cached("/c/1", 9)
         shard.lookup("/c/0")
-        shard.store_cached(LocatorRecord("/c/2", 9, 0))
+        shard.store_cached("/c/2", 9)
         assert shard.lookup("/c/1") is None
-        assert shard.lookup("/c/0") is not None
+        assert shard.lookup("/c/0") == 9
+
+    def test_producer_zero_hit_refreshes_recency(self):
+        shard = ResolverShard(0, cache_capacity=2)
+        shard.store_cached("/c/0", 0)
+        shard.store_cached("/c/1", 0)
+        assert shard.lookup("/c/0") == 0
+        shard.store_cached("/c/2", 0)
+        assert shard.lookup("/c/1") is None
+        assert shard.lookup("/c/0") == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
