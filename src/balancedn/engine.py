@@ -8,7 +8,9 @@ events per fire time and a heap of the distinct times, and fires each
 time's events in scheduling order, so events are totally ordered by
 (fire_at, scheduling order).  An event scheduled for the current time
 while that time's events run (a link whose transit rounds to 0 ns)
-fires after them.
+fires after them.  ``Simulation.run_until`` takes one bucket at a time
+and dispatches each event in place; most of a flood's events deliver
+an Interest to a leaf, which is a dead end (see ``balancedn.node``).
 
 A flood sends one Interest object on every hop: the hop count travels
 on the event, and it is the only hop count the engine reads, for a
@@ -270,24 +272,47 @@ class Simulation:
         empty or the next bucket would fire past ``deadline`` (which is
         then left in the queue).  Raises EventBudgetError once the events
         processed since the queue was last empty outnumber what the
-        requests injected meanwhile can cost on this topology; the events
-        not yet run stay queued.
+        requests injected meanwhile can cost on this topology, after
+        running the events the budget allows; the rest stay queued.
         """
         queue = self.queue
+        done = queue.done
+        nodes = self.nodes
+        log = self.log
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
                   - self._events_since_drain)
-        dispatch = self._dispatch
         processed = 0
         while len(queue):
             now = queue.peek_time()
             if deadline is not None and now > deadline:
                 break
             bucket = queue.pop_bucket()
-            if processed + len(bucket) > budget:
-                allowed = budget - processed
-                for event in bucket[:allowed]:
-                    queue.done()
-                    dispatch(event, now)
+            allowed = budget - processed
+            for kind, node_id, face, packet, hops in (
+                    bucket if len(bucket) <= allowed else bucket[:allowed]):
+                done()
+                if log is not None and kind != PIT_EXPIRY:
+                    log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
+                              f"{packet.name.canonical_text} {hops}\n")
+                if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
+                    emissions = nodes[node_id].on_interest(packet, face, now)
+                    if not emissions:
+                        continue
+                    if type(emissions[0][1]) is DataPacket:
+                        # answered from content or cache: the Data starts at 0 hops
+                        if packet.trace:
+                            self._record_answered(packet)
+                        hops = 0
+                    self._emit(node_id, emissions, now, hops)
+                elif kind == DELIVER_DATA:
+                    emissions = nodes[node_id].on_data(packet, face, now)
+                    if emissions:
+                        self._emit(node_id, emissions, now, hops)
+                elif kind == PIT_EXPIRY:
+                    self._expire(node_id, packet, now)
+                else:
+                    raise ValueError(f"unknown event kind {kind!r}")
+            if len(bucket) > allowed:
                 queue.push_front(bucket[allowed:])
                 self.processed += budget
                 self._events_since_drain += budget
@@ -296,9 +321,6 @@ class Simulation:
                     f"{self._requests_since_drain} request(s), past the budget of "
                     f"{self._events_per_request} per request; the flood does not "
                     f"converge on this topology")
-            for event in bucket:
-                queue.done()
-                dispatch(event, now)
             processed += len(bucket)
         self.processed += processed
         if len(queue):
@@ -308,38 +330,16 @@ class Simulation:
             self._requests_since_drain = 0
         return processed
 
-    def _dispatch(self, event: tuple, now: int) -> None:
-        kind, node_id, face, packet, hops = event
-        if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
-            node = self.nodes[node_id]
-            if self.log is not None:
-                self._log(event, now)
-            emissions = node.on_interest(packet, face, now)
-            if not emissions:
-                return
-            if type(emissions[0][1]) is DataPacket:
-                # answered from content or cache: the Data starts at 0 hops
-                if packet.trace:
-                    self._record_answered(packet)
-                hops = 0
-            self._emit(node_id, emissions, now, hops)
-        elif kind == DELIVER_DATA:
-            if self.log is not None:
-                self._log(event, now)
-            emissions = self.nodes[node_id].on_data(packet, face, now)
-            if emissions:
-                self._emit(node_id, emissions, now, hops)
-        elif kind == PIT_EXPIRY:
-            key, token = packet
-            entry = self.nodes[node_id].expire_pit(key, token, now)
-            if entry is not None and LOCAL_FACE in entry.in_faces:
-                state = self.requests.get(key, {}).get(node_id)
-                if state is not None and not state.satisfied and not state.failed:
-                    state.failed = True
-                    state.completed_at = now
-                    self.failed += 1
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
+    def _expire(self, node_id: int, timer: tuple[str, int], now: int) -> None:
+        """Fail the request of a consumer whose PIT entry's timer fired."""
+        key, token = timer
+        entry = self.nodes[node_id].expire_pit(key, token, now)
+        if entry is not None and LOCAL_FACE in entry.in_faces:
+            state = self.requests.get(key, {}).get(node_id)
+            if state is not None and not state.satisfied and not state.failed:
+                state.failed = True
+                state.completed_at = now
+                self.failed += 1
 
     def _record_answered(self, interest: InterestPacket) -> None:
         """Keep the trace of the first answered Interest of its own consumer."""
@@ -397,11 +397,6 @@ class Simulation:
         state.path_hops = hops
         state.data_path = data.trace
         self.satisfied += 1
-
-    def _log(self, event: tuple, now: int) -> None:
-        kind, node_id, _, packet, hops = event
-        self.log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
-                       f"{packet.name.canonical_text} {hops}\n")
 
     # -- reporting -------------------------------------------------------
 

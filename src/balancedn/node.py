@@ -10,7 +10,10 @@ absent once a lookup finds ``expiry <= now``; it is queued on the
 ``pit_reclaim`` FIFO, and :func:`reclaim_expired` deletes it later.
 Every delivery is scheduled after the entry it meets was created, so an
 entry whose expiry equals the delivery time counts as gone, just as a
-timer set at its creation would already have removed it.
+timer set at its creation would already have removed it.  Most
+Interests of a flood reach a dead end, a node whose only face is the
+one they came in on; there ``on_interest`` still creates the PIT entry
+and queues it for reclaim, but builds no list of out-faces.
 
 Each node also keeps a dead-nonce list: the (name, nonce) pairs it has
 answered, from its own content or its content store, and the nonces of
@@ -42,7 +45,6 @@ class UnknownFaceError(ValueError):
 
 @dataclass(slots=True)
 class PitEntry:
-    name: ContentName
     in_faces: set[int]
     seen_nonces: set[int]
     expiry: int
@@ -137,18 +139,19 @@ class NdnNode:
     # -- strategy --------------------------------------------------------
 
     def strategy_flood(self, in_face: int) -> list[int]:
-        """All non-local faces except the incoming one."""
-        return self._flood_faces[in_face]
+        """All non-local faces but the incoming one; UnknownFaceError if no such face."""
+        try:
+            return self._flood_faces[in_face]
+        except KeyError:
+            raise UnknownFaceError(f"node {self.id} has no face {in_face}") from None
 
     # -- packet handling ---------------------------------------------------
 
     def on_interest(self, interest: InterestPacket, in_face: int,
                     now: int) -> list[tuple[int, InterestPacket | DataPacket]]:
-        if in_face not in self.faces:
-            raise UnknownFaceError(f"node {self.id} has no face {in_face}")
+        out_faces = self.strategy_flood(in_face)
         key = interest.name.canonical_text
-        pair = (key, interest.nonce)
-        if self.dead_nonces.get(pair, now) > now:
+        if self.dead_nonces and self.dead_nonces.get((key, interest.nonce), now) > now:
             self.duplicates_suppressed += 1
             return []
 
@@ -156,7 +159,7 @@ class NdnNode:
         if size is None and self.cs.capacity:
             size = self.cs.get(key, now)
         if size is not None:
-            self._mark_dead(pair, now)
+            self._mark_dead((key, interest.nonce), now)
             data = DataPacket(interest.name, size,
                               trace=(self.id,) if interest.trace else ())
             return [(in_face, data)]
@@ -175,12 +178,14 @@ class NdnNode:
         self._next_token += 1
         token = self._next_token
         expiry = now + PIT_LIFETIME_NS
-        self.pit[key] = PitEntry(interest.name, {in_face}, {interest.nonce}, expiry, token)
+        self.pit[key] = PitEntry({in_face}, {interest.nonce}, expiry, token)
         if in_face == LOCAL_FACE:
             self._watch(key, token, expiry)
         else:
             self.pit_reclaim.append((expiry, self, key, token))
-        return [(face, interest) for face in self.strategy_flood(in_face)]
+        if not out_faces:
+            return []
+        return [(face, interest) for face in out_faces]
 
     def on_data(self, data: DataPacket, in_face: int,
                 now: int) -> list[tuple[int, DataPacket]]:

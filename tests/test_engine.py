@@ -305,6 +305,20 @@ class TestLazyPitExpiry:
         assert 0 < peak <= 2 * len(topology.nodes)  # a flood leaves <= |V| entries
 
 
+class TestFloodAccounting:
+    def test_oteglobe_flood_events_are_pinned(self):
+        # one flood over all 427 links from consumer 122 to producer 379:
+        # the injection, 428 Interest deliveries (365 of them to leaves),
+        # 17 Data deliveries and the consumer's expiry event
+        sim = Simulation(load_preset("oteglobe"))
+        sim.publish(379, NAME, 1024)
+        state = sim.inject_request(122, NAME, at=0)
+        assert sim.run_until(None) == 447
+        flow = sim.flow_stats(NAME)
+        assert (sim.processed, flow.interest_traversals, flow.data_traversals) == (447, 428, 17)
+        assert state.satisfied and state.path_hops == 17
+
+
 class TestRunBudget:
     def test_storm_raises_instead_of_hanging(self):
         topology, consumer, producer = storm_graph()

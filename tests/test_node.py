@@ -55,8 +55,57 @@ class TestOnInterest:
         assert all(pkt.name == NAME for _, pkt in out)
 
     def test_unknown_face_rejected(self):
-        with pytest.raises(UnknownFaceError):
-            flooding_node().on_interest(InterestPacket(NAME, nonce=1), in_face=99, now=0)
+        node = flooding_node()
+        node.publish(NAME, 1024)
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        other = parse_name("/other")
+        node.on_interest(InterestPacket(other, nonce=2), in_face=1, now=0)
+
+        def state():
+            return ({key: (set(e.in_faces), set(e.seen_nonces), e.expiry, e.token)
+                     for key, e in node.pit.items()},
+                    dict(node.dead_nonces), list(node.pit_reclaim),
+                    node.duplicates_suppressed)
+
+        before = state()
+        for name, nonce in ((NAME, 1), (NAME, 3), (other, 2), (other, 4)):
+            with pytest.raises(UnknownFaceError):
+                node.on_interest(InterestPacket(name, nonce), in_face=99, now=1)
+        assert state() == before
+
+
+class TestDeadEnd:
+    """A node with one neighbour and no content: every Interest from that
+    neighbour has nowhere to go."""
+
+    def test_first_interest_leaves_entry_and_reclaim_record(self):
+        node = flooding_node(neighbors=(7,))
+        assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0) == []
+        entry = node.pit[NAME.canonical_text]
+        assert entry.in_faces == {1} and entry.seen_nonces == {1}
+        assert entry.expiry == PIT_LIFETIME_NS
+        assert list(node.pit_reclaim) == [(PIT_LIFETIME_NS, node, NAME.canonical_text,
+                                           entry.token)]
+        reclaim_expired(node.pit_reclaim, PIT_LIFETIME_NS)
+        assert not node.pit and not node.pit_reclaim
+
+    def test_repeated_nonce_counts_as_duplicate(self):
+        node = flooding_node(neighbors=(7,))
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=1) == []
+        assert node.duplicates_suppressed == 1
+        assert len(node.pit_reclaim) == 1
+
+    def test_local_request_joins_without_forwarding(self):
+        node = flooding_node(neighbors=(7,))
+        timers = []
+        node.pit_expiry_hook = lambda key, token, expiry: timers.append((key, token, expiry))
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=LOCAL_FACE, now=5)
+        assert out == []
+        entry = node.pit[NAME.canonical_text]
+        assert timers == [(NAME.canonical_text, entry.token, PIT_LIFETIME_NS)]
+        assert entry.in_faces == {1, LOCAL_FACE} and entry.seen_nonces == {1, 2}
 
 
 class TestOnData:
