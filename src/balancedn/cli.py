@@ -110,7 +110,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         verbose=args.verbose,
     )
     report = run_scenario(config)
-    sys.stdout.write(f"wrote {len(report.rows())} report rows to {args.out}\n")
+    sys.stdout.write(f"wrote {report.rows_written} report rows to {args.out}\n")
     return 0
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import IO, Optional
 
 from .core import ContentName, DataPacket, InterestPacket
-from .node import LOCAL_FACE, NdnNode, reclaim_expired
+from .node import LOCAL_FACE, NdnNode, PitEntry, reclaim_expired
 from .topology import LinkDescriptor, Topology
 
 NS_PER_US = 1_000
@@ -52,7 +52,7 @@ DEFAULT_PAYLOAD_BITS = 1024
 
 # Event kinds.  An event is a plain tuple (kind, node, face, packet, hops):
 # the packet delivered to ``node`` on ``face`` and the links it has crossed
-# so far, or for PIT_EXPIRY the (name key, token) its timer was set for.
+# so far, or for PIT_EXPIRY the entry its timer was set for.
 DELIVER_INTEREST = 0
 DELIVER_DATA = 1
 PIT_EXPIRY = 2
@@ -219,8 +219,8 @@ class Simulation:
     # -- wiring ------------------------------------------------------------
 
     def _make_expiry_hook(self, node_id: int):
-        def hook(key: str, token: int, expiry: int) -> None:
-            self.queue.schedule(expiry, (PIT_EXPIRY, node_id, LOCAL_FACE, (key, token), 0))
+        def hook(entry: PitEntry) -> None:
+            self.queue.schedule(entry.expiry, (PIT_EXPIRY, node_id, LOCAL_FACE, entry, 0))
         return hook
 
     @property
@@ -330,12 +330,13 @@ class Simulation:
             self._requests_since_drain = 0
         return processed
 
-    def _expire(self, node_id: int, timer: tuple[str, int], now: int) -> None:
-        """Fail the request of a consumer whose PIT entry's timer fired."""
-        key, token = timer
-        entry = self.nodes[node_id].expire_pit(key, token, now)
-        if entry is not None and LOCAL_FACE in entry.in_faces:
-            state = self.requests.get(key, {}).get(node_id)
+    def _expire(self, node_id: int, entry: PitEntry, now: int) -> None:
+        """Fail the request of a consumer whose PIT entry's timer fired.
+
+        Only an entry that holds the local face gets a timer.
+        """
+        if self.nodes[node_id].expire_pit(entry, now) is not None:
+            state = self.requests.get(entry.key, {}).get(node_id)
             if state is not None and not state.satisfied and not state.failed:
                 state.failed = True
                 state.completed_at = now

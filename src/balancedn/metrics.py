@@ -111,12 +111,15 @@ class ScenarioReport:
 
     ``shard_loads`` carries the authoritative record count per shard
     index after registration (summed over sites), for balance checks.
+    ``rows_written`` is the number of rows, header aside, of the CSV
+    ``run_scenario`` wrote from the report.
     """
 
     scenario: str
     records: list[RequestRecord] = field(default_factory=list)
     probes: list[ProbeStat] = field(default_factory=list)
     shard_loads: dict[int, int] = field(default_factory=dict)
+    rows_written: int = 0
 
     def add(self, record: RequestRecord) -> None:
         self.records.append(record)

@@ -3,11 +3,20 @@
 Face ids map to neighbors; face 0 is always the local application face.
 Nodes are mutated only by the single-threaded event loop that owns them.
 
+A PIT entry is one object and the only one the cyclic garbage collector
+tracks for it: a flood leaves about 430 entries, and if each brought its
+own sets and records they alone would pass the collector's gen-0
+threshold once per flood.  An entry holds its name key, its node's
+``pit`` dict, its in-faces as a bitmask (bit ``f`` for face ``f``), the
+nonce that created it and its expiry.  Its ``more_nonces`` set exists
+only once another nonce has joined the entry.
+
 PIT entries expire lazily.  Only an entry that holds the local face
 decides whether a request failed, so only such an entry gets an expiry
 timer (through ``pit_expiry_hook``).  Every other entry simply counts as
-absent once a lookup finds ``expiry <= now``; it is queued on the
-``pit_reclaim`` FIFO, and :func:`reclaim_expired` deletes it later.
+absent once a lookup finds ``expiry <= now``; the entry itself is queued
+on the ``pit_reclaim`` FIFO, and :func:`reclaim_expired` deletes it
+later if its node's PIT still maps its key to it.
 Every delivery is scheduled after the entry it meets was created, so an
 entry whose expiry equals the delivery time counts as gone, just as a
 timer set at its creation would already have removed it.  Most
@@ -21,18 +30,20 @@ every PIT entry that Data consumed.  A copy of such an Interest that
 arrives later is dropped as a duplicate for ``PIT_LIFETIME_NS``, so a
 producer answers each flood once and a late copy cannot flood again
 after the Data has passed.  Dead entries expire lazily like transit PIT
-entries and are reclaimed from the same FIFO.
+entries and are reclaimed from the same FIFO, which holds an
+``(expiry, node, (name, nonce))`` tuple for each.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .core import ContentName, DataPacket, InterestPacket
 
 LOCAL_FACE = 0
+LOCAL_BIT = 1 << LOCAL_FACE  # the local face in a PIT entry's in-face mask
 
 # PIT entries and dead nonces live 4 simulated seconds, then expire; late
 # Data is dropped by the no-PIT rule.
@@ -43,12 +54,16 @@ class UnknownFaceError(ValueError):
     """Raised when a packet arrives on a face the node does not have."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PitEntry:
-    in_faces: set[int]
-    seen_nonces: set[int]
+    """A pending name: an entry is current while ``pit[key] is entry``."""
+
+    key: str
+    pit: dict[str, PitEntry] = field(repr=False)
+    in_faces: int  # bit f set for each face f the Interest came in on
+    nonce: int
     expiry: int
-    token: int
+    more_nonces: set[int] | None = None  # the nonces that joined after ``nonce``
 
 
 class ContentStore:
@@ -122,14 +137,12 @@ class NdnNode:
         # or whose PIT entry Data consumed
         self.dead_nonces: dict[tuple[str, int], int] = {}
         self.duplicates_suppressed = 0
-        self._next_token = 0
-        # hook(name_key, token, expiry) lets the event loop time entries
-        # that hold the local face
-        self.pit_expiry_hook: Callable[[str, int, int], None] | None = None
-        # (expiry, node, name_key, token) of every other entry, and
-        # (expiry, node, (name_key, nonce), None) of every dead nonce, in
-        # creation order; the event loop shares one FIFO among all its nodes
-        self.pit_reclaim: deque[tuple] = deque()
+        # hook(entry) lets the event loop time entries that hold the local face
+        self.pit_expiry_hook: Callable[[PitEntry], None] | None = None
+        # every other entry, and (expiry, node, (name_key, nonce)) of every
+        # dead nonce, in creation order; the event loop shares one FIFO
+        # among all its nodes
+        self.pit_reclaim: deque[PitEntry | tuple] = deque()
 
     # -- content origin -------------------------------------------------
 
@@ -164,25 +177,29 @@ class NdnNode:
                               trace=(self.id,) if interest.trace else ())
             return [(in_face, data)]
 
-        entry = self.pit.get(key)
+        pit = self.pit
+        entry = pit.get(key)
         if entry is not None and entry.expiry > now:
-            if interest.nonce in entry.seen_nonces:
+            nonce = interest.nonce
+            more = entry.more_nonces
+            if nonce == entry.nonce or (more is not None and nonce in more):
                 self.duplicates_suppressed += 1
                 return []
-            if in_face == LOCAL_FACE and LOCAL_FACE not in entry.in_faces:
-                self._watch(key, entry.token, entry.expiry)
-            entry.in_faces.add(in_face)
-            entry.seen_nonces.add(interest.nonce)
+            if in_face == LOCAL_FACE and not entry.in_faces & LOCAL_BIT:
+                self._watch(entry)
+            entry.in_faces |= 1 << in_face
+            if more is None:
+                entry.more_nonces = {nonce}
+            else:
+                more.add(nonce)
             return []
 
-        self._next_token += 1
-        token = self._next_token
-        expiry = now + PIT_LIFETIME_NS
-        self.pit[key] = PitEntry({in_face}, {interest.nonce}, expiry, token)
+        entry = pit[key] = PitEntry(key, pit, 1 << in_face, interest.nonce,
+                                    now + PIT_LIFETIME_NS)
         if in_face == LOCAL_FACE:
-            self._watch(key, token, expiry)
+            self._watch(entry)
         else:
-            self.pit_reclaim.append((expiry, self, key, token))
+            self.pit_reclaim.append(entry)
         if not out_faces:
             return []
         return [(face, interest) for face in out_faces]
@@ -196,44 +213,57 @@ class NdnNode:
         if entry is None or entry.expiry <= now:
             return []  # unsolicited or late data is dropped
         del self.pit[key]
-        for nonce in entry.seen_nonces:
+        self._mark_dead((key, entry.nonce), now)
+        for nonce in entry.more_nonces or ():
             self._mark_dead((key, nonce), now)
         self.cs.insert(key, data.payload_size, now)
-        return [(face, data) for face in sorted(entry.in_faces) if face != in_face]
+        out = []
+        faces = entry.in_faces & ~(1 << in_face)
+        while faces:  # lowest face first
+            low = faces & -faces
+            out.append((low.bit_length() - 1, data))
+            faces ^= low
+        return out
 
-    def expire_pit(self, key: str, token: int, now: int) -> PitEntry | None:
-        """Drop the PIT entry if it is still the one the timer was set for."""
-        entry = self.pit.get(key)
-        if entry is not None and entry.token == token and entry.expiry <= now:
-            del self.pit[key]
+    def expire_pit(self, entry: PitEntry, now: int) -> PitEntry | None:
+        """Drop ``entry`` if it is still its name's PIT entry and has expired."""
+        if self.pit.get(entry.key) is entry and entry.expiry <= now:
+            del self.pit[entry.key]
             return entry
         return None
 
     def _mark_dead(self, pair: tuple[str, int], now: int) -> None:
         expiry = now + PIT_LIFETIME_NS
         self.dead_nonces[pair] = expiry
-        self.pit_reclaim.append((expiry, self, pair, None))
+        self.pit_reclaim.append((expiry, self, pair))
 
-    def _watch(self, key: str, token: int, expiry: int) -> None:
+    def _watch(self, entry: PitEntry) -> None:
         if self.pit_expiry_hook is not None:
-            self.pit_expiry_hook(key, token, expiry)
+            self.pit_expiry_hook(entry)
 
 
-def reclaim_expired(fifo: deque[tuple], now: int) -> None:
+def reclaim_expired(fifo: deque[PitEntry | tuple], now: int) -> None:
     """Delete the queued PIT entries and dead nonces whose lifetime ended by ``now``.
 
     Entries are queued as they are created and all live the same
-    PIT_LIFETIME_NS, so the FIFO is ordered by expiry.  An entry the
-    local face joined later belongs to its expiry timer and is skipped,
-    and so is a dead nonce marked again after its expiry.
+    PIT_LIFETIME_NS, so the FIFO is ordered by expiry.  An entry that
+    Data consumed or a newer entry replaced is no longer in its PIT, an
+    entry the local face joined later belongs to its expiry timer, and a
+    dead nonce marked again after its expiry is still live: all three
+    are skipped.
     """
-    while fifo and fifo[0][0] <= now:
-        _, node, key, token = fifo.popleft()
-        if token is None:
-            if node.dead_nonces.get(key, now) <= now:
-                node.dead_nonces.pop(key, None)
-            continue
-        entry = node.pit.get(key)
-        if (entry is not None and entry.token == token
-                and LOCAL_FACE not in entry.in_faces):
-            del node.pit[key]
+    while fifo:
+        item = fifo[0]
+        if type(item) is PitEntry:
+            if item.expiry > now:
+                return
+            fifo.popleft()
+            if not item.in_faces & LOCAL_BIT and item.pit.get(item.key) is item:
+                del item.pit[item.key]
+        else:
+            expiry, node, pair = item
+            if expiry > now:
+                return
+            fifo.popleft()
+            if node.dead_nonces.get(pair, now) <= now:
+                node.dead_nonces.pop(pair, None)

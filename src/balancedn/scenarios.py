@@ -138,8 +138,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
         else:
             report = _run_pair_sweep(topology, config)
     if config.out:
+        text = emit_csv(report)
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(emit_csv(report))
+            fh.write(text)
+        # one line per row: no field of the schema can hold a line break
+        report.rows_written = text.count("\n") - 1
     return report
 
 

@@ -95,10 +95,11 @@ class TestValidateCommand:
 
 
 class TestRunCommand:
-    def test_s1_run_writes_parseable_csv(self, tmp_path):
+    def test_s1_run_writes_parseable_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["run", "--scenario", "s1_near", "--topology", "nsfnet",
                      "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 2 report rows to {out}\n"
         rows = parse_csv(out.read_text())
         assert len(rows) == 2
         assert {r["scheme"] for r in rows} == {"flooding", "balancedn"}

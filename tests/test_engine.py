@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 
@@ -7,7 +8,7 @@ from balancedn.core import InterestPacket, parse_name
 from balancedn.engine import (DELIVER_INTEREST, EventBudgetError, EventQueue,
                               INTEREST_BITS, SchedulingError, Simulation,
                               link_transit_ns)
-from balancedn.node import PIT_LIFETIME_NS
+from balancedn.node import LOCAL_BIT, PIT_LIFETIME_NS
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, Topology,
                                 load_preset)
 from varied_delay import VARIED_SEED, storm_graph, varied_delay_graph
@@ -317,6 +318,36 @@ class TestFloodAccounting:
         flow = sim.flow_stats(NAME)
         assert (sim.processed, flow.interest_traversals, flow.data_traversals) == (447, 428, 17)
         assert state.satisfied and state.path_hops == 17
+
+    def test_oteglobe_flood_pit_entries_are_one_tracked_object(self):
+        # the collector tracks a PIT entry, but nothing of its own that it
+        # refers to; the reclaim FIFO holds each live transit entry and each
+        # live dead nonce once, and the entries the Data consumed
+        sim = Simulation(load_preset("oteglobe"))
+        sim.publish(379, NAME, 1024)
+        state = sim.inject_request(122, NAME, at=0)
+        assert sim.run_until(None) == 447
+        live, dead = [], []
+        for node in sim.nodes.values():
+            for entry in node.pit.values():
+                referents = gc.get_referents(entry)
+                assert not [r for r in referents if isinstance(r, (set, tuple, list))]
+                assert all(r is node.pit or r is type(entry) or not gc.is_tracked(r)
+                           for r in referents)
+                assert not entry.in_faces & LOCAL_BIT
+                live.append(entry)
+            dead += [(node, pair, expiry) for pair, expiry in node.dead_nonces.items()]
+        assert len(live) > 400 and len(dead) == 18
+        fifo = sim.nodes[122].pit_reclaim
+        records = [item for item in fifo if type(item) is tuple]
+        entries = [item for item in fifo if type(item) is not tuple]
+        current = [entry for entry in entries if entry.pit.get(entry.key) is entry]
+        assert sorted(map(id, current)) == sorted(map(id, live))
+        assert ({(node.id, pair, expiry) for expiry, node, pair in records}
+                == {(node.id, pair, expiry) for node, pair, expiry in dead})
+        assert len(records) == len(dead)
+        # one transit entry consumed on each node between producer and consumer
+        assert len(entries) - len(current) == state.path_hops - 1
 
 
 class TestRunBudget:

@@ -36,8 +36,8 @@ class TestOnInterest:
         out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=2, now=1)
         assert out == []
         entry = node.pit[NAME.canonical_text]
-        assert entry.in_faces == {1, 2}
-        assert entry.seen_nonces == {1, 2}
+        assert entry.in_faces == 1 << 1 | 1 << 2
+        assert (entry.nonce, entry.more_nonces) == (1, {2})
 
     def test_duplicate_nonce_suppressed(self):
         node = flooding_node()
@@ -46,7 +46,8 @@ class TestOnInterest:
         assert out == []
         assert node.duplicates_suppressed == 1
         # the suppressed face is not added
-        assert node.pit[NAME.canonical_text].in_faces == {1}
+        entry = node.pit[NAME.canonical_text]
+        assert entry.in_faces == 1 << 1 and entry.more_nonces is None
 
     def test_flooding_forwards_to_all_other_faces(self):
         node = flooding_node(neighbors=(7, 8, 9))  # faces 1, 2, 3
@@ -62,7 +63,7 @@ class TestOnInterest:
         node.on_interest(InterestPacket(other, nonce=2), in_face=1, now=0)
 
         def state():
-            return ({key: (set(e.in_faces), set(e.seen_nonces), e.expiry, e.token)
+            return ({key: (e, e.in_faces, e.nonce, set(e.more_nonces or ()), e.expiry)
                      for key, e in node.pit.items()},
                     dict(node.dead_nonces), list(node.pit_reclaim),
                     node.duplicates_suppressed)
@@ -82,10 +83,9 @@ class TestDeadEnd:
         node = flooding_node(neighbors=(7,))
         assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0) == []
         entry = node.pit[NAME.canonical_text]
-        assert entry.in_faces == {1} and entry.seen_nonces == {1}
+        assert entry.in_faces == 1 << 1 and (entry.nonce, entry.more_nonces) == (1, None)
         assert entry.expiry == PIT_LIFETIME_NS
-        assert list(node.pit_reclaim) == [(PIT_LIFETIME_NS, node, NAME.canonical_text,
-                                           entry.token)]
+        assert list(node.pit_reclaim) == [entry]
         reclaim_expired(node.pit_reclaim, PIT_LIFETIME_NS)
         assert not node.pit and not node.pit_reclaim
 
@@ -99,13 +99,14 @@ class TestDeadEnd:
     def test_local_request_joins_without_forwarding(self):
         node = flooding_node(neighbors=(7,))
         timers = []
-        node.pit_expiry_hook = lambda key, token, expiry: timers.append((key, token, expiry))
+        node.pit_expiry_hook = timers.append
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=LOCAL_FACE, now=5)
         assert out == []
         entry = node.pit[NAME.canonical_text]
-        assert timers == [(NAME.canonical_text, entry.token, PIT_LIFETIME_NS)]
-        assert entry.in_faces == {1, LOCAL_FACE} and entry.seen_nonces == {1, 2}
+        assert timers == [entry] and entry.expiry == PIT_LIFETIME_NS
+        assert entry.in_faces == 1 << 1 | 1 << LOCAL_FACE
+        assert (entry.nonce, entry.more_nonces) == (1, {2})
 
 
 class TestOnData:
@@ -136,6 +137,13 @@ class TestOnData:
         out = node.on_data(DataPacket(NAME, 1024), in_face=1, now=1)
         assert [face for face, _ in out] == [2]
 
+    def test_fan_out_in_ascending_face_order_past_eight_faces(self):
+        node = flooding_node(neighbors=range(100, 112))  # faces 1..12
+        for nonce, face in enumerate((12, 3, 9, LOCAL_FACE, 10, 1, 11)):
+            node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=face, now=0)
+        out = node.on_data(DataPacket(NAME, 1024), in_face=11, now=1)
+        assert [face for face, _ in out] == [LOCAL_FACE, 1, 3, 9, 10, 12]
+
 
 class TestDeadNonces:
     def test_producer_answers_each_nonce_once(self):
@@ -164,6 +172,22 @@ class TestDeadNonces:
                                     now=20) == []
         assert node.duplicates_suppressed == 2 and not node.pit
         assert set(node.dead_nonces) == {(NAME.canonical_text, 1), (NAME.canonical_text, 2)}
+
+    def test_every_aggregated_nonce_turns_dead(self):
+        node = flooding_node()
+        for nonce, face in ((1, 1), (2, 2), (3, 3)):
+            node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=face, now=0)
+        entry = node.pit[NAME.canonical_text]
+        assert (entry.nonce, entry.more_nonces) == (1, {2, 3})
+        # a repeat of the third nonce is a duplicate, and adds nothing
+        assert node.on_interest(InterestPacket(NAME, nonce=3), in_face=1, now=1) == []
+        assert node.duplicates_suppressed == 1 and entry.more_nonces == {2, 3}
+        node.on_data(DataPacket(NAME, 1024), in_face=2, now=10)
+        assert set(node.dead_nonces) == {(NAME.canonical_text, n) for n in (1, 2, 3)}
+        for nonce in (1, 2, 3):
+            assert node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=1,
+                                    now=20) == []
+        assert node.duplicates_suppressed == 4 and not node.pit
 
     def test_dead_nonce_lives_one_pit_lifetime(self):
         node = flooding_node()
@@ -264,23 +288,27 @@ class TestPitExpiry:
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         entry = node.pit[NAME.canonical_text]
-        removed = node.expire_pit(NAME.canonical_text, entry.token, entry.expiry)
+        removed = node.expire_pit(entry, entry.expiry)
         assert removed is entry
         assert NAME.canonical_text not in node.pit
 
-    def test_expiry_ignores_stale_token(self):
+    def test_timer_of_replaced_entry_ignored(self):
         node = flooding_node()
-        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
-        entry = node.pit[NAME.canonical_text]
-        assert node.expire_pit(NAME.canonical_text, entry.token + 1, entry.expiry) is None
-        assert NAME.canonical_text in node.pit
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=LOCAL_FACE, now=0)
+        old = node.pit[NAME.canonical_text]
+        # the entry lapses and a new Interest replaces it before the old timer fires
+        node.on_interest(InterestPacket(NAME, nonce=2), in_face=1, now=old.expiry)
+        new = node.pit[NAME.canonical_text]
+        assert new is not old
+        assert node.expire_pit(old, old.expiry) is None
+        assert node.pit[NAME.canonical_text] is new
 
     def test_satisfaction_wins_over_expiry(self):
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         entry = node.pit[NAME.canonical_text]
         node.on_data(DataPacket(NAME, 8), in_face=2, now=1)
-        assert node.expire_pit(NAME.canonical_text, entry.token, entry.expiry) is None
+        assert node.expire_pit(entry, entry.expiry) is None
 
     def test_entry_counts_as_absent_from_its_expiry_on(self):
         node = flooding_node()
