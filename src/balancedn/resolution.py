@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import ContentName, assign_resolver, crc16_many, crc16_update
+from .core import ContentName, crc16, crc16_many, crc16_update
 from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
 from .topology import Topology
 
@@ -145,7 +145,14 @@ class ResolutionOutcome:
 
 
 class Deployment:
-    """Resolver sites plus the TLD/nameserver hierarchy over one topology."""
+    """Resolver sites plus the TLD/nameserver hierarchy over one topology.
+
+    Lookups read their costs from a memo of round trips, filled as
+    requests first need them: ``(a, b, reply_bits)`` maps to (out hops,
+    back hops, out transit ns, back transit ns) of an Interest a -> b
+    and a reply of ``reply_bits`` b -> a.  A request makes at most four
+    lookups in it.
+    """
 
     def __init__(self, topology: Topology, resolver_count: int = 8, *,
                  cache_capacity: int = 10_000) -> None:
@@ -164,7 +171,7 @@ class Deployment:
         self.topology = topology
         self.resolver_count = resolver_count
         self.paths = topology.paths
-        self._legs: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._trips: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
         self.sites: dict[int, ClusterSite] = {
             nid: ClusterSite(nid, [
                 ResolverShard(i, cache_capacity)
@@ -175,16 +182,16 @@ class Deployment:
         self.tld = TldServer(tld_nodes[0])
         self.nameservers: dict[int, NameServer] = {n: NameServer(n) for n in ns_nodes}
         self.default_nameserver = ns_nodes[0]
-        self._nearest_site: dict[int, int] = {}
+        self._nearest_site: dict[int, ClusterSite] = {}
 
     # -- placement ---------------------------------------------------------
 
     def nearest_site(self, node_id: int) -> ClusterSite:
-        site_node = self._nearest_site.get(node_id)
-        if site_node is None:
-            site_node = self.paths.nearest(node_id, self.sites)
-            self._nearest_site[node_id] = site_node
-        return self.sites[site_node]
+        site = self._nearest_site.get(node_id)
+        if site is None:
+            site = self.sites[self.paths.nearest(node_id, self.sites)]
+            self._nearest_site[node_id] = site
+        return site
 
     def _nameserver_for(self, prefix: str) -> NameServer:
         ns_node = self.tld.delegations.get(prefix)
@@ -248,84 +255,102 @@ class Deployment:
 
     def resolve_and_fetch(self, consumer: int, name: ContentName,
                           payload_bits: int = DEFAULT_PAYLOAD_BITS) -> ResolutionOutcome:
-        """Run the full numbered flow for one request; see module docstring."""
-        if consumer not in self.topology.nodes:
-            raise ConfigurationError(f"unknown consumer node {consumer}")
-        key = name.canonical_text
-        site = self.nearest_site(consumer)
+        """Run the full numbered flow for one request; see module docstring.
+
+        The request is at most four round trips from the memo: consumer
+        <-> ingress, ingress <-> TLD and TLD <-> nameserver on a shard
+        miss, and ingress <-> producer.  A failed lookup stops at the
+        ingress, so it counts only the outbound half of the first trip.
+        """
+        site = self._nearest_site.get(consumer)
+        if site is None:
+            if consumer not in self.topology.nodes:
+                raise ConfigurationError(f"unknown consumer node {consumer}")
+            site = self.nearest_site(consumer)
         ingress = site.node
-        shard = site.shards[assign_resolver(name, self.resolver_count)]
+        key = name.canonical_text
+        shard = site.shards[crc16(key.encode()) % self.resolver_count]
+        trips = self._trips
 
-        steps: list[tuple[str, int]] = []
-        latency = 0
-        interest_traversals = 0
-        data_traversals = 0
-        bits_moved = 0
-
-        def interest_leg(stage: str, src: int, dst: int) -> None:
-            nonlocal latency, interest_traversals, bits_moved
-            hops, transit = self._leg(src, dst, INTEREST_BITS)
-            steps.append((stage, hops))
-            interest_traversals += hops
-            latency += transit
-            bits_moved += hops * INTEREST_BITS
-
-        def data_leg(src: int, dst: int, bits: int) -> int:
-            nonlocal latency, data_traversals, bits_moved
-            hops, transit = self._leg(src, dst, bits)
-            data_traversals += hops
-            latency += transit
-            bits_moved += hops * bits
-            return hops
-
-        interest_leg(STAGE_CONSUMER_TO_CLUSTER, consumer, ingress)
+        # the back half, ingress -> consumer, is the Data's last leg and
+        # counts only once the fetch is made
+        hops, return_hops, latency, return_ns = (
+            trips.get((consumer, ingress, payload_bits))
+            or self._trip(consumer, ingress, payload_bits))
+        steps = [(STAGE_CONSUMER_TO_CLUSTER, hops)]
+        interest_traversals = hops
+        reply_hops = 0
 
         producer = shard.lookup(key)
         shortcut = producer is not None
         if not shortcut:
             tld_node = self.tld.host_node
             ns = self._nameserver_for(name.segments[0])
-            interest_leg(STAGE_RESOLVER_TO_TLD, ingress, tld_node)
-            interest_leg(STAGE_TLD_TO_NAMESERVER, tld_node, ns.host_node)
+            # the record reply retraces nameserver -> tld -> ingress: the
+            # back halves of this trip and the next
+            hops, back_hops, out_ns, back_ns = (
+                trips.get((ingress, tld_node, LOCATOR_REPLY_BITS))
+                or self._trip(ingress, tld_node, LOCATOR_REPLY_BITS))
+            steps.append((STAGE_RESOLVER_TO_TLD, hops))
+            interest_traversals += hops
+            reply_hops = back_hops
+            latency += out_ns + back_ns
+            hops, back_hops, out_ns, back_ns = (
+                trips.get((tld_node, ns.host_node, LOCATOR_REPLY_BITS))
+                or self._trip(tld_node, ns.host_node, LOCATOR_REPLY_BITS))
+            steps.append((STAGE_TLD_TO_NAMESERVER, hops))
+            interest_traversals += hops
+            reply_hops += back_hops
+            latency += out_ns + back_ns
             producer = ns.zone.get(key)
-            # the record reply retraces nameserver -> tld -> ingress
-            data_leg(ns.host_node, tld_node, LOCATOR_REPLY_BITS)
-            data_leg(tld_node, ingress, LOCATOR_REPLY_BITS)
             if producer is None:
-                return ResolutionOutcome(name, None, steps, False, False,
-                                         interest_traversals, data_traversals,
-                                         latency, bits_moved)
+                return ResolutionOutcome(
+                    name, None, steps, False, False, interest_traversals, reply_hops,
+                    latency, interest_traversals * INTEREST_BITS
+                    + reply_hops * LOCATOR_REPLY_BITS)
             # the record reply caches the locator at the consumer-side site
             shard.store_cached(key, producer)
 
-        interest_leg(STAGE_FETCH, ingress, producer)
-        return_hops = data_leg(producer, ingress, payload_bits)
-        return_hops += data_leg(ingress, consumer, payload_bits)
+        hops, back_hops, out_ns, back_ns = (
+            trips.get((ingress, producer, payload_bits))
+            or self._trip(ingress, producer, payload_bits))
+        steps.append((STAGE_FETCH, hops))
+        interest_traversals += hops
+        return_hops += back_hops
         steps.append((STAGE_DATA_RETURN, return_hops))
+        return ResolutionOutcome(
+            name, producer, steps, shortcut, True, interest_traversals,
+            reply_hops + return_hops, latency + return_ns + out_ns + back_ns,
+            interest_traversals * INTEREST_BITS + reply_hops * LOCATOR_REPLY_BITS
+            + return_hops * payload_bits)
 
-        return ResolutionOutcome(name, producer, steps, shortcut, True,
-                                 interest_traversals, data_traversals,
-                                 latency, bits_moved)
+    def _trip(self, a: int, b: int, reply_bits: int) -> tuple[int, int, int, int]:
+        """Fill the memo with the round trip a -> b -> a and return it.
+
+        The value is (out hops, back hops, out transit ns, back transit
+        ns) for an Interest a -> b and a reply of ``reply_bits`` b -> a.
+        Each direction is walked on its own: the shortest path b -> a
+        need not retrace a -> b, and with unequal link delays its
+        transit time then differs.
+        """
+        out_hops, out_ns = self._leg(a, b, INTEREST_BITS)
+        back_hops, back_ns = self._leg(b, a, reply_bits)
+        trip = self._trips[(a, b, reply_bits)] = (out_hops, back_hops, out_ns, back_ns)
+        return trip
 
     def _leg(self, src: int, dst: int, bits: int) -> tuple[int, int]:
         """Hop count and summed transit time of the shortest path src -> dst.
 
-        Memoized per (src, dst, bits); the first call walks the path and
-        rounds each link's transit time as the event engine does.
+        Walks the path and rounds each link's transit time as the event
+        engine does.
         """
-        key = (src, dst, bits)
-        leg = self._legs.get(key)
-        if leg is None:
-            if src == dst:
-                leg = (0, 0)
-            else:
-                path = self.paths.path(src, dst)
-                transit = 0
-                for a, b in zip(path, path[1:]):
-                    transit += link_transit_ns(self.topology.link_between(a, b), bits)
-                leg = (len(path) - 1, transit)
-            self._legs[key] = leg
-        return leg
+        if src == dst:
+            return 0, 0
+        path = self.paths.path(src, dst)
+        transit = 0
+        for a, b in zip(path, path[1:]):
+            transit += link_transit_ns(self.topology.link_between(a, b), bits)
+        return len(path) - 1, transit
 
 
 def interleaved_timing_probe(probe_sets: Sequence[tuple[ResolverShard, Sequence[ContentName]]],

@@ -7,7 +7,9 @@ from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
 from balancedn.resolution import (CRC_CHUNK, LOCATOR_REPLY_BITS,
                                   ConfigurationError, Deployment,
                                   RegistrationConflictError, ResolverShard,
-                                  STAGE_ORDER, build_skewed_shards,
+                                  STAGE_CONSUMER_TO_CLUSTER, STAGE_DATA_RETURN,
+                                  STAGE_FETCH, STAGE_ORDER, STAGE_RESOLVER_TO_TLD,
+                                  STAGE_TLD_TO_NAMESERVER, build_skewed_shards,
                                   interleaved_timing_probe,
                                   synthesize_shard_names)
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
@@ -292,6 +294,25 @@ class TestResolveAndFetch:
         outcome = deployment.resolve_and_fetch(11, NAME)  # consumer on router 0
         assert outcome.shortcut_taken and outcome.satisfied
 
+    @pytest.mark.parametrize("resolver_count", [8, 3])
+    def test_utf8_names_shortcut_at_the_same_site(self, resolver_count):
+        # registration hashes a batch with crc16_many, the lookup one
+        # name with crc16; both must pick the shard of the UTF-8 bytes
+        deployment = Deployment(load_preset("nsfnet"), resolver_count=resolver_count)
+        names = [parse_name("/vidéo/ü.mp4"), parse_name("/名前/データ")]
+        deployment.register_bulk((name.canonical_text, 45) for name in names)
+        site = deployment.nearest_site(45)
+        for name in names:
+            key = name.canonical_text
+            index = crc16(key.encode("utf-8")) % resolver_count
+            assert [key in shard.authoritative for shard in site.shards] == [
+                i == index for i in range(resolver_count)]
+            outcome = deployment.resolve_and_fetch(11, name)  # consumer on router 0
+            assert outcome.shortcut_taken and outcome.satisfied
+            assert outcome.producer == 45
+            assert [stage for stage, _ in outcome.steps] == [
+                "consumer_to_cluster", "fetch", "data_return"]
+
     def test_stage_sequences_follow_flow_order(self):
         deployment = Deployment(line_topology(), resolver_count=1)
         register(deployment, 5, NAME)
@@ -402,41 +423,128 @@ class TestShardLookup:
 
 
 def with_hierarchy_roles(topology):
-    """The graph with nodes 0, 1, 2 as resolver, tld and nameserver."""
-    roles = {0: "resolver", 1: "tld", 2: "nameserver"}
+    """The graph with nodes 0 to 4 as resolver, tld, nameserver, a second
+    resolver and a producer; the rest keep their roles."""
+    roles = {0: "resolver", 1: "tld", 2: "nameserver", 3: "resolver", 4: "producer"}
     nodes = [NodeDescriptor(nid, nd.label, roles.get(nid, nd.role))
              for nid, nd in topology.nodes.items()]
     return Topology.build(nodes, topology.links.values())
 
 
+def walked(topology, table, src, dst, bits):
+    """Hop count and per-link transit sum along ``table``'s path."""
+    path = table.path(src, dst)
+    transit = sum(link_transit_ns(topology.link_between(a, b), bits)
+                  for a, b in zip(path, path[1:]))
+    return len(path) - 1, transit
+
+
 class TestLegMemo:
     BITS = (INTEREST_BITS, LOCATOR_REPLY_BITS, 1024)
 
-    @staticmethod
-    def walked(topology, table, src, dst, bits):
-        """Hop count and per-link transit sum along ``table``'s path."""
-        path = table.path(src, dst)
-        transit = sum(link_transit_ns(topology.link_between(a, b), bits)
-                      for a, b in zip(path, path[1:]))
-        return len(path) - 1, transit
-
     def test_memoized_legs_equal_hop_by_hop_sums_on_unequal_delays(self):
+        # every round trip (a, b, reply bits) holds the Interest's walk
+        # a -> b and the reply's walk b -> a, each on its own path
         rng = random.Random(11)
         for _ in range(4):
             topo = with_hierarchy_roles(varied_delay_graph(rng)[0])
             deployment = Deployment(topo, resolver_count=1)
             fresh = PathTable(topo)
             for bits in self.BITS:
-                for src in topo.nodes:
-                    for dst in topo.nodes:
-                        expected = self.walked(topo, fresh, src, dst, bits)
-                        assert deployment._leg(src, dst, bits) == expected
-                        assert deployment._leg(src, dst, bits) == expected
-            assert len(deployment._legs) == len(self.BITS) * len(topo.nodes) ** 2
+                for a in topo.nodes:
+                    for b in topo.nodes:
+                        out_hops, out_ns = walked(topo, fresh, a, b, INTEREST_BITS)
+                        back_hops, back_ns = walked(topo, fresh, b, a, bits)
+                        expected = (out_hops, back_hops, out_ns, back_ns)
+                        assert deployment._trip(a, b, bits) == expected
+                        assert deployment._trips[(a, b, bits)] == expected
+            assert len(deployment._trips) == len(self.BITS) * len(topo.nodes) ** 2
 
     def test_deployment_shares_the_topology_path_table(self):
         topo = line_topology()
         assert Deployment(topo).paths is topo.paths
+
+
+TLD, NAMESERVER, SITES, PRODUCER = 1, 2, (0, 3), 4
+
+
+def reference_outcome(topology, table, consumer, producer, shortcut, payload_bits=1024):
+    """What resolve_and_fetch must report, walked stage by stage.
+
+    ``producer`` None is an unregistered name: the flow stops once the
+    nameserver's negative reply is back at the ingress.  The ingress is
+    the consumer's nearest site, the lower id on a tie.
+    """
+    ingress = min((table.distance(consumer, site), site) for site in SITES)[1]
+    forward = [(STAGE_CONSUMER_TO_CLUSTER, consumer, ingress)]
+    replies = []
+    if not shortcut:
+        forward += [(STAGE_RESOLVER_TO_TLD, ingress, TLD),
+                    (STAGE_TLD_TO_NAMESERVER, TLD, NAMESERVER)]
+        replies += [(NAMESERVER, TLD, LOCATOR_REPLY_BITS), (TLD, ingress, LOCATOR_REPLY_BITS)]
+    returns = []
+    if producer is not None:
+        forward.append((STAGE_FETCH, ingress, producer))
+        returns = [(producer, ingress, payload_bits), (ingress, consumer, payload_bits)]
+    steps = []
+    interest = data = latency = bits_moved = 0
+    for stage, src, dst in forward:
+        hops, transit = walked(topology, table, src, dst, INTEREST_BITS)
+        steps.append((stage, hops))
+        interest += hops
+        latency += transit
+        bits_moved += hops * INTEREST_BITS
+    for src, dst, bits in replies + returns:
+        hops, transit = walked(topology, table, src, dst, bits)
+        data += hops
+        latency += transit
+        bits_moved += hops * bits
+    if producer is not None:
+        steps.append((STAGE_DATA_RETURN, sum(walked(topology, table, src, dst, bits)[0]
+                                             for src, dst, bits in returns)))
+    return (producer, steps, shortcut, producer is not None,
+            interest, data, latency, bits_moved)
+
+
+def observed(outcome):
+    return (outcome.producer, outcome.steps, outcome.shortcut_taken, outcome.satisfied,
+            outcome.interest_traversals, outcome.data_traversals,
+            outcome.latency_ns, outcome.bits_moved)
+
+
+class TestResolveAgainstReference:
+    def test_outcomes_equal_stage_by_stage_walks_on_unequal_delays(self):
+        # each consumer asks twice for a name of its own and once for an
+        # unregistered one; a name is in the shard of the producer's site
+        # and, after its first lookup, cached in the ingress's shard
+        rng = random.Random(23)
+        cases = {"cold": 0, "shortcut": 0, "unregistered": 0,
+                 "own_ingress_cold": 0, "unregistered_off_site": 0}
+        for _ in range(12):
+            topo = with_hierarchy_roles(varied_delay_graph(rng)[0])
+            table = PathTable(topo)
+            deployment = Deployment(topo, resolver_count=2)
+            deployment.register_bulk((f"/video/c{consumer}", PRODUCER)
+                                     for consumer in topo.nodes)
+            home = min((table.distance(PRODUCER, site), site) for site in SITES)[1]
+            for consumer in topo.nodes:
+                ingress = min((table.distance(consumer, site), site) for site in SITES)[1]
+                name = parse_name(f"/video/c{consumer}")
+                for repeat in (False, True):
+                    shortcut = repeat or ingress == home
+                    outcome = deployment.resolve_and_fetch(consumer, name)
+                    assert observed(outcome) == reference_outcome(
+                        topo, table, consumer, PRODUCER, shortcut)
+                    cases["shortcut" if shortcut else "cold"] += 1
+                    if consumer == ingress and not shortcut:
+                        cases["own_ingress_cold"] += 1
+                outcome = deployment.resolve_and_fetch(consumer, parse_name("/nope/x"))
+                assert observed(outcome) == reference_outcome(
+                    topo, table, consumer, None, False)
+                cases["unregistered"] += 1
+                if consumer != ingress:
+                    cases["unregistered_off_site"] += 1
+        assert min(cases.values()) >= 10, cases
 
 
 class TestTimingProbe:
