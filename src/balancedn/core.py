@@ -3,8 +3,15 @@
 The checksum is CRC-16/ARC: width=16, poly=0x8005, init=0, refIn=True,
 refOut=True, xorOut=0.  Check value: crc16(b"123456789") == 0xBB3D.
 It has two entry points that agree on every input: ``crc16`` hashes one
-byte string (single lookups), and ``crc16_many`` hashes a batch one
-byte column at a time (bulk registration, skewed-shard generation).
+byte string, and ``crc16_many`` hashes a batch one byte column at a
+time (bulk registration, skewed-shard generation).
+
+A ContentName carries the CRC of its canonical UTF-8 bytes, so a name
+is hashed at most once however often it is resolved.  ``parse_names``
+is the batch entry point: it hashes CRC_CHUNK texts per ``crc16_many``
+call and yields each name with its CRC already filled in.  A name made
+one at a time (``parse_name``, ``ContentName(...)``) hashes itself with
+``crc16`` on its first ``crc`` read.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterable, Iterator
 
 SIGNATURE_BITS = 256
 _SIGNATURE_PLACEHOLDER = bytes(SIGNATURE_BITS // 8)
@@ -33,6 +42,10 @@ _CRC_LO = bytes(v & 0xFF for v in _CRC_TABLE)
 _CRC_HI = bytes(v >> 8 for v in _CRC_TABLE)
 # where a CRC's low byte sits in a native-order 16-bit array item
 _LO_SLOT = 0 if sys.byteorder == "little" else 1
+
+# names hashed per crc16_many call; a fixed chunk keeps the extra
+# memory of a bulk call small however many names it gets
+CRC_CHUNK = 4096
 
 
 def crc16(data: bytes) -> int:
@@ -94,11 +107,15 @@ class ContentName:
     The canonical text form is the segments joined with ``/`` and a
     leading ``/``, e.g. ``/video/a.mp4``.  Equality and hashing follow
     the segment tuple.  The canonical text is built once, at creation,
-    because the engine keys its tables by it on every hop.
+    because the engine keys its tables by it on every hop.  ``crc`` is
+    the CRC-16/ARC of the canonical UTF-8 bytes, computed once; it takes
+    no part in equality, hashing or repr.
     """
 
     segments: tuple[str, ...]
     _text: str = field(init=False, repr=False, compare=False)
+    # -1 until hashed; parse_names fills it from crc16_many
+    _crc: int = field(init=False, repr=False, compare=False, default=-1)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -114,9 +131,14 @@ class ContentName:
     def canonical_text(self) -> str:
         return self._text
 
-    def encoded(self) -> bytes:
-        """Canonical text as the raw bytes fed to the hash (no trailing slash)."""
-        return self.canonical_text.encode("utf-8")
+    @property
+    def crc(self) -> int:
+        """CRC-16/ARC of the canonical UTF-8 bytes, hashed on first read."""
+        crc = self._crc
+        if crc < 0:
+            crc = crc16(self._text.encode("utf-8"))
+            object.__setattr__(self, "_crc", crc)
+        return crc
 
     def __str__(self) -> str:
         return self.canonical_text
@@ -139,6 +161,23 @@ def parse_name(text: str) -> ContentName:
         if not seg:
             raise NameFormatError(f"empty segment at position {i + 1}")
     return ContentName(tuple(segments))
+
+
+def parse_names(texts: Iterable[str]) -> Iterator[ContentName]:
+    """Yield ``parse_name(text)`` for each text, each name carrying its CRC.
+
+    Texts are taken CRC_CHUNK at a time and hashed with one crc16_many
+    call per chunk; the names themselves are made one at a time, as the
+    caller asks for them.  A malformed text raises NameFormatError when
+    the generator reaches it, after the names before it were yielded.
+    """
+    texts = iter(texts)
+    while chunk := list(islice(texts, CRC_CHUNK)):
+        crcs = crc16_many([text.encode("utf-8") for text in chunk])
+        for text, crc in zip(chunk, crcs):
+            name = parse_name(text)
+            object.__setattr__(name, "_crc", crc)
+            yield name
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,4 +232,4 @@ def assign_resolver(name: ContentName, resolver_count: int) -> int:
     """Map a name to a resolver shard index: crc16(canonical bytes) mod N."""
     if resolver_count < 1:
         raise ValueError("resolver_count must be at least 1")
-    return crc16(name.encoded()) % resolver_count
+    return name.crc % resolver_count

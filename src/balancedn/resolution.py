@@ -33,16 +33,12 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import ContentName, crc16, crc16_many, crc16_update
+from .core import CRC_CHUNK, ContentName, crc16_many, crc16_update
 from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
 from .topology import Topology
 
 # the nameserver's record reply is a small control Data packet
 LOCATOR_REPLY_BITS = 512
-
-# names hashed per crc16_many call; a fixed chunk keeps the extra
-# memory of a bulk call small however many names it gets
-CRC_CHUNK = 4096
 
 STAGE_CONSUMER_TO_CLUSTER = "consumer_to_cluster"
 STAGE_RESOLVER_TO_TLD = "resolver_to_tld"
@@ -269,7 +265,7 @@ class Deployment:
             site = self.nearest_site(consumer)
         ingress = site.node
         key = name.canonical_text
-        shard = site.shards[crc16(key.encode()) % self.resolver_count]
+        shard = site.shards[name.crc % self.resolver_count]
         trips = self._trips
 
         # the back half, ingress -> consumer, is the Data's last leg and

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO
 
-from .core import parse_name
+from .core import parse_name, parse_names
 from .engine import DEFAULT_PAYLOAD_BITS, Simulation
 from .metrics import ProbeStat, RequestRecord, ScenarioReport, emit_csv
 from .resolution import (Deployment, build_skewed_shards,
@@ -273,10 +273,12 @@ def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioRepor
     if "flooding" in config.schemes:
         sim = Simulation(topology, cs_capacity=0, seed=config.seed,
                          log=_log_stream(config))
-        for _, producer, key in requests:
-            sim.publish(producer, parse_name(key), DEFAULT_PAYLOAD_BITS)
-        for consumer, producer, key in requests:
-            state = sim.inject_request(consumer, parse_name(key), at=sim.now)
+        # one name object per request: published, then injected
+        names = [parse_name(key) for _, _, key in requests]
+        for (_, producer, _), name in zip(requests, names):
+            sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
+        for (consumer, producer, _), name in zip(requests, names):
+            state = sim.inject_request(consumer, name, at=sim.now)
             sim.run_until(None)
             report.add(_flooding_record(sim, config.scenario, producer,
                                         paths.distance(consumer, producer), state))
@@ -285,8 +287,9 @@ def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioRepor
         n_producers = len(producers)
         deployment.register_bulk(
             (key, producers[i % n_producers]) for i, key in enumerate(corpus))
-        for consumer, producer, key in requests:
-            outcome = deployment.resolve_and_fetch(consumer, parse_name(key))
+        names = parse_names(key for _, _, key in requests)
+        for (consumer, producer, _), name in zip(requests, names):
+            outcome = deployment.resolve_and_fetch(consumer, name)
             report.add(_balancedn_record(outcome, config.scenario, consumer,
                                          producer, paths.distance(consumer, producer)))
         report.shard_loads = _shard_loads(deployment)

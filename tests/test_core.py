@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balancedn.core import (ContentName, DataPacket, InterestPacket,
+from balancedn.core import (CRC_CHUNK, ContentName, DataPacket, InterestPacket,
                             NameFormatError, assign_resolver, crc16,
-                            crc16_many, crc16_update, parse_name)
+                            crc16_many, crc16_update, parse_name, parse_names)
 from crc_reference import crc16_arc_bitwise
 
 SEGMENT_TEXT = st.text(
@@ -129,6 +129,60 @@ class TestParseName:
     def test_round_trip_property(self, segments):
         name = ContentName(tuple(segments))
         assert parse_name(name.canonical_text) == name
+
+
+def mixed_name_texts(count):
+    """``count`` valid name texts of many lengths, UTF-8 and one-segment ones included."""
+    rng = random.Random(5)
+    texts = [f"/cat{i % 16}/obj{i}" + "/x" * rng.randrange(4) + "-" * rng.randrange(9)
+             for i in range(count)]
+    # place the special names on both sides of each chunk boundary
+    for i, text in zip((0, CRC_CHUNK - 1, CRC_CHUNK, 2 * CRC_CHUNK - 1, 2 * CRC_CHUNK),
+                       ("/vidéo/ü.mp4", "/名前/データ", "/a", "/名前/データ", "/vidéo/ü.mp4")):
+        if i < count:
+            texts[i] = text
+    return texts
+
+
+class TestNameCrc:
+    def test_batch_names_equal_single_names_across_chunks(self):
+        texts = mixed_name_texts(2 * CRC_CHUNK + 100)
+        assert len({len(t) for t in texts}) > 10
+        names = list(parse_names(texts))
+        assert names == [parse_name(t) for t in texts]
+        expected = [crc16_arc_bitwise(t.encode("utf-8")) for t in texts]
+        # filled by the batch hash, before any read of the property
+        assert [name._crc for name in names] == expected
+        assert [name.crc for name in names] == expected
+
+    def test_malformed_text_raises_when_reached(self):
+        texts = mixed_name_texts(CRC_CHUNK + 10)
+        texts[CRC_CHUNK + 5] = "/a//b"
+        names = parse_names(texts)
+        head = [next(names) for _ in range(CRC_CHUNK + 5)]
+        assert head == [parse_name(t) for t in texts[:CRC_CHUNK + 5]]
+        with pytest.raises(NameFormatError, match="position 2"):
+            next(names)
+
+    def test_empty_input_yields_nothing(self):
+        assert list(parse_names([])) == []
+
+    @pytest.mark.parametrize("text", ["/a", "/video/a.mp4", "/vidéo/ü.mp4", "/名前/データ"])
+    def test_single_name_hashes_its_utf8_bytes(self, text):
+        expected = crc16(text.encode("utf-8"))
+        assert parse_name(text).crc == expected
+        assert ContentName(tuple(text[1:].split("/"))).crc == expected
+
+    def test_crc_takes_no_part_in_equality_hash_or_repr(self):
+        hashed = parse_name("/video/a.mp4")
+        assert hashed.crc == crc16(b"/video/a.mp4")
+        batch = next(parse_names(["/video/a.mp4"]))
+        fresh = parse_name("/video/a.mp4")
+        assert fresh._crc == -1 and hashed._crc == batch._crc >= 0
+        assert hashed == fresh == batch
+        assert hash(hashed) == hash(fresh) == hash(batch)
+        assert repr(hashed) == repr(fresh) == repr(batch) == \
+            "ContentName(segments=('video', 'a.mp4'))"
 
 
 class TestAssignResolver:

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from balancedn.core import assign_resolver, crc16, crc16_update, parse_name
+from balancedn.core import (CRC_CHUNK, assign_resolver, crc16, crc16_update,
+                            parse_name, parse_names)
 from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
-from balancedn.resolution import (CRC_CHUNK, LOCATOR_REPLY_BITS,
+from balancedn.resolution import (LOCATOR_REPLY_BITS,
                                   ConfigurationError, Deployment,
                                   RegistrationConflictError, ResolverShard,
                                   STAGE_CONSUMER_TO_CLUSTER, STAGE_DATA_RETURN,
@@ -296,8 +297,8 @@ class TestResolveAndFetch:
 
     @pytest.mark.parametrize("resolver_count", [8, 3])
     def test_utf8_names_shortcut_at_the_same_site(self, resolver_count):
-        # registration hashes a batch with crc16_many, the lookup one
-        # name with crc16; both must pick the shard of the UTF-8 bytes
+        # registration hashes a batch with crc16_many, the lookup reads
+        # the name's own crc16; both must pick the shard of the UTF-8 bytes
         deployment = Deployment(load_preset("nsfnet"), resolver_count=resolver_count)
         names = [parse_name("/vidéo/ü.mp4"), parse_name("/名前/データ")]
         deployment.register_bulk((name.canonical_text, 45) for name in names)
@@ -312,6 +313,35 @@ class TestResolveAndFetch:
             assert outcome.producer == 45
             assert [stage for stage, _ in outcome.steps] == [
                 "consumer_to_cluster", "fetch", "data_return"]
+
+    @pytest.mark.parametrize("resolver_count", [8, 3])
+    def test_batch_and_single_parsed_names_resolve_alike(self, resolver_count):
+        # parse_names fills each name's CRC from crc16_many, parse_name
+        # leaves it to crc16 on first read; every outcome must be equal
+        topo = load_preset("nsfnet")
+        sites = Deployment(topo, resolver_count)
+        home = sites.nearest_site(45)
+        consumers = topo.nodes_with_role("consumer")
+        near = next(c for c in consumers if sites.nearest_site(c) is home)
+        far = next(c for c in consumers if sites.nearest_site(c) is not home)
+        registered = ["/vidéo/ü.mp4", "/名前/データ", "/a"] + [
+            f"/cat{i % 16}/obj{i}" for i in range(40)]
+        # near: authoritative hit at the producer's site; far: a cold
+        # miss, then the warm shortcut; then unregistered names
+        requests = [(c, text) for text in registered for c in (near, far, far)]
+        requests += [(far, "/nope/x"), (near, "/名前/ない")]
+        runs = []
+        for make_names in (parse_names, lambda texts: [parse_name(t) for t in texts]):
+            deployment = Deployment(topo, resolver_count)
+            deployment.register_bulk((text, 45) for text in registered)
+            names = make_names(text for _, text in requests)
+            runs.append([deployment.resolve_and_fetch(c, name)
+                         for (c, _), name in zip(requests, names)])
+        batch, single = runs
+        assert batch == single
+        assert [(o.shortcut_taken, o.satisfied) for o in batch] == (
+            [(True, True), (False, True), (True, True)] * len(registered)
+            + [(False, False)] * 2)
 
     def test_stage_sequences_follow_flow_order(self):
         deployment = Deployment(line_topology(), resolver_count=1)
