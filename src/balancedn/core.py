@@ -4,7 +4,7 @@ The checksum is CRC-16/ARC: width=16, poly=0x8005, init=0, refIn=True,
 refOut=True, xorOut=0.  Check value: crc16(b"123456789") == 0xBB3D.
 It has two entry points that agree on every input: ``crc16`` hashes one
 byte string, and ``crc16_many`` hashes a batch one byte column at a
-time (bulk registration, skewed-shard generation).
+time (bulk registration, ``parse_names``).
 
 A ContentName carries the CRC of its canonical UTF-8 bytes, so a name
 is hashed at most once however often it is resolved.  ``parse_names``
@@ -89,11 +89,6 @@ def crc16_many(items: list[bytes]) -> list[int]:
         for pos, crc in zip(positions, memoryview(both).cast("H")):
             out[pos] = crc
     return out
-
-
-def crc16_update(crc: int, byte: int) -> int:
-    """Fold one more byte into a running CRC-16/ARC value."""
-    return _CRC_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
 
 
 class NameFormatError(ValueError):

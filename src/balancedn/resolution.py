@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Sequence
 
-from .core import CRC_CHUNK, ContentName, crc16_many, crc16_update
+from .core import CRC_CHUNK, ContentName, crc16, crc16_many
 from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
 from .topology import Topology
 
@@ -391,75 +391,47 @@ def interleaved_timing_probe(probe_sets: Sequence[tuple[ResolverShard, Sequence[
 
 
 _SUFFIX_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
-_suffix_tables: dict[int, list[list[str | None]]] = {}
-
-
-def _suffix_table(resolver_count: int) -> list[list[str | None]]:
-    """For every 16-bit CRC value, the first one-char suffix per residue class.
-
-    Entry [crc][r] is a character c with crc16_update(crc, c) % N == r,
-    or None when no single character lands there (rare; callers extend
-    the base and retry).  Computed once per resolver count.
-    """
-    table = _suffix_tables.get(resolver_count)
-    if table is not None:
-        return table
-    table = []
-    codes = [(ch, ord(ch)) for ch in _SUFFIX_ALPHABET]
-    for crc in range(1 << 16):
-        row: list[str | None] = [None] * resolver_count
-        remaining = resolver_count
-        for ch, code in codes:
-            residue = crc16_update(crc, code) % resolver_count
-            if row[residue] is None:
-                row[residue] = ch
-                remaining -= 1
-                if not remaining:
-                    break
-        table.append(row)
-    _suffix_tables[resolver_count] = table
-    return table
-
-
-def synthesize_shard_names(index: int, count: int, resolver_count: int, *,
-                           start: int = 0) -> list[str]:
-    """Deterministic canonical names that all hash to ``index`` mod N.
-
-    Each name is a sequential base with the shortest suffix that lands
-    the checksum in the right residue class, so skewed shard tables can
-    be built directly while keeping placement consistent with the hash.
-    The bases are hashed CRC_CHUNK at a time with crc16_many; the padding
-    walk, when a base has no one-char finisher, goes on byte by byte.
-    """
-    suffixes = _suffix_table(resolver_count)
-    names: list[str] = []
-    stop = start + count
-    for first in range(start, stop, CRC_CHUNK):
-        bases = [f"/cat{i % 16}/obj{i}" for i in range(first, min(first + CRC_CHUNK, stop))]
-        for base, crc in zip(bases, crc16_many([base.encode() for base in bases])):
-            ch = suffixes[crc][index]
-            depth = 0
-            while ch is None:
-                # pad with a depth-varying character so the walk cannot cycle
-                # through checksum states that lack a one-char finisher
-                pad = _SUFFIX_ALPHABET[depth % len(_SUFFIX_ALPHABET)]
-                base += pad
-                crc = crc16_update(crc, ord(pad))
-                depth += 1
-                ch = suffixes[crc][index]
-            names.append(base + ch)
-    return names
 
 
 def build_skewed_shards(loads: dict[int, int], resolver_count: int) -> list[ResolverShard]:
-    """Shard tables sized per the load map, for lookup-timing experiments."""
-    shards = []
-    offset = 0
-    for index in range(resolver_count):
-        count = loads.get(index, 0)
-        shard = ResolverShard(index, cache_capacity=0)
-        for key in synthesize_shard_names(index, count, resolver_count, start=offset):
-            shard.authoritative[key] = 0
-        offset += count
-        shards.append(shard)
+    """Shard tables sized per the load map, for lookup-timing experiments.
+
+    Every name is a base ``/cat{i % 16}/obj{i:05d}`` plus a two-character
+    suffix, and lands in shard crc16(name) mod N like any registered
+    name.  Bases are taken for i = 0, 1, 2, ... and each base tries the
+    36 x 36 suffixes in a fixed order, keeping a name while its shard
+    still needs names.  CRC-16/ARC with init 0 and xorout 0 is linear,
+    so ``crc16(base + s) == crc16(base + b"\\0\\0") ^ crc16(s)``: one
+    crc16 per base and the 1,296 suffix CRCs place every name.  The
+    bases' ``crc16(base + b"\\0\\0")`` reach every 16-bit value within
+    the first 474,608 bases, and XOR with a suffix CRC is a bijection,
+    so any shard index below 65,536 fills; one above it cannot.
+
+    Light shards fill from the first bases and a heavy one goes on to
+    later ones; the fixed-width index keeps their names the same
+    length, so the tables differ in size alone.
+    """
+    unreachable = [i for i, count in loads.items()
+                   if count > 0 and 1 << 16 <= i < resolver_count]
+    if unreachable:
+        raise ValueError(f"no CRC-16 value lands in shard {unreachable[0]}; "
+                         "shard indices above 65535 cannot hold names")
+    n = resolver_count
+    need = [max(loads.get(i, 0), 0) for i in range(n)]
+    remaining = sum(need)
+    finishers = [(a + b, crc16((a + b).encode()))
+                 for a in _SUFFIX_ALPHABET for b in _SUFFIX_ALPHABET]
+    shards = [ResolverShard(i, cache_capacity=0) for i in range(n)]
+    tables = [shard.authoritative for shard in shards]
+    i = 0
+    while remaining:
+        base = f"/cat{i % 16}/obj{i:05d}"
+        z = crc16(base.encode() + b"\0\0")
+        for suffix, crc in finishers:
+            index = (z ^ crc) % n
+            if need[index]:
+                tables[index][base + suffix] = 0
+                need[index] -= 1
+                remaining -= 1
+        i += 1
     return shards

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from balancedn.core import (CRC_CHUNK, ContentName, DataPacket, InterestPacket,
                             NameFormatError, assign_resolver, crc16,
-                            crc16_many, crc16_update, parse_name, parse_names)
+                            crc16_many, parse_name, parse_names)
 from crc_reference import crc16_arc_bitwise
 
 SEGMENT_TEXT = st.text(
@@ -42,13 +42,6 @@ class TestCrc16:
     @settings(max_examples=200)
     def test_random_inputs_match_oracle(self, data):
         assert crc16(data) == crc16_arc_bitwise(data)
-
-    def test_streaming_update_equals_whole(self):
-        data = b"/cat3/obj42"
-        crc = 0
-        for byte in data:
-            crc = crc16_update(crc, byte)
-        assert crc == crc16(data)
 
     def test_pure_function(self):
         assert crc16(b"/a/b") == crc16(b"/a/b")

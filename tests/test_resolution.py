@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from balancedn.core import (CRC_CHUNK, assign_resolver, crc16, crc16_update,
-                            parse_name, parse_names)
+from balancedn.core import (CRC_CHUNK, assign_resolver, crc16, parse_name,
+                            parse_names)
 from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
 from balancedn.resolution import (LOCATOR_REPLY_BITS,
                                   ConfigurationError, Deployment,
@@ -11,10 +11,10 @@ from balancedn.resolution import (LOCATOR_REPLY_BITS,
                                   STAGE_CONSUMER_TO_CLUSTER, STAGE_DATA_RETURN,
                                   STAGE_FETCH, STAGE_ORDER, STAGE_RESOLVER_TO_TLD,
                                   STAGE_TLD_TO_NAMESERVER, build_skewed_shards,
-                                  interleaved_timing_probe,
-                                  synthesize_shard_names)
+                                  interleaved_timing_probe)
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, load_preset)
+from crc_reference import crc16_arc_bitwise
 from varied_delay import varied_delay_graph
 
 NAME = parse_name("/video/a.mp4")
@@ -595,50 +595,60 @@ class TestTimingProbe:
         assert all(t > 0 for t in timings.values())
 
 
+SKEW_MAPS = {
+    2: {0: 40, 1: 2000},
+    3: {0: 1000, 2: 30},
+    8: {0: 650, **{i: 50 for i in range(1, 8)}},
+    16: {0: 300, 5: 40, 15: 90},  # each base reaches only 14 of the 16 shards
+    61: {**{i: 5 for i in range(60)}, 60: 200},
+}
+
+
 class TestSynthesizedNames:
-    def test_names_hash_to_requested_shard(self):
-        for n, idx in ((8, 0), (8, 7), (3, 2)):
-            names = synthesize_shard_names(idx, 200, n)
-            assert len(set(names)) == 200
-            for key in names:
-                assert assign_resolver(parse_name(key), n) == idx
-
-    @pytest.mark.parametrize("n", [8, 3])
-    @pytest.mark.parametrize("start", [0, 1, CRC_CHUNK - 3, 50_000])
-    def test_names_equal_per_name_crc16_reference(self, n, start):
-        count = CRC_CHUNK + 40  # crosses a chunk boundary from every start
-        for idx in (0, n - 1):
-            assert (synthesize_shard_names(idx, count, n, start=start)
-                    == reference_shard_names(idx, count, n, start))
-
     def test_build_skewed_shards_sizes(self):
-        shards = build_skewed_shards({0: 120, 2: 30}, 3)
-        assert [len(s.authoritative) for s in shards] == [120, 0, 30]
-        for shard in shards:
-            for key in shard.authoritative:
-                assert assign_resolver(parse_name(key), 3) == shard.index
+        for n, loads in SKEW_MAPS.items():
+            shards = build_skewed_shards(loads, n)
+            assert [s.index for s in shards] == list(range(n))
+            assert [len(s.authoritative) for s in shards] == [
+                loads.get(i, 0) for i in range(n)]
+            assert all(s.cache_capacity == 0 for s in shards)
 
+    def test_names_hash_to_requested_shard(self):
+        for n, loads in SKEW_MAPS.items():
+            shards = build_skewed_shards(loads, n)
+            keys = [key for shard in shards for key in shard.authoritative]
+            assert len(set(keys)) == len(keys)
+            for shard in shards:
+                for key in shard.authoritative:
+                    assert crc16_arc_bitwise(key.encode()) % n == shard.index
+
+    @pytest.mark.parametrize("n", sorted(SKEW_MAPS))
+    def test_names_equal_per_name_crc16_reference(self, n):
+        shards = build_skewed_shards(SKEW_MAPS[n], n)
+        assert ([list(shard.authoritative) for shard in shards]
+                == reference_skewed_tables(SKEW_MAPS[n], n))
+
+    def test_shard_beyond_every_crc16_value_rejected(self):
+        with pytest.raises(ValueError, match="65536"):
+            build_skewed_shards({1 << 16: 1}, (1 << 16) + 1)
 
 
 SUFFIX_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
-def reference_shard_names(index, count, resolver_count, start):
-    """synthesize_shard_names rebuilt with one crc16 call per base name
-    and a direct search of the alphabet in place of the suffix table."""
-    names = []
-    for i in range(start, start + count):
-        base = f"/cat{i % 16}/obj{i}"
-        crc = crc16(base.encode())
-        depth = 0
-        while True:
-            finishers = [ch for ch in SUFFIX_ALPHABET
-                         if crc16_update(crc, ord(ch)) % resolver_count == index]
-            if finishers:
-                break
-            pad = SUFFIX_ALPHABET[depth % len(SUFFIX_ALPHABET)]
-            base += pad
-            crc = crc16_update(crc, ord(pad))
-            depth += 1
-        names.append(base + finishers[0])
-    return names
+def reference_skewed_tables(loads, resolver_count):
+    """build_skewed_shards' names by brute force: the same (base, suffix)
+    order, each whole name hashed with crc16, no CRC linearity."""
+    need = [loads.get(i, 0) for i in range(resolver_count)]
+    tables = [[] for _ in range(resolver_count)]
+    i = 0
+    while any(need):
+        base = f"/cat{i % 16}/obj{i:05d}"
+        for a in SUFFIX_ALPHABET:
+            for b in SUFFIX_ALPHABET:
+                index = crc16((base + a + b).encode()) % resolver_count
+                if need[index]:
+                    tables[index].append(base + a + b)
+                    need[index] -= 1
+        i += 1
+    return tables
