@@ -623,10 +623,19 @@ class TestSynthesizedNames:
                     assert crc16_arc_bitwise(key.encode()) % n == shard.index
 
     @pytest.mark.parametrize("n", sorted(SKEW_MAPS))
-    def test_names_equal_per_name_crc16_reference(self, n):
+    def test_skew_maps_equal_brute_force_reference(self, n):
         shards = build_skewed_shards(SKEW_MAPS[n], n)
         assert ([list(shard.authoritative) for shard in shards]
                 == reference_skewed_tables(SKEW_MAPS[n], n))
+
+    @pytest.mark.parametrize("n", [8, 3])
+    @pytest.mark.parametrize("start", [0, 1, CRC_CHUNK - 3, 50_000])
+    def test_names_equal_per_name_crc16_reference(self, n, start):
+        count = CRC_CHUNK + 40  # a window of a shard's table from `start` on
+        shards = build_skewed_shards({0: start + count, n - 1: start + count}, n)
+        for idx in (0, n - 1):
+            window = list(shards[idx].authoritative)[start:]
+            assert window == reference_shard_names(idx, count, n, start)
 
     def test_shard_beyond_every_crc16_value_rejected(self):
         with pytest.raises(ValueError, match="65536"):
@@ -634,6 +643,21 @@ class TestSynthesizedNames:
 
 
 SUFFIX_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def reference_shard_names(index, count, resolver_count, start):
+    """Names start .. start + count - 1 of shard ``index``'s table by brute
+    force: bases and suffixes in build_skewed_shards' order, each whole
+    name hashed with crc16.  A shard's table is this sequence cut at its
+    load, whatever the other shards' loads are."""
+    names = []
+    i = 0
+    while len(names) < start + count:
+        base = f"/cat{i % 16}/obj{i:05d}"
+        names += [base + a + b for a in SUFFIX_ALPHABET for b in SUFFIX_ALPHABET
+                  if crc16((base + a + b).encode()) % resolver_count == index]
+        i += 1
+    return names[start:start + count]
 
 
 def reference_skewed_tables(loads, resolver_count):
