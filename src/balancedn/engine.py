@@ -8,9 +8,10 @@ events per fire time and a heap of the distinct times, and fires each
 time's events in scheduling order, so events are totally ordered by
 (fire_at, scheduling order).  An event scheduled for the current time
 while that time's events run (a link whose transit rounds to 0 ns)
-fires after them.  ``Simulation.run_until`` takes one bucket at a time
-and dispatches each event in place; most of a flood's events deliver
-an Interest to a leaf, which is a dead end (see ``balancedn.node``).
+fires after them.  ``Simulation.run_until`` takes one bucket at a time,
+dispatches each event in place and marks the bucket dispatched once,
+after its events; most of a flood's events deliver an Interest to a
+leaf, which is a dead end (see ``balancedn.node``).
 
 A flood sends one Interest object on every hop: the hop count travels
 on the event, and it is the only hop count the engine reads, for a
@@ -37,7 +38,8 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import IO, Optional
+from operator import length_hint
+from typing import IO, Iterator, Optional
 
 from .core import ContentName, DataPacket, InterestPacket
 from .node import LOCAL_FACE, NdnNode, PitEntry, reclaim_expired
@@ -91,9 +93,16 @@ class EventQueue:
         self._times: list[int] = []
         self._size = 0
         self.now = 0
+        # the run loop's iterator over the events it is dispatching, and
+        # how many it was given; None outside a bucket
+        self._cursor: Iterator[tuple] | None = None
+        self._cursor_len = 0
 
     def __len__(self) -> int:
-        return self._size
+        if self._cursor is None:
+            return self._size
+        # the events the cursor has passed are dispatched, if not yet done
+        return self._size - self._cursor_len + length_hint(self._cursor)
 
     def schedule(self, fire_at: int, event: tuple) -> None:
         if fire_at < self.now:
@@ -113,16 +122,31 @@ class EventQueue:
     def pop_bucket(self) -> list[tuple]:
         """Take the earliest bucket and move the clock to its time.
 
-        Its events stay counted until the caller marks each one
-        dispatched with :meth:`done`.  An event scheduled for the same
-        time meanwhile opens a new bucket, which fires after this one.
+        Its events stay counted until the caller marks them dispatched
+        with :meth:`done`.  An event scheduled for the same time
+        meanwhile opens a new bucket, which fires after this one.
         """
         fire_at = heapq.heappop(self._times)
         self.now = fire_at
         return self._buckets.pop(fire_at)
 
-    def done(self) -> None:
-        self._size -= 1
+    def dispatching(self, events: list[tuple]) -> Iterator[tuple]:
+        """Iterate over ``events`` of the bucket just taken, to run them.
+
+        Until :meth:`done` marks them, ``len`` counts only those the
+        iteration has not reached, as if each were marked when taken.
+        """
+        self._cursor = cursor = iter(events)
+        self._cursor_len = len(events)
+        return cursor
+
+    def done(self, count: int = 1) -> None:
+        """Mark ``count`` taken events dispatched, and end any iteration.
+
+        The run loop marks each bucket once, after its events have run.
+        """
+        self._size -= count
+        self._cursor = None
 
     def push_front(self, events: list[tuple]) -> None:
         """Return undispatched events of the current bucket to the queue.
@@ -241,8 +265,16 @@ class Simulation:
         """Schedule a consumer request; returns its live bookkeeping record.
 
         A consumer may repeat a name only once its earlier request for it
-        has been satisfied or has failed; until then ``ValueError``.
+        has been satisfied or has failed; until then ``ValueError``.  An
+        unknown consumer is a ``ValueError`` and an ``at`` before the
+        clock a :class:`SchedulingError`.  A rejected call records
+        nothing and draws no nonce.
         """
+        if consumer not in self.nodes:
+            raise ValueError(f"no node {consumer} to make a request")
+        if at < self.queue.now:
+            raise SchedulingError(
+                f"cannot inject at t={at} ns; clock is {self.queue.now} ns")
         key = name.canonical_text
         by_consumer = self.requests.setdefault(key, {})
         earlier = by_consumer.get(consumer)
@@ -276,7 +308,6 @@ class Simulation:
         running the events the budget allows; the rest stay queued.
         """
         queue = self.queue
-        done = queue.done
         nodes = self.nodes
         log = self.log
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
@@ -288,9 +319,8 @@ class Simulation:
                 break
             bucket = queue.pop_bucket()
             allowed = budget - processed
-            for kind, node_id, face, packet, hops in (
-                    bucket if len(bucket) <= allowed else bucket[:allowed]):
-                done()
+            run = bucket if len(bucket) <= allowed else bucket[:allowed]
+            for kind, node_id, face, packet, hops in queue.dispatching(run):
                 if log is not None and kind != PIT_EXPIRY:
                     log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
                               f"{packet.name.canonical_text} {hops}\n")
@@ -312,7 +342,8 @@ class Simulation:
                     self._expire(node_id, packet, now)
                 else:
                     raise ValueError(f"unknown event kind {kind!r}")
-            if len(bucket) > allowed:
+            queue.done(len(run))
+            if run is not bucket:
                 queue.push_front(bucket[allowed:])
                 self.processed += budget
                 self._events_since_drain += budget

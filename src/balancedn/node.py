@@ -132,6 +132,7 @@ class NdnNode:
         self._flood_faces = {face: [f for f in out if f != face] for face in self.faces}
         self.pit: dict[str, PitEntry] = {}
         self.cs = ContentStore(cs_capacity)
+        self._caches = cs_capacity > 0  # fixed with the store's capacity
         self.published: dict[str, int] = {}  # canonical name -> payload bits
         # (canonical name, nonce) -> expiry of the pairs this node has answered
         # or whose PIT entry Data consumed
@@ -162,14 +163,18 @@ class NdnNode:
 
     def on_interest(self, interest: InterestPacket, in_face: int,
                     now: int) -> list[tuple[int, InterestPacket | DataPacket]]:
-        out_faces = self.strategy_flood(in_face)
-        key = interest.name.canonical_text
+        # runs once per delivery: strategy_flood's table in one lookup, and
+        # the name's text from its slot rather than through the property
+        out_faces = self._flood_faces.get(in_face)
+        if out_faces is None:
+            raise UnknownFaceError(f"node {self.id} has no face {in_face}")
+        key = interest.name._text
         if self.dead_nonces and self.dead_nonces.get((key, interest.nonce), now) > now:
             self.duplicates_suppressed += 1
             return []
 
         size = self.published.get(key)
-        if size is None and self.cs.capacity:
+        if size is None and self._caches:
             size = self.cs.get(key, now)
         if size is not None:
             self._mark_dead((key, interest.nonce), now)

@@ -327,5 +327,6 @@ def _run_skew_probe(config: ScenarioConfig) -> ScenarioReport:
         report.probes.append(ProbeStat(shard.index, len(shard.authoritative),
                                        PROBE_REPETITIONS * len(names),
                                        timings[shard.index]))
-        report.shard_loads[shard.index] = len(shard.authoritative)
+    # every shard, empty ones included, as _shard_loads gives for s2/s3
+    report.shard_loads = {shard.index: len(shard.authoritative) for shard in shards}
     return report

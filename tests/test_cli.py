@@ -167,6 +167,14 @@ class TestRunCommand:
         assert (hashlib.sha256(out.read_bytes()).hexdigest()
                 == "67f09d6c9665b37e51229f0373787cf8ebd7f4a8a2d1aeb7ac655c69edd9e877")
 
+    def test_s2_flooding_csv_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "s2.csv"
+        assert main(["run", "--scenario", "s2", "--content", "20000",
+                     "--schemes", "flooding", "--seed", "42",
+                     "--out", str(out)]) == 0
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == "85eddbaef23b95667f102061f27407575e1817e3706309a1d93a16f66c56f723")
+
     def test_flood_storm_exits_one(self, tmp_path):
         topology, _, _ = storm_graph()
         path = tmp_path / "storm.topo"

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import random
 
@@ -81,6 +82,20 @@ class TestEventQueue:
         q.push_front(bucket[1:])
         assert len(q) == 2
         assert [e[1] for e in q.pop_bucket()] == [2, 3]
+
+    def test_dispatching_counts_only_events_not_yet_reached(self):
+        q = EventQueue()
+        for node in range(3):
+            q.schedule(7, event(node))
+        bucket = q.pop_bucket()
+        depths = []
+        for _ in q.dispatching(bucket):
+            q.schedule(9, event(9))
+            depths.append(len(q))
+        assert depths == [3, 3, 3]  # one reached, one scheduled, each step
+        assert len(q) == 3
+        q.done(len(bucket))
+        assert len(q) == 3 and q.peek_time() == 9
 
     def test_scheduling_into_the_past_rejected(self):
         q = EventQueue()
@@ -246,6 +261,43 @@ class TestConservation:
         assert sim.conservation_holds()
 
 
+class TestRejectedInjection:
+    # a rejected call must leave the run as if it had never been made
+    OTHER = parse_name("/video/b.mp4")
+
+    def served_nsfnet(self):
+        sim = Simulation(load_preset("nsfnet"))
+        sim.publish(44, NAME, 1024)
+        sim.publish(45, self.OTHER, 1024)
+        sim.inject_request(11, NAME, at=0)
+        sim.run_until(None)
+        return sim
+
+    def assert_retry_matches_clean_run(self, sim, bad_call, exc):
+        clean = self.served_nsfnet()
+        with pytest.raises(exc):
+            bad_call()
+        assert sim.injections == 1 and sim.conservation_holds()
+        assert sim.rng.getstate() == clean.rng.getstate()
+        retried = sim.inject_request(12, self.OTHER, at=sim.now)
+        clean.inject_request(12, self.OTHER, at=clean.now)
+        assert sim.rng.getstate() == clean.rng.getstate()
+        assert sim.run_until(None) == clean.run_until(None)
+        assert retried.satisfied and sim.injections == 2 and sim.conservation_holds()
+
+    def test_unknown_consumer_is_rejected_before_recording(self):
+        sim = self.served_nsfnet()
+        self.assert_retry_matches_clean_run(
+            sim, lambda: sim.inject_request(9999, self.OTHER, at=sim.now), ValueError)
+        assert 9999 not in sim.requests[self.OTHER.canonical_text]
+
+    def test_injection_into_the_past_is_rejected_before_recording(self):
+        sim = self.served_nsfnet()
+        assert sim.now > 0
+        self.assert_retry_matches_clean_run(
+            sim, lambda: sim.inject_request(12, self.OTHER, at=0), SchedulingError)
+
+
 class TestAggregatedRequests:
     def test_interest_path_belongs_to_its_own_consumer(self):
         # line 0-1-2-3, producer 3: consumer 1's flood reaches the producer,
@@ -318,6 +370,77 @@ class TestFloodAccounting:
         flow = sim.flow_stats(NAME)
         assert (sim.processed, flow.interest_traversals, flow.data_traversals) == (447, 428, 17)
         assert state.satisfied and state.path_hops == 17
+
+    def test_oteglobe_flood_event_log_is_pinned(self):
+        # every event but the consumer's expiry is logged, in dispatch order
+        out = io.StringIO()
+        sim = Simulation(load_preset("oteglobe"), log=out)
+        sim.publish(379, NAME, 1024)
+        sim.inject_request(122, NAME, at=0)
+        assert sim.run_until(None) == 447
+        log = out.getvalue()
+        assert len(log.splitlines()) == 446
+        assert (hashlib.sha256(log.encode()).hexdigest()
+                == "464dbc475d8047b7d84fa05c54b9dc3ad2b2c62e42fc60bfafffd4089c2a2d79")
+
+    def test_queue_depth_mid_bucket_counts_undispatched_events(self):
+        # each event is a node call here but the final expiry, which
+        # schedules nothing; at every schedule the queue holds what was
+        # scheduled and not yet taken for dispatch
+        sim = Simulation(load_preset("oteglobe"))
+        queue = sim.queue
+        scheduled, taken, depths = [0], [0], []
+        schedule = queue.schedule
+
+        def counting_schedule(fire_at, event):
+            depths.append((len(queue), scheduled[0] - taken[0]))
+            scheduled[0] += 1
+            schedule(fire_at, event)
+
+        def counted(handler):
+            def call(*args):
+                taken[0] += 1
+                return handler(*args)
+            return call
+
+        queue.schedule = counting_schedule
+        for node in sim.nodes.values():
+            node.on_interest, node.on_data = counted(node.on_interest), counted(node.on_data)
+        sim.publish(379, NAME, 1024)
+        sim.inject_request(122, NAME, at=0)
+        assert sim.run_until(None) == 447 == scheduled[0] == taken[0] + 1
+        assert all(depth == expected for depth, expected in depths)
+        assert max(depth for depth, _ in depths) > 1
+
+    def test_stepped_drain_matches_one_drain(self):
+        # one time bucket per step; the queue counts what was scheduled and
+        # not yet run after every step
+        whole = Simulation(load_preset("oteglobe"))
+        whole.publish(379, NAME, 1024)
+        whole_state = whole.inject_request(122, NAME, at=0)
+        whole.run_until(None)
+
+        sim = Simulation(load_preset("oteglobe"))
+        queue = sim.queue
+        scheduled = []
+        schedule = queue.schedule
+
+        def counting_schedule(fire_at, event):
+            scheduled.append(event)
+            schedule(fire_at, event)
+
+        queue.schedule = counting_schedule
+        sim.publish(379, NAME, 1024)
+        state = sim.inject_request(122, NAME, at=0)
+        steps = 0
+        while len(queue):
+            assert sim.run_until(queue.peek_time()) > 0
+            steps += 1
+            assert len(queue) == len(scheduled) - sim.processed
+        assert steps > 1 and len(scheduled) == sim.processed == whole.processed == 447
+        assert sim.flow_stats(NAME) == whole.flow_stats(NAME)
+        assert (state.satisfied, state.path_hops, state.completed_at) == (
+            whole_state.satisfied, whole_state.path_hops, whole_state.completed_at)
 
     def test_oteglobe_flood_pit_entries_are_one_tracked_object(self):
         # the collector tracks a PIT entry, but nothing of its own that it
@@ -406,3 +529,18 @@ class TestVariedDelayFloods:
             assert flow.data_traversals == state.path_hops
             assert flow.interest_traversals <= 2 * len(topology.links)
             assert all(count == 1 for count in sim.edge_interest_counts.values())
+
+    def test_traced_and_untraced_floods_agree(self):
+        # tracing copies packets per hop; it must not change what happens
+        rng = random.Random(VARIED_SEED)
+        for _ in range(200):
+            topology, consumer, producer = varied_delay_graph(rng)
+            runs = []
+            for track_edges in (True, False):
+                sim = Simulation(topology, track_edges=track_edges)
+                sim.publish(producer, NAME, 1024)
+                state = sim.inject_request(consumer, NAME, at=0)
+                runs.append((sim.run_until(None), sim.processed, sim.flow_stats(NAME),
+                             sim.duplicates_suppressed, state.satisfied, state.failed,
+                             state.completed_at, state.path_hops))
+            assert runs[0] == runs[1]
