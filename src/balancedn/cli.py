@@ -51,17 +51,13 @@ def _parse_schemes(text: str) -> tuple[str, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", action="store_true",
-                        help="emit the engine event log on standard error")
     parser = argparse.ArgumentParser(
-        prog="balancedn", parents=[common],
+        prog="balancedn",
         description="Content-network simulator: flooding search vs. "
                     "hash-sharded resolver lookup.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", parents=[common],
-                           help="run a scenario and write a CSV report")
+    run_p = sub.add_parser("run", help="run a scenario and write a CSV report")
     run_p.add_argument("--scenario", required=True, choices=SCENARIOS)
     run_p.add_argument("--topology", default="",
                        help="preset name (nsfnet, oteglobe) or topology file path")
@@ -74,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--schemes", type=_parse_schemes,
                        default=SCHEMES, metavar="a,b")
     run_p.add_argument("--out", required=True, help="output CSV path")
+    run_p.add_argument("--verbose", action="store_true",
+                       help="emit the engine event log on standard error")
 
-    hash_p = sub.add_parser("hash", parents=[common],
-                            help="print a name's resolver shard index")
+    hash_p = sub.add_parser("hash", help="print a name's resolver shard index")
     hash_p.add_argument("--name", required=True)
     hash_p.add_argument("--resolvers", type=int, default=8, metavar="N")
 
-    val_p = sub.add_parser("validate", parents=[common],
-                           help="check a topology file")
+    val_p = sub.add_parser("validate", help="check a topology file")
     val_p.add_argument("--topology", required=True)
     return parser
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -64,11 +63,7 @@ def top5_avg(values: Iterable[int]) -> int:
     if not ordered:
         raise ValueError("top5_avg needs at least one value")
     k = (len(ordered) + 19) // 20  # ceil(n / 20), exact
-    top = ordered[:k]
-    total = sum(top)
-    if isinstance(total, int):
-        return -(-total // k)
-    return math.ceil(total / k)
+    return -(-sum(ordered[:k]) // k)
 
 
 @dataclass(slots=True)

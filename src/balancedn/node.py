@@ -150,21 +150,12 @@ class NdnNode:
     def publish(self, name: ContentName, payload_bits: int) -> None:
         self.published[name.canonical_text] = payload_bits
 
-    # -- strategy --------------------------------------------------------
-
-    def strategy_flood(self, in_face: int) -> list[int]:
-        """All non-local faces but the incoming one; UnknownFaceError if no such face."""
-        try:
-            return self._flood_faces[in_face]
-        except KeyError:
-            raise UnknownFaceError(f"node {self.id} has no face {in_face}") from None
-
     # -- packet handling ---------------------------------------------------
 
     def on_interest(self, interest: InterestPacket, in_face: int,
                     now: int) -> list[tuple[int, InterestPacket | DataPacket]]:
-        # runs once per delivery: strategy_flood's table in one lookup, and
-        # the name's text from its slot rather than through the property
+        # runs once per delivery: the out-faces of a flood in one lookup,
+        # and the name's text from its slot rather than through the property
         out_faces = self._flood_faces.get(in_face)
         if out_faces is None:
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")

@@ -13,6 +13,14 @@ Scenario ids:
     s4  Builds shard tables per an explicit per-shard load map and
         times real dictionary lookups (10 repetitions, averaged).
 
+``run_scenario`` loads the topology and checks the resolver count
+against it once, for every scenario.  s1 and s2/s3 then only select
+their requests: ``_run_single_request`` picks one (consumer, producer,
+name) and registers that one name; ``_run_pair_sweep`` picks every
+cross-subnet pair and registers the whole corpus.  Both hand their
+selection to ``_run_requests``, which holds the one measurement loop of
+each scheme: a flooding simulation, then a BalanceDN deployment.
+
 The synthetic corpus names look like ``/cat<k>/obj<i>-<tag>`` with k
 cycling over 16 prefixes, i sequential, and a short seeded-random tag.
 The tag is what spreads the checksum uniformly: purely sequential
@@ -25,15 +33,15 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterable
 
 from .core import parse_name, parse_names
 from .engine import DEFAULT_PAYLOAD_BITS, Simulation
 from .metrics import ProbeStat, RequestRecord, ScenarioReport, emit_csv
-from .resolution import (Deployment, build_skewed_shards,
+from .resolution import (STAGE_DATA_RETURN, Deployment, build_skewed_shards,
                          interleaved_timing_probe)
-from .topology import (LinkDescriptor, NodeDescriptor, PathTable, Topology,
-                       load_preset, load_topology)
+from .topology import (LinkDescriptor, NodeDescriptor, Topology, load_preset,
+                       load_topology)
 
 SCENARIOS = ("s1_near", "s1_mid", "s1_long", "s2", "s3", "s4")
 SCHEMES = ("flooding", "balancedn")
@@ -41,6 +49,8 @@ SCHEMES = ("flooding", "balancedn")
 DEFAULT_CONTENT_COUNT = 1_000_000
 PROBES_PER_SHARD = 2000
 PROBE_REPETITIONS = 10
+# s1 hop distance per case; s1_long takes the farthest producer instead
+S1_DISTANCES = {"s1_near": 1, "s1_mid": 2}
 
 
 class ScenarioError(ValueError):
@@ -116,27 +126,22 @@ def synthetic_corpus(count: int, seed: int) -> list[str]:
     return [f"{stems[i & 15]}{i}-{bits(16):04x}" for i in range(count)]
 
 
-def _check_resolver_bound(config: ScenarioConfig, topology: Topology) -> None:
+def run_scenario(config: ScenarioConfig) -> ScenarioReport:
+    """Execute one scenario and return its report (and write CSV if asked)."""
+    topology = resolve_topology(config)
     resolver_nodes = topology.nodes_with_role("resolver")
     if config.resolver_count > len(resolver_nodes):
         raise ScenarioError(
             f"resolver_count {config.resolver_count} exceeds the "
             f"{len(resolver_nodes)} resolver nodes in the topology")
-
-
-def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    """Execute one scenario and return its report (and write CSV if asked)."""
     if config.scenario == "s4":
         report = _run_skew_probe(config)
+    elif config.scenario.startswith("s1"):
+        report = _run_single_request(topology, config)
     else:
-        topology = resolve_topology(config)
-        _check_resolver_bound(config, topology)
         if config.scenario == "s2":
             topology = _with_extra_consumer(topology)
-        if config.scenario.startswith("s1"):
-            report = _run_single_request(topology, config)
-        else:
-            report = _run_pair_sweep(topology, config)
+        report = _run_pair_sweep(topology, config)
     if config.out:
         text = emit_csv(report)
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
@@ -176,7 +181,7 @@ def _flooding_record(sim: Simulation, scenario: str, producer: int,
 
 def _balancedn_record(outcome, scenario: str, consumer: int, producer: int,
                       distance: int) -> RequestRecord:
-    path_hops = dict(outcome.steps).get("data_return", 0)
+    path_hops = dict(outcome.steps).get(STAGE_DATA_RETURN, 0)
     return RequestRecord(
         scenario=scenario, consumer=consumer,
         producer=outcome.producer if outcome.producer is not None else -1,
@@ -191,51 +196,28 @@ def _balancedn_record(outcome, scenario: str, consumer: int, producer: int,
 
 
 def _run_single_request(topology: Topology, config: ScenarioConfig) -> ScenarioReport:
-    paths = topology.paths
+    """Scenario 1: the first consumer fetches one name from one producer."""
     consumers = topology.nodes_with_role("consumer")
     producers = topology.nodes_with_role("producer")
     if not consumers or not producers:
         raise ScenarioError("topology needs consumer and producer nodes")
     consumer = consumers[0]
-    by_distance = sorted((paths.distance(consumer, p), p) for p in producers)
-    if config.scenario == "s1_near":
-        wanted = [p for d, p in by_distance if d == 1]
-        if not wanted:
-            raise ScenarioError("no producer at distance 1 from the first consumer")
-        producer = wanted[0]
-    elif config.scenario == "s1_mid":
-        wanted = [p for d, p in by_distance if d == 2]
-        if not wanted:
-            raise ScenarioError("no producer at distance 2 from the first consumer")
-        producer = wanted[0]
+    by_distance = sorted((topology.paths.distance(consumer, p), p) for p in producers)
+    hops = S1_DISTANCES.get(config.scenario)
+    if hops is None:  # s1_long: the farthest producer, at least 4 hops away
+        picks = [p for d, p in by_distance[-1:] if d >= 4]
     else:
-        distance, producer = by_distance[-1]
-        if distance < 4:
-            raise ScenarioError("no producer at distance >= 4 from the first consumer")
-    distance = paths.distance(consumer, producer)
-    name = parse_name(synthetic_corpus(1, config.seed)[0])
-
-    report = ScenarioReport(config.scenario)
-    if "flooding" in config.schemes:
-        sim = Simulation(topology, cs_capacity=0, seed=config.seed,
-                         log=_log_stream(config))
-        sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
-        state = sim.inject_request(consumer, name, at=0)
-        sim.run_until(None)
-        report.add(_flooding_record(sim, config.scenario, producer,
-                                    distance, state))
-    if "balancedn" in config.schemes:
-        deployment = Deployment(topology, config.resolver_count)
-        deployment.register_bulk([(name.canonical_text, producer)])
-        outcome = deployment.resolve_and_fetch(consumer, name)
-        report.add(_balancedn_record(outcome, config.scenario, consumer,
-                                     producer, distance))
-        report.shard_loads = _shard_loads(deployment)
-    return report
+        picks = [p for d, p in by_distance if d == hops]
+    if not picks:
+        raise ScenarioError(
+            f"no producer at distance {hops or '>= 4'} from the first consumer")
+    producer = picks[0]
+    key = synthetic_corpus(1, config.seed)[0]
+    return _run_requests(topology, config, [(consumer, producer, key)],
+                         [(key, producer)])
 
 
-def _cross_subnet_pairs(topology: Topology,
-                        paths: PathTable) -> list[tuple[int, int, int]]:
+def _cross_subnet_pairs(topology: Topology) -> list[tuple[int, int, int]]:
     """(consumer, producer, corpus slot) for every cross-subnet pair.
 
     Slot k + j * len(producers) is the j-th name owned by producer k,
@@ -244,7 +226,8 @@ def _cross_subnet_pairs(topology: Topology,
     consumers = topology.nodes_with_role("consumer")
     producers = topology.nodes_with_role("producer")
     routers = topology.nodes_with_role("router")
-    router_of = {nid: paths.nearest(nid, routers) for nid in consumers + producers}
+    nearest = topology.paths.nearest
+    router_of = {nid: nearest(nid, routers) for nid in consumers + producers}
     pairs = []
     for j, consumer in enumerate(consumers):
         for k, producer in enumerate(producers):
@@ -256,11 +239,10 @@ def _cross_subnet_pairs(topology: Topology,
 
 def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioReport:
     """Scenario 2/3 protocol: every consumer fetches foreign unique content."""
-    paths = topology.paths
     producers = topology.nodes_with_role("producer")
     corpus = synthetic_corpus(config.content_count, config.seed)
 
-    pairs = _cross_subnet_pairs(topology, paths)
+    pairs = _cross_subnet_pairs(topology)
     if not pairs:
         raise ScenarioError("no cross-subnet consumer/producer pairs")
     if max(slot for _, _, slot in pairs) >= len(corpus):
@@ -268,7 +250,24 @@ def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioRepor
             f"content_count {config.content_count} is too small for "
             f"{len(pairs)} unique cross-subnet requests")
     requests = [(c, p, corpus[slot]) for c, p, slot in pairs]
+    # the whole corpus, owned round-robin by the producers
+    n_producers = len(producers)
+    registrations = ((key, producers[i % n_producers])
+                     for i, key in enumerate(corpus))
+    return _run_requests(topology, config, requests, registrations)
 
+
+def _run_requests(topology: Topology, config: ScenarioConfig,
+                  requests: list[tuple[int, int, str]],
+                  registrations: Iterable[tuple[str, int]]) -> ScenarioReport:
+    """Measure each (consumer, producer, name) request once per scheme.
+
+    Flooding publishes every requested name at its producer, then
+    injects the requests one at a time, each drained before the next.
+    BalanceDN registers ``registrations`` (name, producer) in bulk, then
+    resolves and fetches each request.  Rows come flooding first.
+    """
+    paths = topology.paths
     report = ScenarioReport(config.scenario)
     if "flooding" in config.schemes:
         sim = Simulation(topology, cs_capacity=0, seed=config.seed,
@@ -284,9 +283,7 @@ def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioRepor
                                         paths.distance(consumer, producer), state))
     if "balancedn" in config.schemes:
         deployment = Deployment(topology, config.resolver_count)
-        n_producers = len(producers)
-        deployment.register_bulk(
-            (key, producers[i % n_producers]) for i, key in enumerate(corpus))
+        deployment.register_bulk(registrations)
         names = parse_names(key for _, _, key in requests)
         for (consumer, producer, _), name in zip(requests, names):
             outcome = deployment.resolve_and_fetch(consumer, name)
@@ -310,8 +307,6 @@ def _run_skew_probe(config: ScenarioConfig) -> ScenarioReport:
     Shards are probed round-robin inside each repetition pass so that
     host noise lands on every shard alike; see interleaved_timing_probe.
     """
-    topology = resolve_topology(config)
-    _check_resolver_bound(config, topology)
     shards = build_skewed_shards(config.skew or {}, config.resolver_count)
     rng = random.Random(config.seed)
     probe_sets = []

@@ -13,7 +13,6 @@ join any unordered node pair.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -101,17 +100,10 @@ class Topology:
     def _check_connected(self) -> None:
         if not self.nodes:
             raise TopologyError("topology has no nodes")
-        start = next(iter(self.nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != len(self.nodes):
-            missing = len(self.nodes) - len(seen)
+        # the first node's BFS, kept in the path table for later queries
+        reached = self.paths.from_source(next(iter(self.nodes)))
+        if len(reached) != len(self.nodes):
+            missing = len(self.nodes) - len(reached)
             raise TopologyError(f"graph is disconnected ({missing} unreachable nodes)")
 
     def link_between(self, a: int, b: int) -> LinkDescriptor:
@@ -157,9 +149,7 @@ def load_topology(text: str) -> Topology:
                                             float(fields[3]), float(fields[4])))
             else:
                 raise TopologyError(f"unknown record type {kind!r}")
-        except TopologyError as exc:
-            raise TopologyError(f"line {lineno}: {exc}") from None
-        except ValueError as exc:
+        except ValueError as exc:  # TopologyError included
             raise TopologyError(f"line {lineno}: {exc}") from None
     return Topology.build(nodes, links)
 

@@ -53,6 +53,16 @@ class TestParseArgs:
             parse_args(["run", "--scenario", "s2", "--out", "r.csv", "--what"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--verbose", "run", "--scenario", "s1_near", "--out", "r.csv"],
+        ["hash", "--verbose", "--name", "/a"],
+        ["validate", "--verbose", "--topology", "t.topo"],
+    ])
+    def test_verbose_belongs_to_run_alone(self, argv):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
+
     def test_bad_scheme_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             parse_args(["run", "--scenario", "s2", "--schemes", "gossip",
@@ -141,6 +151,7 @@ class TestRunCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("scenario, digest", [
+        ("s1_near", "fc8d3e07a710c66490bc854857a17dbca0ed4662371108c8959583995cc88ef3"),
         ("s1_mid", "99e2f23316451b25002a2b4f0bbeb433f37b28a7e17c96a4e07f81444d8743c5"),
         ("s1_long", "5ffa85dc51aaa9fa42a2e6762f449a1969920fac56461e630ff78e3410e2b11a"),
     ])

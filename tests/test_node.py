@@ -49,10 +49,16 @@ class TestOnInterest:
         entry = node.pit[NAME.canonical_text]
         assert entry.in_faces == 1 << 1 and entry.more_nonces is None
 
-    def test_flooding_forwards_to_all_other_faces(self):
-        node = flooding_node(neighbors=(7, 8, 9))  # faces 1, 2, 3
-        out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
-        assert [face for face, _ in out] == [2, 3]
+    @pytest.mark.parametrize("neighbors, in_face, faces", [
+        pytest.param((7, 8, 9), 1, [2, 3], id="other-faces"),
+        pytest.param((5, 6, 7, 8), 2, [1, 3, 4], id="excludes-incoming-and-local"),
+        pytest.param((5,), 1, [], id="single-face-dead-end"),
+        pytest.param((5, 6, 7), LOCAL_FACE, [1, 2, 3], id="from-local-face-uses-all"),
+    ])
+    def test_flooding_forwards_to_all_other_faces(self, neighbors, in_face, faces):
+        node = flooding_node(neighbors=neighbors)  # faces 1..len(neighbors)
+        out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=in_face, now=0)
+        assert [face for face, _ in out] == faces
         assert all(pkt.name == NAME for _, pkt in out)
 
     def test_unknown_face_rejected(self):
@@ -210,20 +216,6 @@ class TestDeadNonces:
         assert set(node.dead_nonces) == {(NAME.canonical_text, 5)}
         reclaim_expired(node.pit_reclaim, 2 * PIT_LIFETIME_NS)
         assert not node.dead_nonces and not node.pit_reclaim
-
-
-class TestStrategies:
-    def test_flood_excludes_incoming_and_local(self):
-        node = NdnNode(0, neighbors=(5, 6, 7, 8))  # faces 1..4
-        assert node.strategy_flood(2) == [1, 3, 4]
-
-    def test_flood_single_face_dead_end(self):
-        node = NdnNode(0, neighbors=(5,))
-        assert node.strategy_flood(1) == []
-
-    def test_flood_from_local_face_uses_all(self):
-        node = NdnNode(0, neighbors=(5, 6, 7))
-        assert node.strategy_flood(LOCAL_FACE) == [1, 2, 3]
 
 
 class TestContentStore:

@@ -86,6 +86,24 @@ class TestSingleRequestScenarios:
         assert {r.distance for r in report.records} == {expected}
         assert {r.scheme for r in report.records} == {"flooding", "balancedn"}
 
+    @pytest.mark.parametrize("scenario", ["s1_near", "s1_mid", "s1_long"])
+    def test_registers_only_the_requested_name(self, scenario):
+        report = run_scenario(ScenarioConfig(scenario=scenario,
+                                             schemes=("balancedn",)))
+        assert sum(report.shard_loads.values()) == 1
+
+    @pytest.mark.parametrize("scenario, producer_link, wanted", [
+        ("s1_near", "0 2", "1"), ("s1_mid", "1 2", "2"), ("s1_long", "0 2", ">= 4")])
+    def test_missing_distance_is_named(self, tmp_path, scenario, producer_link, wanted):
+        path = tmp_path / "small.topo"
+        path.write_text("node 0 r0 router\nnode 1 c0 consumer\nnode 2 p0 producer\n"
+                        "node 3 s0 resolver\nlink 0 1 1 1000\n"
+                        f"link {producer_link} 1 1000\nlink 0 3 1 1000\n")
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(ScenarioConfig(scenario=scenario, topology=str(path),
+                                        resolver_count=1))
+        assert str(err.value) == f"no producer at distance {wanted} from the first consumer"
+
     def test_long_case_is_at_least_four_hops(self):
         report = run_scenario(ScenarioConfig(scenario="s1_long"))
         assert all(r.distance >= 4 for r in report.records)
