@@ -30,10 +30,13 @@ def _parse_skew(text: str) -> dict[int, int]:
             continue
         index, _, count = part.partition(":")
         try:
-            skew[int(index)] = int(count)
+            shard, load = int(index), int(count)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"bad skew entry {part!r}; expected <index>:<count>") from None
+        if shard in skew:
+            raise argparse.ArgumentTypeError(f"shard index {shard} repeated in skew map")
+        skew[shard] = load
     if not skew:
         raise argparse.ArgumentTypeError("empty skew map")
     return skew

@@ -51,6 +51,9 @@ class Topology:
 
     ``paths`` is the graph's one shortest-path table, filled lazily, so
     every caller that routes over this graph shares its BFS results.
+    ``ids`` lists the node ids in ascending order, ``position`` maps an
+    id to its index there, and ``neighbours`` is the adjacency by
+    position, each entry ascending; BFS rows are indexed the same way.
     """
 
     def __init__(self, nodes: Mapping[int, NodeDescriptor],
@@ -64,6 +67,11 @@ class Topology:
         self.adjacency: dict[int, tuple[int, ...]] = {
             nid: tuple(sorted(nbrs)) for nid, nbrs in adjacency.items()
         }
+        self.ids: tuple[int, ...] = tuple(sorted(self.nodes))
+        self.position: dict[int, int] = {nid: i for i, nid in enumerate(self.ids)}
+        position = self.position
+        self.neighbours: tuple[tuple[int, ...], ...] = tuple(
+            tuple(position[v] for v in self.adjacency[nid]) for nid in self.ids)
         self.paths = PathTable(self)
 
     @classmethod
@@ -100,10 +108,9 @@ class Topology:
     def _check_connected(self) -> None:
         if not self.nodes:
             raise TopologyError("topology has no nodes")
-        # the first node's BFS, kept in the path table for later queries
-        reached = self.paths.from_source(next(iter(self.nodes)))
-        if len(reached) != len(self.nodes):
-            missing = len(self.nodes) - len(reached)
+        # the first node's BFS row, kept in the path table for later queries
+        missing = self.paths.from_source(next(iter(self.nodes))).count(-1)
+        if missing:
             raise TopologyError(f"graph is disconnected ({missing} unreachable nodes)")
 
     def link_between(self, a: int, b: int) -> LinkDescriptor:
@@ -162,66 +169,75 @@ def load_preset(name: str) -> Topology:
     return load_topology(text)
 
 
-def shortest_paths(topology: Topology, source: int) -> dict[int, tuple[int, int]]:
-    """Unweighted BFS distances from ``source``.
+def shortest_paths(topology: Topology, source: int) -> list[int]:
+    """Unweighted BFS hop counts from ``source``.
 
-    Returns dest -> (distance, next_hop), where next_hop is the neighbor
-    of ``source`` on a shortest path; among shortest paths the lowest
-    next-hop id wins.  The source maps to (0, source).  Each node
-    inherits the first hop of the node that reaches it first.  The
-    source's neighbours are sorted, so every frontier is ordered by
-    first hop, and the first node to reach a node carries the lowest
-    first hop over all its shortest paths.
+    Entry ``i`` of the returned row is the distance from ``source`` to
+    ``topology.ids[i]``, the ``i``-th node in ascending id order; the
+    source's own entry is 0 and a node the BFS did not reach reads -1.
     """
-    if source not in topology.nodes:
-        raise TopologyError(f"unknown source node {source}")
-    adjacency = topology.adjacency
-    table: dict[int, tuple[int, int]] = {source: (0, source)}
-    frontier = list(adjacency[source])
-    for v in frontier:
-        table[v] = (1, v)
-    depth = 1
+    try:
+        start = topology.position[source]
+    except KeyError:
+        raise TopologyError(f"unknown source node {source}") from None
+    neighbours = topology.neighbours
+    row = [-1] * len(neighbours)
+    row[start] = 0
+    frontier = [start]
+    depth = 0
     while frontier:
         depth += 1
         upcoming: list[int] = []
         for u in frontier:
-            hop = table[u][1]
-            for v in adjacency[u]:
-                if v not in table:
-                    table[v] = (depth, hop)
+            for v in neighbours[u]:
+                if row[v] < 0:
+                    row[v] = depth
                     upcoming.append(v)
         frontier = upcoming
-    return table
+    return row
 
 
 class PathTable:
-    """All-pairs shortest paths with lazy per-source BFS."""
+    """All-pairs shortest paths as lazily built BFS distance rows.
+
+    A row is the list ``shortest_paths`` returns, one per source node.
+    Distances are symmetric, so ``path(a, b)`` reads ``b``'s row alone:
+    from ``a`` it steps each time to the lowest-id neighbour one hop
+    closer to ``b``.  That neighbour is the first hop of the lowest-id
+    shortest path, the one a next-hop table kept per node would give.
+    """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._by_source: dict[int, dict[int, tuple[int, int]]] = {}
+        self._rows: dict[int, list[int]] = {}
 
-    def from_source(self, source: int) -> dict[int, tuple[int, int]]:
-        table = self._by_source.get(source)
-        if table is None:
-            table = shortest_paths(self.topology, source)
-            self._by_source[source] = table
-        return table
+    def from_source(self, source: int) -> list[int]:
+        row = self._rows.get(source)
+        if row is None:
+            row = self._rows[source] = shortest_paths(self.topology, source)
+        return row
 
     def distance(self, a: int, b: int) -> int:
-        return self.from_source(a)[b][0]
+        return self.from_source(a)[self.topology.position[b]]
 
     def path(self, a: int, b: int) -> list[int]:
-        """Node sequence a..b following next-hop pointers."""
+        """Node sequence a..b, walked down ``b``'s distance row."""
+        topology = self.topology
+        row = self.from_source(b)
+        ids, neighbours = topology.ids, topology.neighbours
+        cur = topology.position[a]
+        left = row[cur]
         nodes = [a]
-        cur = a
-        while cur != b:
-            cur = self.from_source(cur)[b][1]
-            nodes.append(cur)
+        while left > 0:
+            left -= 1
+            for cur in neighbours[cur]:
+                if row[cur] == left:
+                    break
+            nodes.append(ids[cur])
         return nodes
 
     def nearest(self, origin: int, candidates: Iterable[int]) -> int:
         """Closest candidate to origin, ties broken by lowest id."""
-        table = self.from_source(origin)
-        best = min((table[c][0], c) for c in candidates)
-        return best[1]
+        row = self.from_source(origin)
+        position = self.topology.position
+        return min((row[position[c]], c) for c in candidates)[1]

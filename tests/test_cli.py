@@ -48,6 +48,13 @@ class TestParseArgs:
                         "--out", "r.csv"])
         assert err.value.code == 2
 
+    def test_repeated_skew_index_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["run", "--scenario", "s4", "--skew", "0:100,0:50,1:10",
+                        "--out", "r.csv"])
+        assert err.value.code == 2
+        assert "shard index 0 repeated" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             parse_args(["run", "--scenario", "s2", "--out", "r.csv", "--what"])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from balancedn import topology as topology_module
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, TopologyError, load_preset,
                                 load_topology, shortest_paths)
@@ -13,19 +14,22 @@ def make_line(n, role="router"):
     return Topology.build(nodes, links)
 
 
-def random_connected(rng, n, extra_edges=2):
-    """Random tree plus a few extra edges; connected by construction."""
-    nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(n)]
+def random_connected(rng, n, extra_edges=2, ids=None):
+    """Random tree plus a few extra edges; connected by construction.
+
+    Node ids are ``range(n)`` unless ``ids`` lists them."""
+    ids = range(n) if ids is None else ids
+    nodes = [NodeDescriptor(i, f"n{i}", "router") for i in ids]
     links = []
     present = set()
     for i in range(1, n):
-        parent = rng.randrange(i)
-        links.append(LinkDescriptor(parent, i, 1.0, 1000.0))
-        present.add((parent, i))
+        parent, child = ids[rng.randrange(i)], ids[i]
+        links.append(LinkDescriptor(parent, child, 1.0, 1000.0))
+        present.add((min(parent, child), max(parent, child)))
     attempts = 0
     while extra_edges and attempts < 50:
         attempts += 1
-        a, b = rng.randrange(n), rng.randrange(n)
+        a, b = ids[rng.randrange(n)], ids[rng.randrange(n)]
         key = (min(a, b), max(a, b))
         if a != b and key not in present:
             present.add(key)
@@ -157,12 +161,11 @@ class TestPresets:
 class TestShortestPaths:
     def test_line_graph_distances(self):
         topo = make_line(3)
-        table = shortest_paths(topo, 0)
-        assert {n: d for n, (d, _) in table.items()} == {0: 0, 1: 1, 2: 2}
+        assert shortest_paths(topo, 0) == [0, 1, 2]
 
     def test_source_entry_is_identity(self):
         topo = make_line(3)
-        assert shortest_paths(topo, 1)[1] == (0, 1)
+        assert shortest_paths(topo, 1)[topo.position[1]] == 0
 
     def test_unknown_source(self):
         with pytest.raises(TopologyError):
@@ -173,17 +176,18 @@ class TestShortestPaths:
         for _ in range(5):
             topo = random_connected(rng, 20, extra_edges=3)
             source = rng.randrange(20)
-            table = shortest_paths(topo, source)
+            row = shortest_paths(topo, source)
             for dest in range(20):
-                assert table[dest][0] == brute_force_distance(topo, source, dest)
+                assert row[topo.position[dest]] == brute_force_distance(topo, source, dest)
 
     def test_distance_symmetry(self):
         rng = random.Random(4)
         topo = random_connected(rng, 15, extra_edges=3)
+        position = topo.position
         for u in range(15):
             fwd = shortest_paths(topo, u)
             for v in range(15):
-                assert fwd[v][0] == shortest_paths(topo, v)[u][0]
+                assert fwd[position[v]] == shortest_paths(topo, v)[position[u]]
 
     def test_next_hop_walk_terminates_in_distance_steps(self):
         rng = random.Random(11)
@@ -201,7 +205,7 @@ class TestShortestPaths:
         links = [LinkDescriptor(0, 1, 1, 1000), LinkDescriptor(0, 2, 1, 1000),
                  LinkDescriptor(1, 3, 1, 1000), LinkDescriptor(2, 3, 1, 1000)]
         topo = Topology.build(nodes, links)
-        assert shortest_paths(topo, 0)[3] == (2, 1)
+        assert topo.paths.path(0, 3) == [0, 1, 3]
 
     def test_next_hop_is_lowest_neighbor_one_step_closer(self):
         # dense extra edges leave many equal-length paths to break ties over
@@ -209,11 +213,79 @@ class TestShortestPaths:
         for n, extra in ((12, 10), (20, 15), (30, 25)):
             topo = random_connected(rng, n, extra_edges=extra)
             dist = {u: bfs_distances(topo, u) for u in topo.nodes}
+            paths = PathTable(topo)
             for u in topo.nodes:
-                table = shortest_paths(topo, u)
                 for v in topo.nodes:
                     if u == v:
                         continue
                     expected = min(nbr for nbr in topo.adjacency[u]
                                    if dist[nbr][v] == dist[u][v] - 1)
-                    assert table[v] == (dist[u][v], expected), (u, v)
+                    assert paths.path(u, v)[1] == expected, (u, v)
+                    assert paths.distance(u, v) == dist[u][v], (u, v)
+
+
+def sparse_random_connected(rng, n, extra_edges):
+    """``random_connected`` over ids drawn from ``range(10_000)``, listed
+    in random order, so ids are neither contiguous nor from 0."""
+    return random_connected(rng, n, extra_edges, ids=rng.sample(range(10_000), n))
+
+
+def reference_path(topology, dist, a, b):
+    """The lowest-id shortest path a..b, stepping to the lowest-id
+    neighbour one hop closer to ``b`` by the reference distances."""
+    nodes = [a]
+    while nodes[-1] != b:
+        cur = nodes[-1]
+        nodes.append(min(nbr for nbr in topology.adjacency[cur]
+                         if dist[nbr][b] == dist[cur][b] - 1))
+    return nodes
+
+
+class TestSparseNodeIds:
+    def test_queries_match_a_plain_bfs(self):
+        rng = random.Random(31)
+        for n, extra in ((2, 0), (9, 4), (25, 20), (40, 60)):
+            topo = sparse_random_connected(rng, n, extra)
+            assert topo.ids == tuple(sorted(topo.nodes)) != tuple(range(n))
+            dist = {u: bfs_distances(topo, u) for u in topo.nodes}
+            paths = PathTable(topo)
+            for a in topo.nodes:
+                candidates = rng.sample(sorted(topo.nodes), min(n, 5))
+                assert paths.nearest(a, candidates) == min(
+                    (dist[a][c], c) for c in candidates)[1]
+                for b in topo.nodes:
+                    assert paths.distance(a, b) == dist[a][b], (a, b)
+                    assert paths.path(a, b) == reference_path(topo, dist, a, b), (a, b)
+
+    @pytest.mark.parametrize("isolated", [1, 3])
+    def test_disconnected_graph_counts_unreachable_nodes(self, isolated):
+        rng = random.Random(isolated)
+        topo = sparse_random_connected(rng, 12, extra_edges=5)
+        taken = set(topo.nodes)
+        extra = [i for i in rng.sample(range(10_000), 20) if i not in taken][:isolated]
+        nodes = list(topo.nodes.values()) + [
+            NodeDescriptor(i, f"n{i}", "router") for i in extra]
+        links = list(topo.links.values()) + [
+            LinkDescriptor(a, b, 1.0, 1000.0) for a, b in zip(extra, extra[1:])]
+        with pytest.raises(TopologyError) as err:
+            Topology.build(nodes, links)
+        # the first node listed sits in the large part
+        assert str(err.value) == f"graph is disconnected ({isolated} unreachable nodes)"
+
+
+class TestPathWalk:
+    def test_path_builds_only_the_destination_row(self, monkeypatch):
+        topo = load_preset("oteglobe")
+        calls = []
+        real = topology_module.shortest_paths
+
+        def counted(topology, source):
+            calls.append(source)
+            return real(topology, source)
+
+        monkeypatch.setattr(topology_module, "shortest_paths", counted)
+        a = topo.ids[0]
+        b = topo.ids[real(topo, a).index(30)]
+        walk = PathTable(topo).path(a, b)
+        assert calls == [b]
+        assert len(walk) == 31 and walk[0] == a and walk[-1] == b
