@@ -49,7 +49,7 @@ class RequestRecord:
 
 @dataclass(frozen=True, slots=True)
 class ProbeStat:
-    """Wall-clock lookup timing for one shard (skew experiments)."""
+    """Measured lookup timing (thread CPU ms) for one shard (skew experiments)."""
 
     shard_index: int
     record_count: int

@@ -76,7 +76,7 @@ class ContentStore:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         self.capacity = capacity
-        self._entries: OrderedDict[str, tuple[int, int]] = OrderedDict()
+        self._entries: OrderedDict[str, int] = OrderedDict()  # key -> payload size
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -84,27 +84,25 @@ class ContentStore:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def get(self, key: str, now: int) -> int | None:
+    def get(self, key: str) -> int | None:
         """Payload size for ``key`` or None; a hit refreshes recency."""
-        hit = self._entries.get(key)
-        if hit is None:
-            return None
-        self._entries[key] = (hit[0], now)
-        self._entries.move_to_end(key)
-        return hit[0]
+        size = self._entries.get(key)
+        if size is not None:
+            self._entries.move_to_end(key)
+        return size
 
-    def insert(self, key: str, size: int, now: int) -> str | None:
+    def insert(self, key: str, size: int) -> str | None:
         """Insert or refresh ``key``; returns the evicted key if any."""
         if self.capacity == 0:
             return None
         if key in self._entries:
-            self._entries[key] = (size, now)
+            self._entries[key] = size
             self._entries.move_to_end(key)
             return None
         evicted = None
         if len(self._entries) >= self.capacity:
             evicted, _ = self._entries.popitem(last=False)
-        self._entries[key] = (size, now)
+        self._entries[key] = size
         return evicted
 
     def keys(self) -> list[str]:
@@ -166,7 +164,7 @@ class NdnNode:
 
         size = self.published.get(key)
         if size is None and self._caches:
-            size = self.cs.get(key, now)
+            size = self.cs.get(key)
         if size is not None:
             self._mark_dead((key, interest.nonce), now)
             data = DataPacket(interest.name, size,
@@ -212,7 +210,7 @@ class NdnNode:
         self._mark_dead((key, entry.nonce), now)
         for nonce in entry.more_nonces or ():
             self._mark_dead((key, nonce), now)
-        self.cs.insert(key, data.payload_size, now)
+        self.cs.insert(key, data.payload_size)
         out = []
         faces = entry.in_faces & ~(1 << in_face)
         while faces:  # lowest face first

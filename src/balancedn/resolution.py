@@ -2,19 +2,19 @@
 
 Every resolver-role node hosts one cluster site holding N shard tables
 (shard index = crc16(name) mod N).  A producer registers each name at
-its nearest site's shard and in the global nameserver zone; the TLD
-server keeps the prefix delegations.  A consumer's request walks the
-numbered stages from its nearest site, the ingress, whose shard for
-the name's hash answers locally:
+its nearest site's shard and in the one nameserver zone, hosted at the
+lowest-id nameserver node.  A consumer's request walks the numbered
+stages from its nearest site, the ingress, whose shard for the name's
+hash answers locally:
 
     consumer -> ingress site
       shard record hit:  skip straight to the fetch (shortcut)
-      shard record miss: ingress -> TLD -> delegated nameserver
+      shard record miss: ingress -> TLD -> nameserver
     ingress -> producer (fetch), then Data returns producer -> ingress
     -> consumer, and the locator record is cached at the ingress on the
     way back so the next lookup for that name short-circuits.
 
-A locator record is the producer id itself: the nameserver zones and
+A locator record is the producer id itself: the nameserver zone and
 the shard tables map canonical name text to an int, so a registered
 corpus holds no object per name for the garbage collector to track.
 
@@ -108,12 +108,6 @@ class ClusterSite:
 
 
 @dataclass(slots=True)
-class TldServer:
-    host_node: int
-    delegations: dict[str, int] = field(default_factory=dict)  # first segment -> ns node
-
-
-@dataclass(slots=True)
 class NameServer:
     host_node: int
     zone: dict[str, int] = field(default_factory=dict)  # canonical name -> producer
@@ -129,7 +123,6 @@ class ResolutionOutcome:
     the nameserver's record reply plus the content's return path.
     """
 
-    name: ContentName
     producer: int | None
     steps: list[tuple[str, int]]
     shortcut_taken: bool
@@ -141,7 +134,10 @@ class ResolutionOutcome:
 
 
 class Deployment:
-    """Resolver sites plus the TLD/nameserver hierarchy over one topology.
+    """Resolver sites plus the TLD and nameserver over one topology.
+
+    Every record goes to one nameserver zone, at the lowest-id
+    nameserver node; a further nameserver node holds nothing.
 
     Lookups read their costs from a memo of round trips, filled as
     requests first need them: ``(a, b, reply_bits)`` maps to (out hops,
@@ -175,9 +171,8 @@ class Deployment:
             ])
             for nid in resolver_nodes
         }
-        self.tld = TldServer(tld_nodes[0])
-        self.nameservers: dict[int, NameServer] = {n: NameServer(n) for n in ns_nodes}
-        self.default_nameserver = ns_nodes[0]
+        self.tld_node = tld_nodes[0]
+        self.nameserver = NameServer(ns_nodes[0])
         self._nearest_site: dict[int, ClusterSite] = {}
 
     # -- placement ---------------------------------------------------------
@@ -189,21 +184,15 @@ class Deployment:
             self._nearest_site[node_id] = site
         return site
 
-    def _nameserver_for(self, prefix: str) -> NameServer:
-        ns_node = self.tld.delegations.get(prefix)
-        if ns_node is None:
-            ns_node = self.default_nameserver
-        return self.nameservers[ns_node]
-
     # -- registration ------------------------------------------------------
 
     def register_bulk(self, pairs: Iterable[tuple[str, int]]) -> int:
         """Register (canonical name, producer) pairs; returns link traversals.
 
-        A new name gets one locator record, in its prefix's nameserver
-        zone and in shard crc16(name) mod N of the producer's nearest
-        site, and costs the producer's hops to that site plus its hops
-        to the nameserver.  A pair already registered to the same
+        A new name gets one locator record, in the nameserver zone and
+        in shard crc16(name) mod N of the producer's nearest site, and
+        costs the producer's hops to that site plus its hops to the
+        nameserver.  A pair already registered to the same
         producer is skipped and costs nothing; a different producer for
         a known name raises RegistrationConflictError.  Pairs are taken
         CRC_CHUNK at a time and each chunk's names are hashed with
@@ -211,38 +200,32 @@ class Deployment:
         input order, so the pairs before a failing one stay registered.
         """
         n = self.resolver_count
-        tld_delegations = self.tld.delegations
-        ns_of: dict[str, NameServer] = {}
-        # (producer, nameserver node) -> (nearest site's shards, hops)
-        placement: dict[tuple[int, int], tuple[list[ResolverShard], int]] = {}
+        ns_node = self.nameserver.host_node
+        zone = self.nameserver.zone
+        # producer -> (nearest site's shards, hops)
+        placement: dict[int, tuple[list[ResolverShard], int]] = {}
         total = 0
         pairs = iter(pairs)
         while chunk := list(islice(pairs, CRC_CHUNK)):
             crcs = crc16_many([key.encode() for key, _ in chunk])
             for (key, producer), crc in zip(chunk, crcs):
-                cut = key.find("/", 1)
-                prefix = key[1:cut] if cut > 0 else key[1:]
-                ns = ns_of.get(prefix)
-                if ns is None:
-                    ns = ns_of[prefix] = self._nameserver_for(prefix)
-                existing = ns.zone.get(key)
+                existing = zone.get(key)
                 if existing is not None:
                     if existing != producer:
                         raise RegistrationConflictError(
                             f"{key} is already registered to producer {existing}")
                     continue
-                place = placement.get((producer, ns.host_node))
+                place = placement.get(producer)
                 if place is None:
                     node = self.topology.nodes.get(producer)
                     if node is None or node.role != "producer":
                         raise ConfigurationError(f"node {producer} is not a producer")
                     site = self.nearest_site(producer)
-                    place = (site.shards, self.paths.distance(producer, site.node)
-                             + self.paths.distance(producer, ns.host_node))
-                    placement[(producer, ns.host_node)] = place
+                    place = placement[producer] = (
+                        site.shards, self.paths.distance(producer, site.node)
+                        + self.paths.distance(producer, ns_node))
                 shards, hops = place
-                ns.zone[key] = producer
-                tld_delegations.setdefault(prefix, ns.host_node)
+                zone[key] = producer
                 shards[crc % n].authoritative[key] = producer
                 total += hops
         return total
@@ -280,8 +263,8 @@ class Deployment:
         producer = shard.lookup(key)
         shortcut = producer is not None
         if not shortcut:
-            tld_node = self.tld.host_node
-            ns = self._nameserver_for(name.segments[0])
+            tld_node = self.tld_node
+            ns = self.nameserver
             # the record reply retraces nameserver -> tld -> ingress: the
             # back halves of this trip and the next
             hops, back_hops, out_ns, back_ns = (
@@ -301,7 +284,7 @@ class Deployment:
             producer = ns.zone.get(key)
             if producer is None:
                 return ResolutionOutcome(
-                    name, None, steps, False, False, interest_traversals, reply_hops,
+                    None, steps, False, False, interest_traversals, reply_hops,
                     latency, interest_traversals * INTEREST_BITS
                     + reply_hops * LOCATOR_REPLY_BITS)
             # the record reply caches the locator at the consumer-side site
@@ -315,7 +298,7 @@ class Deployment:
         return_hops += back_hops
         steps.append((STAGE_DATA_RETURN, return_hops))
         return ResolutionOutcome(
-            name, producer, steps, shortcut, True, interest_traversals,
+            producer, steps, shortcut, True, interest_traversals,
             reply_hops + return_hops, latency + return_ns + out_ns + back_ns,
             interest_traversals * INTEREST_BITS + reply_hops * LOCATOR_REPLY_BITS
             + return_hops * payload_bits)
@@ -355,9 +338,11 @@ def interleaved_timing_probe(probe_sets: Sequence[tuple[ResolverShard, Sequence[
 
     Each repetition pass times every shard once before the next pass
     starts, so ambient load hits all shards alike and their ratio stays
-    meaningful.  Each repetition times the shard's probe names with a
-    monotonic clock and yields a per-lookup mean; per-shard results are
-    medians of the repetition means.  One untimed warmup pass runs first
+    meaningful.  Each repetition times the shard's probe names on the
+    thread's CPU clock and yields a per-lookup mean; per-shard results
+    are medians of the repetition means.  The CPU clock still counts the
+    cache misses that make a larger table slower, but not the time the
+    thread waits for the processor.  One untimed warmup pass runs first
     and the garbage collector is paused while timing, so the result
     tracks table size rather than allocator pauses or scheduler stalls
     landing inside a single timing window.
@@ -379,10 +364,10 @@ def interleaved_timing_probe(probe_sets: Sequence[tuple[ResolverShard, Sequence[
         for _ in range(repetitions):
             for shard, keys in prepared:
                 lookup = shard.lookup
-                start = time.perf_counter()
+                start = time.thread_time()
                 for key in keys:
                     lookup(key)
-                elapsed = time.perf_counter() - start
+                elapsed = time.thread_time() - start
                 reps[shard.index].append(elapsed * 1000.0 / len(keys))
     finally:
         if gc_was_enabled:

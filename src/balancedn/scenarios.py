@@ -302,7 +302,7 @@ def _shard_loads(deployment: Deployment) -> dict[int, int]:
 
 
 def _run_skew_probe(config: ScenarioConfig) -> ScenarioReport:
-    """Scenario 4: real lookup timing against skewed shard tables.
+    """Scenario 4: measured lookup timing against skewed shard tables.
 
     Shards are probed round-robin inside each repetition pass so that
     host noise lands on every shard alike; see interleaved_timing_probe.

@@ -246,17 +246,17 @@ def test_criterion_7_forwarding_invariants():
             capacity = rng.randrange(1, 6)
             cs = ContentStore(capacity)
             reference = []
-            for t in range(rng.randrange(5, 60)):
+            for _ in range(rng.randrange(5, 60)):
                 key = f"/k{rng.randrange(8)}"
                 if rng.random() < 0.5:
-                    cs.insert(key, 8, t)
+                    cs.insert(key, 8)
                     if key in reference:
                         reference.remove(key)
                     elif len(reference) == capacity:
                         reference.pop(0)
                     reference.append(key)
                 else:
-                    hit = cs.get(key, t)
+                    hit = cs.get(key)
                     assert (hit is not None) == (key in reference)
                     if key in reference:
                         reference.remove(key)

@@ -76,6 +76,18 @@ class TestParseArgs:
                         "--out", "r.csv"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("options, message", [
+        (["--scenario", "s2", "--resolvers", "0"], "resolver_count must be at least 1"),
+        (["--scenario", "s2", "--content", "0"], "content_count must be positive"),
+        (["--scenario", "s4", "--skew", "9:5"], "skew indices out of range: [9]"),
+        (["--scenario", "s4", "--skew", "0:-3"], "skew counts must be non-negative"),
+    ])
+    def test_run_option_errors_are_usage_errors(self, capsys, options, message):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["run", *options, "--out", "r.csv"])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_skew_parsing(self):
         args = parse_args(["run", "--scenario", "s4",
                            "--skew", "0:650000,1:50000", "--out", "r.csv"])

@@ -16,7 +16,7 @@ def flooding_node(node_id=1, neighbors=(2, 3, 4), cs_capacity=8):
 class TestOnInterest:
     def test_cs_hit_answers_on_incoming_face(self):
         node = flooding_node()
-        node.cs.insert(NAME.canonical_text, 1024, now=0)
+        node.cs.insert(NAME.canonical_text, 1024)
         out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=2, now=5)
         assert len(out) == 1
         face, packet = out[0]
@@ -163,7 +163,7 @@ class TestDeadNonces:
 
     def test_cache_answer_marks_nonce_dead(self):
         node = flooding_node()
-        node.cs.insert(NAME.canonical_text, 1024, now=0)
+        node.cs.insert(NAME.canonical_text, 1024)
         node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
         assert node.on_interest(InterestPacket(NAME, nonce=5), in_face=3, now=1) == []
         assert node.duplicates_suppressed == 1
@@ -221,28 +221,28 @@ class TestDeadNonces:
 class TestContentStore:
     def test_capacity_one_evicts_previous(self):
         cs = ContentStore(1)
-        cs.insert("/a", 8, 0)
-        evicted = cs.insert("/b", 8, 1)
+        cs.insert("/a", 8)
+        evicted = cs.insert("/b", 8)
         assert evicted == "/a"
         assert "/b" in cs and "/a" not in cs
 
     def test_reinsert_refreshes_without_eviction(self):
         cs = ContentStore(2)
-        cs.insert("/a", 8, 0)
-        cs.insert("/b", 8, 1)
-        assert cs.insert("/a", 8, 2) is None
-        assert cs.insert("/c", 8, 3) == "/b"  # /a was refreshed, /b is LRU
+        cs.insert("/a", 8)
+        cs.insert("/b", 8)
+        assert cs.insert("/a", 8) is None
+        assert cs.insert("/c", 8) == "/b"  # /a was refreshed, /b is LRU
 
     def test_touch_then_insert_evicts_lru(self):
         cs = ContentStore(2)
-        cs.insert("/a", 8, 0)
-        cs.insert("/b", 8, 1)
-        cs.get("/a", 2)
-        assert cs.insert("/c", 8, 3) == "/b"
+        cs.insert("/a", 8)
+        cs.insert("/b", 8)
+        cs.get("/a")
+        assert cs.insert("/c", 8) == "/b"
 
     def test_capacity_zero_stores_nothing(self):
         cs = ContentStore(0)
-        assert cs.insert("/a", 8, 0) is None
+        assert cs.insert("/a", 8) is None
         assert "/a" not in cs and len(cs) == 0
 
     @given(st.lists(st.tuples(st.sampled_from(["get", "insert"]),
@@ -253,17 +253,17 @@ class TestContentStore:
     def test_matches_reference_lru(self, ops, capacity):
         cs = ContentStore(capacity)
         reference: list[str] = []  # most recent last
-        for t, (op, k) in enumerate(ops):
+        for op, k in ops:
             key = f"/k{k}"
             if op == "insert":
-                cs.insert(key, 8, t)
+                cs.insert(key, 8)
                 if key in reference:
                     reference.remove(key)
                 elif len(reference) == capacity:
                     reference.pop(0)
                 reference.append(key)
             else:
-                hit = cs.get(key, t)
+                hit = cs.get(key)
                 if key in reference:
                     assert hit is not None
                     reference.remove(key)

@@ -54,9 +54,8 @@ class TestRegistration:
         idx = assign_resolver(NAME, 4)
         # producer 5's nearest site is resolver node 4
         assert deployment.sites[4].shards[idx].lookup(NAME.canonical_text) == 5
-        ns = deployment.nameservers[3]
-        assert ns.zone[NAME.canonical_text] == 5
-        assert deployment.tld.delegations["video"] == 3
+        assert deployment.nameserver.host_node == 3
+        assert deployment.nameserver.zone == {NAME.canonical_text: 5}
 
     def test_registration_traversal_count(self):
         deployment = Deployment(line_topology(), resolver_count=1)
@@ -96,7 +95,7 @@ class TestRegistration:
         assert register(deployment, 0, NAME) == 0  # a repeat is skipped
         with pytest.raises(RegistrationConflictError, match="producer 0"):
             register(deployment, 6, NAME)
-        assert deployment.nameservers[3].zone == {key: 0}
+        assert deployment.nameserver.zone == {key: 0}
         idx = assign_resolver(NAME, 2)
         assert deployment.sites[1].shards[idx].lookup(key) == 0
         cold = deployment.resolve_and_fetch(5, NAME)
@@ -154,6 +153,52 @@ class TestRegistration:
                     assert assign_resolver(parse_name(key), 8) == shard.index
 
 
+class TestSeveralNameservers:
+    """Nameserver 7 hangs off the TLD beside nameserver 3, and holds nothing.
+
+    The lowest-id nameserver node hosts the one zone, so a second
+    nameserver node changes no registration cost and no lookup.
+    """
+
+    PAIRS = [(f"/cat{i % 4}/obj{i}", 5 if i % 3 else 6) for i in range(40)]
+
+    def run(self, topology):
+        deployment = Deployment(topology, resolver_count=4)
+        total = deployment.register_bulk(self.PAIRS)
+        # each name twice: a cold lookup, then a warm one
+        outcomes = [deployment.resolve_and_fetch(0, parse_name(key))
+                    for key, _ in self.PAIRS * 2]
+        return deployment, total, outcomes
+
+    def test_every_record_lands_in_node_3_zone(self):
+        deployment, _, _ = self.run(line_topology(extra_producer=True,
+                                                  extra_nameserver=True))
+        assert deployment.nameserver.host_node == 3
+        assert deployment.nameserver.zone == dict(self.PAIRS)
+
+    def test_cold_lookup_asks_node_3(self):
+        deployment = Deployment(line_topology(extra_nameserver=True), resolver_count=4)
+        # producer 5 to its site (node 4) is 1 hop, to node 3 2 hops; node 7 is 4
+        assert register(deployment, 5, NAME) == 3
+        cold = deployment.resolve_and_fetch(0, NAME)
+        assert not cold.shortcut_taken
+        assert dict(cold.steps)[STAGE_TLD_TO_NAMESERVER] == 1  # TLD 2 -> node 3
+        assert (2, 3, LOCATOR_REPLY_BITS) in deployment._trips
+        assert not any(7 in trip[:2] for trip in deployment._trips)
+
+    def test_same_result_as_without_node_7(self):
+        with_7, with_7_total, with_7_outcomes = self.run(
+            line_topology(extra_producer=True, extra_nameserver=True))
+        without, without_total, without_outcomes = self.run(
+            line_topology(extra_producer=True))
+        assert with_7_total == without_total
+        assert with_7_outcomes == without_outcomes
+        assert with_7.nameserver.zone == without.nameserver.zone
+        for node, site in with_7.sites.items():
+            assert ([shard.authoritative for shard in site.shards]
+                    == [shard.authoritative for shard in without.sites[node].shards])
+
+
 class TestBulkAcrossChunks:
     """One register_bulk call over more than two CRC_CHUNK-sized chunks."""
 
@@ -165,17 +210,13 @@ class TestBulkAcrossChunks:
                  5 if i % 3 else 6) for i in range(self.COUNT)]
 
     def deployment(self):
-        deployment = Deployment(line_topology(extra_producer=True, extra_nameserver=True),
-                                resolver_count=4)
-        deployment.tld.delegations["cat3"] = 7  # one prefix on the second nameserver
-        return deployment
+        return Deployment(line_topology(extra_producer=True, extra_nameserver=True),
+                          resolver_count=4)
 
     def state(self, deployment):
         return ({node: [list(shard.authoritative.items()) for shard in site.shards]
                  for node, site in deployment.sites.items()},
-                {node: list(ns.zone.items())
-                 for node, ns in deployment.nameservers.items()},
-                list(deployment.tld.delegations.items()))
+                list(deployment.nameserver.zone.items()))
 
     def test_one_call_equals_one_call_per_pair(self):
         pairs = self.pairs()
@@ -184,18 +225,14 @@ class TestBulkAcrossChunks:
         bulk = self.deployment()
         assert bulk.register_bulk(pair for pair in pairs) == single_total
         assert self.state(bulk) == self.state(single)
-        assert dict(bulk.tld.delegations) == {
-            parse_name(key).segments[0]: 7 if key.startswith("/cat3/") else 3
-            for key, _ in pairs}
-        assert len(bulk.nameservers[7].zone) == sum(
-            1 for key, _ in pairs if key.startswith("/cat3/"))
+        assert list(bulk.nameserver.zone.items()) == pairs
 
     def test_every_stored_record_is_a_plain_int(self):
         deployment = self.deployment()
         deployment.register_bulk(pair for pair in self.pairs())
         for key, _ in self.pairs()[:50]:
             deployment.resolve_and_fetch(0, parse_name(key))  # fills the caches
-        tables = [ns.zone for ns in deployment.nameservers.values()]
+        tables = [deployment.nameserver.zone]
         for site in deployment.sites.values():
             tables += [table for shard in site.shards
                        for table in (shard.authoritative, shard.cache)]
