@@ -83,7 +83,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
     For ``run`` the options become ``args.config``, a ScenarioConfig, so
     its checks of the options alone are usage errors too; checks that
-    need the topology run later, as runtime errors.
+    need the topology run later, as runtime errors.  A ``hash`` resolver
+    count below 1 is a usage error as well.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -102,6 +103,8 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
             )
         except ScenarioError as exc:
             parser.error(str(exc))
+    elif args.command == "hash" and args.resolvers < 1:
+        parser.error("resolver_count must be at least 1")
     return args
 
 

@@ -151,11 +151,8 @@ def parse_name(text: str) -> ContentName:
         raise NameFormatError("name must start with '/'")
     if text == "/":
         raise NameFormatError("name needs at least one segment")
-    segments = text[1:].split("/")
-    for i, seg in enumerate(segments):
-        if not seg:
-            raise NameFormatError(f"empty segment at position {i + 1}")
-    return ContentName(tuple(segments))
+    # ContentName rejects the empty segments, naming the first one's position
+    return ContentName(tuple(text[1:].split("/")))
 
 
 def parse_names(texts: Iterable[str]) -> Iterator[ContentName]:

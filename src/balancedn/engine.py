@@ -196,7 +196,7 @@ class Simulation:
     trace and its transmissions per directed edge.
     """
 
-    def __init__(self, topology: Topology, *, cs_capacity: int = 0, seed: int = 42,
+    def __init__(self, topology: Topology, *, seed: int = 42,
                  log: Optional[IO[str]] = None, track_edges: bool = False) -> None:
         self.topology = topology
         self.queue = EventQueue()
@@ -205,7 +205,7 @@ class Simulation:
         self._reclaim: deque = deque()
         self.nodes: dict[int, NdnNode] = {}
         for nid in sorted(topology.nodes):
-            node = NdnNode(nid, topology.adjacency[nid], cs_capacity=cs_capacity)
+            node = NdnNode(nid, topology.adjacency[nid])
             node.pit_expiry_hook = self._make_expiry_hook(nid)
             node.pit_reclaim = self._reclaim
             self.nodes[nid] = node
@@ -329,7 +329,7 @@ class Simulation:
                     if not emissions:
                         continue
                     if type(emissions[0][1]) is DataPacket:
-                        # answered from content or cache: the Data starts at 0 hops
+                        # answered from published content: the Data starts at 0 hops
                         if packet.trace:
                             self._record_answered(packet)
                         hops = 0

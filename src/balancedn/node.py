@@ -1,4 +1,4 @@
-"""Per-node forwarding state: PIT, content store, and the flooding strategy.
+"""Per-node forwarding state: PIT, dead-nonce list, and the flooding strategy.
 
 Face ids map to neighbors; face 0 is always the local application face.
 Nodes are mutated only by the single-threaded event loop that owns them.
@@ -25,18 +25,19 @@ one they came in on; there ``on_interest`` still creates the PIT entry
 and queues it for reclaim, but builds no list of out-faces.
 
 Each node also keeps a dead-nonce list: the (name, nonce) pairs it has
-answered, from its own content or its content store, and the nonces of
-every PIT entry that Data consumed.  A copy of such an Interest that
-arrives later is dropped as a duplicate for ``PIT_LIFETIME_NS``, so a
-producer answers each flood once and a late copy cannot flood again
-after the Data has passed.  Dead entries expire lazily like transit PIT
-entries and are reclaimed from the same FIFO, which holds an
-``(expiry, node, (name, nonce))`` tuple for each.
+answered from its own content, and the nonces of every PIT entry that
+Data consumed.  A copy of such an Interest that arrives later is dropped
+as a duplicate for ``PIT_LIFETIME_NS``, so a producer answers each flood
+once and a late copy cannot flood again after the Data has passed.
+Dead entries expire lazily like transit PIT entries and are reclaimed
+from the same FIFO, which holds an ``(expiry, node, (name, nonce))``
+tuple for each.
+
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -66,49 +67,6 @@ class PitEntry:
     more_nonces: set[int] | None = None  # the nonces that joined after ``nonce``
 
 
-class ContentStore:
-    """Fixed-capacity LRU cache of named payload sizes.
-
-    Capacity 0 disables caching entirely (used for cold-cache runs).
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, int] = OrderedDict()  # key -> payload size
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def get(self, key: str) -> int | None:
-        """Payload size for ``key`` or None; a hit refreshes recency."""
-        size = self._entries.get(key)
-        if size is not None:
-            self._entries.move_to_end(key)
-        return size
-
-    def insert(self, key: str, size: int) -> str | None:
-        """Insert or refresh ``key``; returns the evicted key if any."""
-        if self.capacity == 0:
-            return None
-        if key in self._entries:
-            self._entries[key] = size
-            self._entries.move_to_end(key)
-            return None
-        evicted = None
-        if len(self._entries) >= self.capacity:
-            evicted, _ = self._entries.popitem(last=False)
-        self._entries[key] = size
-        return evicted
-
-    def keys(self) -> list[str]:
-        return list(self._entries)
-
-
 def face_layout(neighbors: Iterable[int]) -> dict[int, int | None]:
     """Face map convention: 0 is local, neighbors get 1..k by ascending id."""
     faces: dict[int, int | None] = {LOCAL_FACE: None}
@@ -120,8 +78,7 @@ def face_layout(neighbors: Iterable[int]) -> dict[int, int | None]:
 class NdnNode:
     """One network node's forwarding engine."""
 
-    def __init__(self, node_id: int, neighbors: Iterable[int], *,
-                 cs_capacity: int = 1000) -> None:
+    def __init__(self, node_id: int, neighbors: Iterable[int]) -> None:
         self.id = node_id
         self.faces = face_layout(neighbors)
         self.face_of = {nbr: face for face, nbr in self.faces.items() if nbr is not None}
@@ -129,8 +86,6 @@ class NdnNode:
         # incoming face -> the faces a flood leaves on
         self._flood_faces = {face: [f for f in out if f != face] for face in self.faces}
         self.pit: dict[str, PitEntry] = {}
-        self.cs = ContentStore(cs_capacity)
-        self._caches = cs_capacity > 0  # fixed with the store's capacity
         self.published: dict[str, int] = {}  # canonical name -> payload bits
         # (canonical name, nonce) -> expiry of the pairs this node has answered
         # or whose PIT entry Data consumed
@@ -163,8 +118,6 @@ class NdnNode:
             return []
 
         size = self.published.get(key)
-        if size is None and self._caches:
-            size = self.cs.get(key)
         if size is not None:
             self._mark_dead((key, interest.nonce), now)
             data = DataPacket(interest.name, size,
@@ -210,7 +163,6 @@ class NdnNode:
         self._mark_dead((key, entry.nonce), now)
         for nonce in entry.more_nonces or ():
             self._mark_dead((key, nonce), now)
-        self.cs.insert(key, data.payload_size)
         out = []
         faces = entry.in_faces & ~(1 << in_face)
         while faces:  # lowest face first

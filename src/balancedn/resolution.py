@@ -232,8 +232,7 @@ class Deployment:
 
     # -- resolution ----------------------------------------------------------
 
-    def resolve_and_fetch(self, consumer: int, name: ContentName,
-                          payload_bits: int = DEFAULT_PAYLOAD_BITS) -> ResolutionOutcome:
+    def resolve_and_fetch(self, consumer: int, name: ContentName) -> ResolutionOutcome:
         """Run the full numbered flow for one request; see module docstring.
 
         The request is at most four round trips from the memo: consumer
@@ -254,8 +253,8 @@ class Deployment:
         # the back half, ingress -> consumer, is the Data's last leg and
         # counts only once the fetch is made
         hops, return_hops, latency, return_ns = (
-            trips.get((consumer, ingress, payload_bits))
-            or self._trip(consumer, ingress, payload_bits))
+            trips.get((consumer, ingress, DEFAULT_PAYLOAD_BITS))
+            or self._trip(consumer, ingress, DEFAULT_PAYLOAD_BITS))
         steps = [(STAGE_CONSUMER_TO_CLUSTER, hops)]
         interest_traversals = hops
         reply_hops = 0
@@ -291,8 +290,8 @@ class Deployment:
             shard.store_cached(key, producer)
 
         hops, back_hops, out_ns, back_ns = (
-            trips.get((ingress, producer, payload_bits))
-            or self._trip(ingress, producer, payload_bits))
+            trips.get((ingress, producer, DEFAULT_PAYLOAD_BITS))
+            or self._trip(ingress, producer, DEFAULT_PAYLOAD_BITS))
         steps.append((STAGE_FETCH, hops))
         interest_traversals += hops
         return_hops += back_hops
@@ -301,7 +300,7 @@ class Deployment:
             producer, steps, shortcut, True, interest_traversals,
             reply_hops + return_hops, latency + return_ns + out_ns + back_ns,
             interest_traversals * INTEREST_BITS + reply_hops * LOCATOR_REPLY_BITS
-            + return_hops * payload_bits)
+            + return_hops * DEFAULT_PAYLOAD_BITS)
 
     def _trip(self, a: int, b: int, reply_bits: int) -> tuple[int, int, int, int]:
         """Fill the memo with the round trip a -> b -> a and return it.

@@ -270,8 +270,7 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
     paths = topology.paths
     report = ScenarioReport(config.scenario)
     if "flooding" in config.schemes:
-        sim = Simulation(topology, cs_capacity=0, seed=config.seed,
-                         log=_log_stream(config))
+        sim = Simulation(topology, seed=config.seed, log=_log_stream(config))
         # one name object per request: published, then injected
         names = [parse_name(key) for _, _, key in requests]
         for (_, producer, _), name in zip(requests, names):

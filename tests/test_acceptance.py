@@ -18,8 +18,7 @@ import balancedn
 from balancedn.core import crc16, parse_name
 from balancedn.engine import (DEFAULT_PAYLOAD_BITS, INTEREST_BITS, Simulation,
                               link_transit_ns)
-from balancedn.node import ContentStore
-from balancedn.resolution import Deployment
+from balancedn.resolution import Deployment, ResolverShard
 from balancedn.scenarios import ScenarioConfig, run_scenario, synthetic_corpus
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, load_preset)
@@ -101,7 +100,7 @@ def test_criterion_3_scheme_dominance_on_nsfnet():
         consumers = topology.nodes_with_role("consumer")
         producers = topology.nodes_with_role("producer")
         deployment = Deployment(topology, resolver_count=8, cache_capacity=0)
-        sim = Simulation(topology, cs_capacity=0, seed=42)
+        sim = Simulation(topology, seed=42)
         ratios_by_distance: dict[int, list[float]] = {}
         checked = 0
         for i, consumer in enumerate(consumers):
@@ -210,8 +209,7 @@ def test_criterion_7_forwarding_invariants():
             distance = paths.distance(consumer, producer)
 
             # single request: reverse path, nonce bound, completeness
-            sim = Simulation(topology, cs_capacity=0, seed=round_no,
-                             track_edges=True)
+            sim = Simulation(topology, seed=round_no, track_edges=True)
             sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
             state = sim.inject_request(consumer, name, at=0)
             sim.run_until(None)
@@ -231,8 +229,7 @@ def test_criterion_7_forwarding_invariants():
             # into another flood's pending entries may legitimately starve)
             others = [v for v in range(n) if v != producer]
             group = rng.sample(others, min(3, len(others)))
-            sim2 = Simulation(topology, cs_capacity=0, seed=round_no,
-                              track_edges=True)
+            sim2 = Simulation(topology, seed=round_no, track_edges=True)
             sim2.publish(producer, name, DEFAULT_PAYLOAD_BITS)
             group_states = [sim2.inject_request(c, name, at=0) for c in group]
             sim2.run_until(None)
@@ -241,27 +238,28 @@ def test_criterion_7_forwarding_invariants():
             assert all(count == 1 for count in sim2.edge_interest_counts.values())
             assert sim2.conservation_holds()
 
-        # LRU equivalence against a reference replay, randomized programs
+        # LRU equivalence of the shard record cache against a reference
+        # replay, randomized programs
         for round_no in range(100):
             capacity = rng.randrange(1, 6)
-            cs = ContentStore(capacity)
+            shard = ResolverShard(0, cache_capacity=capacity)
             reference = []
             for _ in range(rng.randrange(5, 60)):
                 key = f"/k{rng.randrange(8)}"
                 if rng.random() < 0.5:
-                    cs.insert(key, 8)
+                    shard.store_cached(key, 8)
                     if key in reference:
                         reference.remove(key)
                     elif len(reference) == capacity:
                         reference.pop(0)
                     reference.append(key)
                 else:
-                    hit = cs.get(key)
+                    hit = shard.lookup(key)
                     assert (hit is not None) == (key in reference)
                     if key in reference:
                         reference.remove(key)
                         reference.append(key)
-            assert cs.keys() == reference
+            assert list(shard.cache) == reference
 
 
 def test_criterion_8_determinism_of_cli_runs():

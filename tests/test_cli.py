@@ -88,6 +88,12 @@ class TestParseArgs:
         assert err.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_hash_resolver_count_below_one_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            parse_args(["hash", "--name", "/a", "--resolvers", "0"])
+        assert err.value.code == 2
+        assert "resolver_count must be at least 1" in capsys.readouterr().err
+
     def test_skew_parsing(self):
         args = parse_args(["run", "--scenario", "s4",
                            "--skew", "0:650000,1:50000", "--out", "r.csv"])

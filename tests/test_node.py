@@ -1,34 +1,26 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from balancedn.core import DataPacket, InterestPacket, parse_name
-from balancedn.node import (LOCAL_FACE, PIT_LIFETIME_NS, ContentStore, NdnNode,
-                            UnknownFaceError, reclaim_expired)
+from balancedn.node import (LOCAL_FACE, PIT_LIFETIME_NS, NdnNode, UnknownFaceError,
+                            reclaim_expired)
 
 NAME = parse_name("/video/a.mp4")
 
 
-def flooding_node(node_id=1, neighbors=(2, 3, 4), cs_capacity=8):
-    return NdnNode(node_id, neighbors, cs_capacity=cs_capacity)
+def flooding_node(node_id=1, neighbors=(2, 3, 4)):
+    return NdnNode(node_id, neighbors)
 
 
 class TestOnInterest:
-    def test_cs_hit_answers_on_incoming_face(self):
-        node = flooding_node()
-        node.cs.insert(NAME.canonical_text, 1024)
-        out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=2, now=5)
-        assert len(out) == 1
-        face, packet = out[0]
-        assert face == 2 and isinstance(packet, DataPacket)
-        assert packet.name == NAME and packet.payload_size == 1024
-        assert not node.pit  # no PIT change on a hit
-
-    def test_published_content_answers_like_a_cache_hit(self):
+    def test_published_content_answers_on_incoming_face(self):
         node = flooding_node()
         node.publish(NAME, 2048)
-        out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=3, now=0)
-        assert out[0][0] == 3 and out[0][1].payload_size == 2048
+        out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=3, now=5)
+        assert len(out) == 1
+        face, packet = out[0]
+        assert face == 3 and isinstance(packet, DataPacket)
+        assert packet.name == NAME and packet.payload_size == 2048
+        assert not node.pit  # no PIT change on an answer
 
     def test_aggregation_grows_in_faces_without_forwarding(self):
         node = flooding_node()
@@ -122,7 +114,6 @@ class TestOnData:
         out = node.on_data(DataPacket(NAME, 1024), in_face=1, now=1)
         assert [face for face, _ in out] == [3]
         assert NAME.canonical_text not in node.pit
-        assert NAME.canonical_text in node.cs
 
     def test_unsolicited_data_dropped(self):
         node = flooding_node()
@@ -130,7 +121,7 @@ class TestOnData:
 
     def test_aggregated_faces_both_served(self):
         # star center: interests in on faces 2 and 4, data back on another face
-        node = NdnNode(0, neighbors=(10, 20, 30, 40), cs_capacity=4)
+        node = NdnNode(0, neighbors=(10, 20, 30, 40))
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=2, now=0)
         node.on_interest(InterestPacket(NAME, nonce=2), in_face=4, now=0)
         out = node.on_data(DataPacket(NAME, 1024), in_face=1, now=1)
@@ -160,13 +151,6 @@ class TestDeadNonces:
         assert node.duplicates_suppressed == 1
         # another consumer's Interest has its own nonce and is answered
         assert len(node.on_interest(InterestPacket(NAME, nonce=6), in_face=2, now=1)) == 1
-
-    def test_cache_answer_marks_nonce_dead(self):
-        node = flooding_node()
-        node.cs.insert(NAME.canonical_text, 1024)
-        node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
-        assert node.on_interest(InterestPacket(NAME, nonce=5), in_face=3, now=1) == []
-        assert node.duplicates_suppressed == 1
 
     def test_consumed_entry_nonces_stop_late_copies(self):
         node = flooding_node()
@@ -216,63 +200,6 @@ class TestDeadNonces:
         assert set(node.dead_nonces) == {(NAME.canonical_text, 5)}
         reclaim_expired(node.pit_reclaim, 2 * PIT_LIFETIME_NS)
         assert not node.dead_nonces and not node.pit_reclaim
-
-
-class TestContentStore:
-    def test_capacity_one_evicts_previous(self):
-        cs = ContentStore(1)
-        cs.insert("/a", 8)
-        evicted = cs.insert("/b", 8)
-        assert evicted == "/a"
-        assert "/b" in cs and "/a" not in cs
-
-    def test_reinsert_refreshes_without_eviction(self):
-        cs = ContentStore(2)
-        cs.insert("/a", 8)
-        cs.insert("/b", 8)
-        assert cs.insert("/a", 8) is None
-        assert cs.insert("/c", 8) == "/b"  # /a was refreshed, /b is LRU
-
-    def test_touch_then_insert_evicts_lru(self):
-        cs = ContentStore(2)
-        cs.insert("/a", 8)
-        cs.insert("/b", 8)
-        cs.get("/a")
-        assert cs.insert("/c", 8) == "/b"
-
-    def test_capacity_zero_stores_nothing(self):
-        cs = ContentStore(0)
-        assert cs.insert("/a", 8) is None
-        assert "/a" not in cs and len(cs) == 0
-
-    @given(st.lists(st.tuples(st.sampled_from(["get", "insert"]),
-                              st.integers(min_value=0, max_value=7)),
-                    max_size=60),
-           st.integers(min_value=1, max_value=4))
-    @settings(max_examples=150)
-    def test_matches_reference_lru(self, ops, capacity):
-        cs = ContentStore(capacity)
-        reference: list[str] = []  # most recent last
-        for op, k in ops:
-            key = f"/k{k}"
-            if op == "insert":
-                cs.insert(key, 8)
-                if key in reference:
-                    reference.remove(key)
-                elif len(reference) == capacity:
-                    reference.pop(0)
-                reference.append(key)
-            else:
-                hit = cs.get(key)
-                if key in reference:
-                    assert hit is not None
-                    reference.remove(key)
-                    reference.append(key)
-                else:
-                    assert hit is None
-            assert len(cs) == len(reference) <= capacity
-            assert set(cs.keys()) == set(reference)
-        assert cs.keys() == reference  # same recency order
 
 
 class TestPitExpiry:

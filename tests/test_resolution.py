@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balancedn.core import (CRC_CHUNK, assign_resolver, crc16, parse_name,
                             parse_names)
@@ -437,7 +439,7 @@ class TestSchemeComparison:
             if paths.distance(c, p) >= 2:
                 pairs.append((c, p))
         deployment = Deployment(topo, resolver_count=8, cache_capacity=0)
-        sim = Simulation(topo, cs_capacity=0)
+        sim = Simulation(topo)
         for i, (c, p) in enumerate(pairs):
             name = parse_name(f"/cmp{i}/obj{i}")
             register(deployment, p, name)
@@ -487,6 +489,34 @@ class TestShardLookup:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             Deployment(line_topology(), cache_capacity=-1)
+
+    @given(st.lists(st.tuples(st.sampled_from(["lookup", "store"]),
+                              st.integers(min_value=0, max_value=7)),
+                    max_size=60),
+           st.integers(min_value=0, max_value=4))
+    @settings(max_examples=150)
+    def test_matches_reference_lru(self, ops, capacity):
+        shard = ResolverShard(0, cache_capacity=capacity)
+        reference: list[str] = []  # most recent last
+        for op, k in ops:
+            key = f"/k{k}"
+            if op == "store":
+                shard.store_cached(key, 8)
+                if key in reference:
+                    reference.remove(key)
+                reference.append(key)
+                if len(reference) > capacity:
+                    reference.pop(0)
+            else:
+                hit = shard.lookup(key)
+                if key in reference:
+                    assert hit == 8
+                    reference.remove(key)
+                    reference.append(key)
+                else:
+                    assert hit is None
+            assert len(shard.cache) == len(reference) <= capacity
+        assert list(shard.cache) == reference  # same recency order
 
 
 def with_hierarchy_roles(topology):
