@@ -12,7 +12,7 @@ def flooding_node(node_id=1, neighbors=(2, 3, 4)):
 
 
 class TestOnInterest:
-    def test_published_content_answers_on_incoming_face(self):
+    def test_published_content_answers_like_a_cache_hit(self):
         node = flooding_node()
         node.publish(NAME, 2048)
         out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=3, now=5)
