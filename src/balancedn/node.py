@@ -4,12 +4,13 @@ Face ids map to neighbors; face 0 is always the local application face.
 Nodes are mutated only by the single-threaded event loop that owns them.
 
 A PIT entry is one object and the only one the cyclic garbage collector
-tracks for it: a flood leaves about 430 entries, and if each brought its
-own sets and records they alone would pass the collector's gen-0
-threshold once per flood.  An entry holds its name key, its node's
-``pit`` dict, its in-faces as a bitmask (bit ``f`` for face ``f``), the
-nonce that created it and its expiry.  Its ``more_nonces`` set exists
-only once another nonce has joined the entry.
+tracks for it: a flood leaves an entry on each non-leaf node it reaches
+and the Data does not pass, and if each brought its own sets and records
+they would pass the collector's gen-0 threshold every few floods.  An
+entry holds its name key, its node's ``pit`` dict, its in-faces as a
+bitmask (bit ``f`` for face ``f``), the nonce that created it and its
+expiry.  Its ``more_nonces`` set exists only once another nonce has
+joined the entry.
 
 PIT entries expire lazily.  Only an entry that holds the local face
 decides whether a request failed, so only such an entry gets an expiry
@@ -21,8 +22,11 @@ Every delivery is scheduled after the entry it meets was created, so an
 entry whose expiry equals the delivery time counts as gone, just as a
 timer set at its creation would already have removed it.  Most
 Interests of a flood reach a dead end, a node whose only face is the
-one they came in on; there ``on_interest`` still creates the PIT entry
-and queues it for reclaim, but builds no list of out-faces.
+one they came in on.  No Data can come back to an entry there, so
+``on_interest`` returns before it creates one, as NFD rejects an
+Interest with no eligible upstream.  Only the local face keeps its
+entry at a dead end (a node with no neighbours): its timer is what fails
+the request.
 
 Each node also keeps a dead-nonce list: the (name, nonce) pairs it has
 answered from its own content, and the nonces of every PIT entry that
@@ -141,14 +145,14 @@ class NdnNode:
                 more.add(nonce)
             return []
 
+        if not out_faces and in_face != LOCAL_FACE:
+            return []  # a dead end: no Data can come back to an entry here
         entry = pit[key] = PitEntry(key, pit, 1 << in_face, interest.nonce,
                                     now + PIT_LIFETIME_NS)
         if in_face == LOCAL_FACE:
             self._watch(entry)
         else:
             self.pit_reclaim.append(entry)
-        if not out_faces:
-            return []
         return [(face, interest) for face in out_faces]
 
     def on_data(self, data: DataPacket, in_face: int,

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import heapq
 import io
 import random
 
@@ -10,6 +11,7 @@ from balancedn.engine import (DELIVER_INTEREST, EventBudgetError, EventQueue,
                               INTEREST_BITS, SchedulingError, Simulation,
                               link_transit_ns)
 from balancedn.node import LOCAL_BIT, PIT_LIFETIME_NS
+from balancedn.scenarios import _cross_subnet_pairs
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, Topology,
                                 load_preset)
 from varied_delay import VARIED_SEED, storm_graph, varied_delay_graph
@@ -334,6 +336,18 @@ class TestLazyPitExpiry:
         assert joined.completed_at == transit.expiry == 1_000_320 + PIT_LIFETIME_NS
         assert sim.failed == 2 and sim.conservation_holds()
 
+    def test_lone_consumer_request_fails_at_its_expiry(self):
+        # a one-node topology: the local face has no flood faces, yet the
+        # consumer's entry and its timer must stay to fail the request
+        topology = Topology.build([NodeDescriptor(0, "c0", "consumer")], [])
+        sim = Simulation(topology)
+        state = sim.inject_request(0, NAME, at=0)
+        assert sim.run_until(None) == 2  # the injection and the expiry
+        assert state.failed and not state.satisfied
+        assert state.completed_at == PIT_LIFETIME_NS
+        assert sim.failed == 1 and sim.satisfied + sim.failed == sim.injections
+        assert sim.conservation_holds()
+
     def test_only_local_entries_get_expiry_events(self):
         sim = Simulation(line_topology(5))
         sim.publish(4, NAME, 1024)
@@ -445,8 +459,11 @@ class TestFloodAccounting:
     def test_oteglobe_flood_pit_entries_are_one_tracked_object(self):
         # the collector tracks a PIT entry, but nothing of its own that it
         # refers to; the reclaim FIFO holds each live transit entry and each
-        # live dead nonce once, and the entries the Data consumed
-        sim = Simulation(load_preset("oteglobe"))
+        # live dead nonce once, and the entries the Data consumed.  Leaves
+        # keep no entry, so one is left on each non-leaf node the flood
+        # reached but the Data did not pass
+        topology = load_preset("oteglobe")
+        sim = Simulation(topology)
         sim.publish(379, NAME, 1024)
         state = sim.inject_request(122, NAME, at=0)
         assert sim.run_until(None) == 447
@@ -460,7 +477,9 @@ class TestFloodAccounting:
                 assert not entry.in_faces & LOCAL_BIT
                 live.append(entry)
             dead += [(node, pair, expiry) for pair, expiry in node.dead_nonces.items()]
-        assert len(live) > 400 and len(dead) == 18
+        non_leaves = [nid for nid, nbrs in topology.adjacency.items() if len(nbrs) > 1]
+        assert len(live) == len(non_leaves) - (state.path_hops - 1) == 45
+        assert len(dead) == 18
         fifo = sim.nodes[122].pit_reclaim
         records = [item for item in fifo if type(item) is tuple]
         entries = [item for item in fifo if type(item) is not tuple]
@@ -515,6 +534,61 @@ class TestRunBudget:
         assert queue.peek_time() == queue.now
 
 
+def flood_model(topology, consumer, producer, payload_bits):
+    """What one flood from ``consumer`` to ``producer`` costs, exactly.
+
+    Every node but the producer forwards the first copy of a nonce on all
+    its other faces and drops later copies; the producer answers the
+    first copy and forwards nothing.  So the first copy reaches each node
+    along its fastest route over ``link_transit_ns(link, INTEREST_BITS)``
+    (Dijkstra), and the Data goes back along the chain of first-arrival
+    predecessors.  Returns the Interest traversals and the set of
+    ``(path_hops, latency_ns, bytes_moved)`` over the chains that tie for
+    first arrival.  Every link's transit must be positive.
+    """
+    arrival = {consumer: 0}
+    chains = {consumer: {(0, 0)}}  # node -> {(hops, Data ns back to the consumer)}
+    heap = [(0, consumer)]
+    reached = set()
+    traversals = 0
+    while heap:
+        at, node = heapq.heappop(heap)
+        if node in reached:
+            continue
+        reached.add(node)
+        if node == producer:
+            continue
+        nbrs = topology.adjacency[node]
+        traversals += len(nbrs) if node == consumer else len(nbrs) - 1
+        for nbr in nbrs:
+            link = topology.link_between(node, nbr)
+            then = at + link_transit_ns(link, INTEREST_BITS)
+            back = link_transit_ns(link, payload_bits)
+            via = {(hops + 1, ns + back) for hops, ns in chains[node]}
+            if nbr not in arrival or then < arrival[nbr]:
+                arrival[nbr] = then
+                chains[nbr] = via
+                heapq.heappush(heap, (then, nbr))
+            elif then == arrival[nbr]:
+                chains[nbr] |= via
+    interest_bits = traversals * INTEREST_BITS
+    outcomes = {(hops, arrival[producer] + ns, (interest_bits + hops * payload_bits) // 8)
+                for hops, ns in chains.get(producer, ())}
+    return traversals, outcomes
+
+
+def assert_flood_matches_model(sim, topology, consumer, producer, name):
+    sim.publish(producer, name, 1024)
+    state = sim.inject_request(consumer, name, at=sim.now)
+    sim.run_until(None)
+    flow = sim.flow_stats(name)
+    traversals, outcomes = flood_model(topology, consumer, producer, 1024)
+    assert state.satisfied and flow.data_traversals == state.path_hops
+    assert flow.interest_traversals == traversals
+    assert (state.path_hops, state.completed_at - state.injected_at,
+            flow.bits_moved // 8) in outcomes
+
+
 class TestVariedDelayFloods:
     def test_floods_drain_and_hold_invariants(self):
         rng = random.Random(VARIED_SEED)
@@ -529,6 +603,23 @@ class TestVariedDelayFloods:
             assert flow.data_traversals == state.path_hops
             assert flow.interest_traversals <= 2 * len(topology.links)
             assert all(count == 1 for count in sim.edge_interest_counts.values())
+
+    def test_floods_match_the_exact_model(self):
+        # 9 of these floods reach the producer along tied chains, of equal length
+        rng = random.Random(VARIED_SEED)
+        for _ in range(200):
+            topology, consumer, producer = varied_delay_graph(rng)
+            assert_flood_matches_model(Simulation(topology), topology, consumer,
+                                       producer, NAME)
+
+    def test_oteglobe_s3_floods_match_the_exact_model(self):
+        # one simulation, as the s3 sweep runs them, each pair its own name
+        topology = load_preset("oteglobe")
+        pairs = random.Random(VARIED_SEED).sample(_cross_subnet_pairs(topology), 60)
+        sim = Simulation(topology)
+        for consumer, producer, slot in pairs:
+            assert_flood_matches_model(sim, topology, consumer, producer,
+                                       parse_name(f"/s3/obj{slot}"))
 
     def test_traced_and_untraced_floods_agree(self):
         # tracing copies packets per hop; it must not change what happens

@@ -1,8 +1,8 @@
 import pytest
 
 from balancedn.core import DataPacket, InterestPacket, parse_name
-from balancedn.node import (LOCAL_FACE, PIT_LIFETIME_NS, NdnNode, UnknownFaceError,
-                            reclaim_expired)
+from balancedn.node import (LOCAL_BIT, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode,
+                            UnknownFaceError, reclaim_expired)
 
 NAME = parse_name("/video/a.mp4")
 
@@ -75,36 +75,34 @@ class TestOnInterest:
 
 class TestDeadEnd:
     """A node with one neighbour and no content: every Interest from that
-    neighbour has nowhere to go."""
+    neighbour has nowhere to go, so it leaves no state behind."""
 
-    def test_first_interest_leaves_entry_and_reclaim_record(self):
+    def test_transit_interest_leaves_no_entry_or_reclaim_record(self):
         node = flooding_node(neighbors=(7,))
         assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0) == []
-        entry = node.pit[NAME.canonical_text]
-        assert entry.in_faces == 1 << 1 and (entry.nonce, entry.more_nonces) == (1, None)
-        assert entry.expiry == PIT_LIFETIME_NS
-        assert list(node.pit_reclaim) == [entry]
-        reclaim_expired(node.pit_reclaim, PIT_LIFETIME_NS)
         assert not node.pit and not node.pit_reclaim
 
-    def test_repeated_nonce_counts_as_duplicate(self):
+    def test_repeated_nonce_leaves_no_state(self):
+        # no entry is left to match the second copy, so it is not counted
+        # as a duplicate either
         node = flooding_node(neighbors=(7,))
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=1) == []
-        assert node.duplicates_suppressed == 1
-        assert len(node.pit_reclaim) == 1
+        assert node.duplicates_suppressed == 0
+        assert not node.pit and not node.pit_reclaim
 
-    def test_local_request_joins_without_forwarding(self):
+    def test_local_request_after_transit_copy_is_forwarded(self):
         node = flooding_node(neighbors=(7,))
         timers = []
         node.pit_expiry_hook = timers.append
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
-        out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=LOCAL_FACE, now=5)
-        assert out == []
+        request = InterestPacket(NAME, nonce=2)
+        assert node.on_interest(request, in_face=LOCAL_FACE, now=5) == [(1, request)]
         entry = node.pit[NAME.canonical_text]
-        assert timers == [entry] and entry.expiry == PIT_LIFETIME_NS
-        assert entry.in_faces == 1 << 1 | 1 << LOCAL_FACE
-        assert (entry.nonce, entry.more_nonces) == (1, {2})
+        assert timers == [entry] and entry.expiry == 5 + PIT_LIFETIME_NS
+        assert entry.in_faces == LOCAL_BIT
+        assert (entry.nonce, entry.more_nonces) == (2, None)
+        assert not node.pit_reclaim
 
 
 class TestOnData:
