@@ -621,6 +621,24 @@ class TestVariedDelayFloods:
             assert_flood_matches_model(sim, topology, consumer, producer,
                                        parse_name(f"/s3/obj{slot}"))
 
+    def test_flood_event_logs_are_pinned(self):
+        # unequal delays split one node's fan-out over several fire times;
+        # every bucket must still receive its copies in face order, after
+        # the events already in it
+        rng = random.Random(VARIED_SEED)
+        name = parse_name("/vd/x")
+        digest = hashlib.sha256()
+        for _ in range(200):
+            topology, consumer, producer = varied_delay_graph(rng)
+            out = io.StringIO()
+            sim = Simulation(topology, log=out)
+            sim.publish(producer, name, 1024)
+            sim.inject_request(consumer, name, at=0)
+            sim.run_until(None)
+            digest.update(out.getvalue().encode())
+        assert (digest.hexdigest()
+                == "08b8d446a73740d89be7675b094c9d41bf009759841e204a50aa355eaf2cfdb2")
+
     def test_traced_and_untraced_floods_agree(self):
         # tracing copies packets per hop; it must not change what happens
         rng = random.Random(VARIED_SEED)
