@@ -13,6 +13,7 @@ join any unordered node pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
@@ -94,8 +95,13 @@ class Topology:
                     raise TopologyError(f"link endpoint {end} is not a known node")
             if link.endpoint_a == link.endpoint_b:
                 raise TopologyError(f"self-loop on node {link.endpoint_a}")
+            # nan compares false both ways, so finiteness is checked first
+            if not math.isfinite(link.delay_ms):
+                raise TopologyError(f"non-finite delay on link {link.key}")
             if link.delay_ms < 0:
                 raise TopologyError(f"negative delay on link {link.key}")
+            if not math.isfinite(link.bandwidth_mbps):
+                raise TopologyError(f"non-finite bandwidth on link {link.key}")
             if link.bandwidth_mbps <= 0:
                 raise TopologyError(f"non-positive bandwidth on link {link.key}")
             if link.key in link_map:

@@ -125,6 +125,13 @@ class TestValidateCommand:
         assert main(["validate", "--topology", str(path)]) == 1
         assert "duplicate" in capsys.readouterr().err
 
+    def test_non_finite_link_exits_one(self, tmp_path, capsys):
+        # a nan delay used to validate, then fail the run in link_transit_ns
+        path = tmp_path / "nan.topo"
+        path.write_text(NSFNET_SNIPPET.replace("link 0 2 1 1000", "link 0 2 nan 1000"))
+        assert main(["validate", "--topology", str(path)]) == 1
+        assert "non-finite delay on link (0, 2)" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self):
         assert main(["validate", "--topology", "/no/such/file.topo"]) == 1
 

@@ -121,6 +121,12 @@ class TestLoadTopology:
             load_topology("node 0 a router\nnode 1 b router\nlink 0 1 -1 1000\n")
         with pytest.raises(TopologyError):
             load_topology("node 0 a router\nnode 1 b router\nlink 0 1 1 0\n")
+        # nan passes both the negative and the non-positive test
+        for delay, bandwidth in (("nan", "1000"), ("inf", "1000"), ("-inf", "1000"),
+                                 ("1", "nan"), ("1", "inf")):
+            with pytest.raises(TopologyError, match=r"non-finite .* link \(0, 1\)"):
+                load_topology(f"node 0 a router\nnode 1 b router\n"
+                              f"link 1 0 {delay} {bandwidth}\n")
 
 
 class TestPresets:
