@@ -13,6 +13,17 @@ dispatches each event in place and marks the bucket dispatched once,
 after its events; most of a flood's events deliver an Interest to a
 leaf, which is a dead end (see ``balancedn.node``).
 
+A node's ``on_interest`` decides what becomes of an Interest: nothing,
+an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
+time the simulation turns those faces into one target table per (node,
+in-face): the (neighbour, face at the neighbour) of each flood face,
+grouped by Interest transit time in face order.  A flood hands each
+group to its fire time's bucket with one ``EventQueue.schedule_many``
+call, not one ``schedule`` call per copy.  The copies of one flood step
+are appended together, so each bucket still receives them in face order
+after the events already in it, whatever the link delays; on
+equal-delay links each table entry is a single group.
+
 A flood sends one Interest object on every hop: the hop count travels
 on the event, and it is the only hop count the engine reads, for a
 request's ``path_hops`` and for the ``log``.  Only a traced packet
@@ -42,7 +53,7 @@ from operator import length_hint
 from typing import IO, Iterator, Optional
 
 from .core import ContentName, DataPacket, InterestPacket
-from .node import LOCAL_FACE, NdnNode, PitEntry, reclaim_expired
+from .node import FLOOD, LOCAL_FACE, NdnNode, PitEntry, reclaim_expired
 from .topology import LinkDescriptor, Topology
 
 NS_PER_US = 1_000
@@ -115,6 +126,24 @@ class EventQueue:
         else:
             bucket.append(event)
         self._size += 1
+
+    def schedule_many(self, fire_at: int, events: list[tuple]) -> None:
+        """Schedule ``events`` for one time, in order, as one step.
+
+        They join ``fire_at``'s bucket together, after the events already
+        in it.  The queue may keep ``events`` itself as the bucket, so the
+        caller hands the list over.
+        """
+        if fire_at < self.now:
+            raise SchedulingError(
+                f"cannot schedule at t={fire_at} ns; clock is {self.now} ns")
+        bucket = self._buckets.get(fire_at)
+        if bucket is not None:
+            bucket.extend(events)
+        elif events:
+            self._buckets[fire_at] = events
+            heapq.heappush(self._times, fire_at)
+        self._size += len(events)
 
     def peek_time(self) -> int | None:
         return self._times[0] if self._times else None
@@ -220,6 +249,23 @@ class Simulation:
                 row.append((nbr, self.nodes[nbr].face_of[nid],
                             link_transit_ns(link, INTEREST_BITS), link))
             self._face_table[nid] = row
+        # node -> in-face -> (copies, groups): where a flood that came in on
+        # that face goes, from the node's own flood faces.  Each group is
+        # (Interest transit ns, ((neighbour, face at the neighbour), ...)),
+        # the targets of one fire time in face order.
+        self._flood_targets: dict[int, list[tuple[int, tuple]]] = {}
+        for nid, node in self.nodes.items():
+            row = self._face_table[nid]
+            targets = [None] + [(nbr, nbr_face) for nbr, nbr_face, _, _ in row[1:]]
+            plans = []
+            for in_face in range(len(node.faces)):
+                out_faces = node.flood_faces[in_face]
+                groups: dict[int, list[tuple[int, int]]] = {}
+                for face in out_faces:
+                    groups.setdefault(row[face][2], []).append(targets[face])
+                plans.append((len(out_faces),
+                              tuple((ns, tuple(group)) for ns, group in groups.items())))
+            self._flood_targets[nid] = plans
         # A flood that drains costs each request at most its injection, one
         # expiry per node, 2|E| Interest deliveries (each node forwards a
         # name once) and 4|E| Data deliveries (each PIT entry answers each
@@ -325,19 +371,20 @@ class Simulation:
                     log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
                               f"{packet.name.canonical_text} {hops}\n")
                 if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
-                    emissions = nodes[node_id].on_interest(packet, face, now)
-                    if not emissions:
+                    verdict = nodes[node_id].on_interest(packet, face, now)
+                    if verdict is None:
                         continue
-                    if type(emissions[0][1]) is DataPacket:
+                    if verdict is FLOOD:
+                        self._flood(node_id, face, packet, now, hops)
+                    else:
                         # answered from published content: the Data starts at 0 hops
                         if packet.trace:
                             self._record_answered(packet)
-                        hops = 0
-                    self._emit(node_id, emissions, now, hops)
+                        self._send_data(node_id, ((face, verdict),), now, 0)
                 elif kind == DELIVER_DATA:
                     emissions = nodes[node_id].on_data(packet, face, now)
                     if emissions:
-                        self._emit(node_id, emissions, now, hops)
+                        self._send_data(node_id, emissions, now, hops)
                 elif kind == PIT_EXPIRY:
                     self._expire(node_id, packet, now)
                 else:
@@ -380,45 +427,62 @@ class Simulation:
         if state is not None and not state.interest_path:
             state.interest_path = interest.trace
 
-    def _emit(self, node_id: int, emissions: list[tuple[int, InterestPacket | DataPacket]],
-              now: int, hops: int) -> None:
-        """Send one node's emissions, all of one packet kind and name.
+    def _send_data(self, node_id: int, emissions, now: int, hops: int) -> None:
+        """Send one node's ``(face, Data)`` emissions, all of one name.
 
-        ``hops`` is the packet's hop count at this node; each copy
-        arrives one hop further.  Only a traced packet is copied per hop.
+        ``hops`` is the Data's hop count at this node; each copy arrives
+        one hop further.  Only a traced packet is copied per hop.
         """
-        first = emissions[0][1]
-        key = first.name.canonical_text
-        flow = self.flows[key]
+        data = emissions[0][1]
+        flow = self.flows[data.name.canonical_text]
         row = self._face_table[node_id]
         schedule = self.queue.schedule
+        bits = data.payload_size
+        sent = 0
+        for face, data in emissions:
+            if face == LOCAL_FACE:
+                self._satisfy(node_id, data, now, hops)
+                continue
+            to_node, to_face, _, link = row[face]
+            if data.trace:
+                data = data.delivered_to(to_node)
+            schedule(now + link_transit_ns(link, bits),
+                     (DELIVER_DATA, to_node, to_face, data, hops + 1))
+            sent += 1
+        flow.data_traversals += sent
+        flow.bits_moved += sent * bits
+
+    def _flood(self, node_id: int, in_face: int, interest: InterestPacket,
+               now: int, hops: int) -> None:
+        """Send a copy of ``interest`` on each flood face of ``in_face``.
+
+        ``hops`` is the Interest's hop count at this node; each copy
+        arrives one hop further.  The copies that share a fire time go to
+        its bucket in one call, in face order.  Only a traced packet is
+        copied per hop.
+        """
+        copies, groups = self._flood_targets[node_id][in_face]
+        key = interest.name.canonical_text
+        flow = self.flows[key]
+        flow.interest_traversals += copies
+        flow.bits_moved += copies * INTEREST_BITS
+        schedule_many = self.queue.schedule_many
         arrival_hops = hops + 1
-        if type(first) is DataPacket:
-            bits = first.payload_size
-            sent = 0
-            for face, data in emissions:
-                if face == LOCAL_FACE:
-                    self._satisfy(node_id, data, now, hops)
-                    continue
-                to_node, to_face, _, link = row[face]
-                if data.trace:
-                    data = data.delivered_to(to_node)
-                schedule(now + link_transit_ns(link, bits),
-                         (DELIVER_DATA, to_node, to_face, data, arrival_hops))
-                sent += 1
-            flow.data_traversals += sent
-            flow.bits_moved += sent * bits
+        if not interest.trace:
+            for interest_ns, targets in groups:
+                schedule_many(now + interest_ns,
+                              [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
+                               for to_node, to_face in targets])
             return
-        for face, interest in emissions:
-            to_node, to_face, interest_ns, _ = row[face]
-            if interest.trace:
-                interest = interest.delivered_to(to_node)
+        counts = self.edge_interest_counts
+        for interest_ns, targets in groups:
+            events = []
+            for to_node, to_face in targets:
                 edge = (node_id, to_node, key)
-                self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
-            schedule(now + interest_ns,
-                     (DELIVER_INTEREST, to_node, to_face, interest, arrival_hops))
-        flow.interest_traversals += len(emissions)
-        flow.bits_moved += len(emissions) * INTEREST_BITS
+                counts[edge] = counts.get(edge, 0) + 1
+                events.append((DELIVER_INTEREST, to_node, to_face,
+                               interest.delivered_to(to_node), arrival_hops))
+            schedule_many(now + interest_ns, events)
 
     def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
         state = self.requests.get(data.name.canonical_text, {}).get(node_id)

@@ -2,6 +2,9 @@
 
 Face ids map to neighbors; face 0 is always the local application face.
 Nodes are mutated only by the single-threaded event loop that owns them.
+A node decides each Interest's fate and the event loop carries it out:
+``on_interest`` drops it, answers it with Data, or returns ``FLOOD``,
+and the loop sends the Interest on the node's ``flood_faces[in_face]``.
 
 A PIT entry is one object and the only one the cyclic garbage collector
 tracks for it: a flood leaves an entry on each non-leaf node it reaches
@@ -23,7 +26,7 @@ entry whose expiry equals the delivery time counts as gone, just as a
 timer set at its creation would already have removed it.  Most
 Interests of a flood reach a dead end, a node whose only face is the
 one they came in on.  No Data can come back to an entry there, so
-``on_interest`` returns before it creates one, as NFD rejects an
+``on_interest`` returns None before it creates one, as NFD rejects an
 Interest with no eligible upstream.  Only the local face keeps its
 entry at a dead end (a node with no neighbours): its timer is what fails
 the request.
@@ -43,7 +46,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from enum import Enum
+from typing import Callable, Iterable, Literal
 
 from .core import ContentName, DataPacket, InterestPacket
 
@@ -57,6 +61,17 @@ PIT_LIFETIME_NS = 4_000_000_000
 
 class UnknownFaceError(ValueError):
     """Raised when a packet arrives on a face the node does not have."""
+
+
+class Verdict(Enum):
+    """What ``on_interest`` tells the event loop besides drop or answer."""
+
+    # forward the Interest on every flood face of the face it came in on,
+    # ``flood_faces[in_face]``, in that order
+    FLOOD = "flood"
+
+
+FLOOD = Verdict.FLOOD
 
 
 @dataclass(slots=True, eq=False)
@@ -87,8 +102,8 @@ class NdnNode:
         self.faces = face_layout(neighbors)
         self.face_of = {nbr: face for face, nbr in self.faces.items() if nbr is not None}
         out = [face for face in sorted(self.faces) if face != LOCAL_FACE]
-        # incoming face -> the faces a flood leaves on
-        self._flood_faces = {face: [f for f in out if f != face] for face in self.faces}
+        # incoming face -> the faces a flood leaves on, ascending
+        self.flood_faces = {face: tuple(f for f in out if f != face) for face in self.faces}
         self.pit: dict[str, PitEntry] = {}
         self.published: dict[str, int] = {}  # canonical name -> payload bits
         # (canonical name, nonce) -> expiry of the pairs this node has answered
@@ -110,23 +125,29 @@ class NdnNode:
     # -- packet handling ---------------------------------------------------
 
     def on_interest(self, interest: InterestPacket, in_face: int,
-                    now: int) -> list[tuple[int, InterestPacket | DataPacket]]:
+                    now: int) -> DataPacket | Literal[Verdict.FLOOD] | None:
+        """Decide what becomes of ``interest``, which came in on ``in_face``.
+
+        Returns None when it goes no further (a duplicate, joined to a
+        live entry, or at a dead end), the Data that answers it on
+        ``in_face``, or :data:`FLOOD` once it holds a new PIT entry, to
+        forward it unchanged on every face of ``flood_faces[in_face]``.
+        """
         # runs once per delivery: the out-faces of a flood in one lookup,
         # and the name's text from its slot rather than through the property
-        out_faces = self._flood_faces.get(in_face)
+        out_faces = self.flood_faces.get(in_face)
         if out_faces is None:
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
         key = interest.name._text
         if self.dead_nonces and self.dead_nonces.get((key, interest.nonce), now) > now:
             self.duplicates_suppressed += 1
-            return []
+            return None
 
         size = self.published.get(key)
         if size is not None:
             self._mark_dead((key, interest.nonce), now)
-            data = DataPacket(interest.name, size,
+            return DataPacket(interest.name, size,
                               trace=(self.id,) if interest.trace else ())
-            return [(in_face, data)]
 
         pit = self.pit
         entry = pit.get(key)
@@ -135,7 +156,7 @@ class NdnNode:
             more = entry.more_nonces
             if nonce == entry.nonce or (more is not None and nonce in more):
                 self.duplicates_suppressed += 1
-                return []
+                return None
             if in_face == LOCAL_FACE and not entry.in_faces & LOCAL_BIT:
                 self._watch(entry)
             entry.in_faces |= 1 << in_face
@@ -143,17 +164,17 @@ class NdnNode:
                 entry.more_nonces = {nonce}
             else:
                 more.add(nonce)
-            return []
+            return None
 
         if not out_faces and in_face != LOCAL_FACE:
-            return []  # a dead end: no Data can come back to an entry here
+            return None  # a dead end: no Data can come back to an entry here
         entry = pit[key] = PitEntry(key, pit, 1 << in_face, interest.nonce,
                                     now + PIT_LIFETIME_NS)
         if in_face == LOCAL_FACE:
             self._watch(entry)
         else:
             self.pit_reclaim.append(entry)
-        return [(face, interest) for face in out_faces]
+        return FLOOD
 
     def on_data(self, data: DataPacket, in_face: int,
                 now: int) -> list[tuple[int, DataPacket]]:

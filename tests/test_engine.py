@@ -105,6 +105,20 @@ class TestEventQueue:
         q.pop_bucket()
         with pytest.raises(SchedulingError):
             q.schedule(3, event(0))
+        with pytest.raises(SchedulingError):
+            q.schedule_many(3, [event(0)])
+
+    def test_schedule_many_joins_its_bucket_in_order(self):
+        q = EventQueue()
+        q.schedule(7, event(1))
+        q.schedule_many(7, [event(2), event(3)])
+        q.schedule_many(5, [event(4)])
+        q.schedule_many(9, [])  # nothing to fire: no bucket opens
+        assert len(q) == 4
+        assert [e[1] for e in q.pop_bucket()] == [4] and q.now == 5
+        assert [e[1] for e in q.pop_bucket()] == [1, 2, 3] and q.now == 7
+        q.done(4)
+        assert len(q) == 0 and q.peek_time() is None
 
 
 class TestZeroTransit:
@@ -399,17 +413,23 @@ class TestFloodAccounting:
 
     def test_queue_depth_mid_bucket_counts_undispatched_events(self):
         # each event is a node call here but the final expiry, which
-        # schedules nothing; at every schedule the queue holds what was
-        # scheduled and not yet taken for dispatch
+        # schedules nothing; at every scheduling call, of one event or of a
+        # fan-out's copies, the queue holds what was scheduled and not yet
+        # taken for dispatch
         sim = Simulation(load_preset("oteglobe"))
         queue = sim.queue
         scheduled, taken, depths = [0], [0], []
-        schedule = queue.schedule
+        schedule, schedule_many = queue.schedule, queue.schedule_many
 
         def counting_schedule(fire_at, event):
             depths.append((len(queue), scheduled[0] - taken[0]))
             scheduled[0] += 1
             schedule(fire_at, event)
+
+        def counting_schedule_many(fire_at, events):
+            depths.append((len(queue), scheduled[0] - taken[0]))
+            scheduled[0] += len(events)
+            schedule_many(fire_at, events)
 
         def counted(handler):
             def call(*args):
@@ -417,7 +437,7 @@ class TestFloodAccounting:
                 return handler(*args)
             return call
 
-        queue.schedule = counting_schedule
+        queue.schedule, queue.schedule_many = counting_schedule, counting_schedule_many
         for node in sim.nodes.values():
             node.on_interest, node.on_data = counted(node.on_interest), counted(node.on_data)
         sim.publish(379, NAME, 1024)
@@ -437,13 +457,17 @@ class TestFloodAccounting:
         sim = Simulation(load_preset("oteglobe"))
         queue = sim.queue
         scheduled = []
-        schedule = queue.schedule
+        schedule, schedule_many = queue.schedule, queue.schedule_many
 
         def counting_schedule(fire_at, event):
             scheduled.append(event)
             schedule(fire_at, event)
 
-        queue.schedule = counting_schedule
+        def counting_schedule_many(fire_at, events):
+            scheduled.extend(events)
+            schedule_many(fire_at, events)
+
+        queue.schedule, queue.schedule_many = counting_schedule, counting_schedule_many
         sim.publish(379, NAME, 1024)
         state = sim.inject_request(122, NAME, at=0)
         steps = 0
@@ -511,18 +535,24 @@ class TestRunBudget:
         sim = Simulation(topology)
         queue = sim.queue
         scheduled, sizes = [], []
-        schedule, pop_bucket = queue.schedule, queue.pop_bucket
+        schedule, schedule_many = queue.schedule, queue.schedule_many
+        pop_bucket = queue.pop_bucket
 
         def counting_schedule(fire_at, event):
             scheduled.append(event)
             schedule(fire_at, event)
+
+        def counting_schedule_many(fire_at, events):
+            scheduled.extend(events)
+            schedule_many(fire_at, events)
 
         def sizing_pop_bucket():
             bucket = pop_bucket()
             sizes.append(len(bucket))
             return bucket
 
-        queue.schedule, queue.pop_bucket = counting_schedule, sizing_pop_bucket
+        queue.schedule, queue.schedule_many = counting_schedule, counting_schedule_many
+        queue.pop_bucket = sizing_pop_bucket
         sim.publish(producer, parse_name("/a"), 1024)
         for name in ("/a", "/b", "/c"):
             sim.inject_request(consumer, parse_name(name), at=0)

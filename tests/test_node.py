@@ -1,7 +1,7 @@
 import pytest
 
 from balancedn.core import DataPacket, InterestPacket, parse_name
-from balancedn.node import (LOCAL_BIT, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode,
+from balancedn.node import (FLOOD, LOCAL_BIT, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode,
                             UnknownFaceError, reclaim_expired)
 
 NAME = parse_name("/video/a.mp4")
@@ -15,10 +15,9 @@ class TestOnInterest:
     def test_published_content_answers_like_a_cache_hit(self):
         node = flooding_node()
         node.publish(NAME, 2048)
-        out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=3, now=5)
-        assert len(out) == 1
-        face, packet = out[0]
-        assert face == 3 and isinstance(packet, DataPacket)
+        # the Data returned goes back on the Interest's in-face
+        packet = node.on_interest(InterestPacket(NAME, nonce=1), in_face=3, now=5)
+        assert isinstance(packet, DataPacket)
         assert packet.name == NAME and packet.payload_size == 2048
         assert not node.pit  # no PIT change on an answer
 
@@ -26,7 +25,7 @@ class TestOnInterest:
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=2, now=1)
-        assert out == []
+        assert out is None
         entry = node.pit[NAME.canonical_text]
         assert entry.in_faces == 1 << 1 | 1 << 2
         assert (entry.nonce, entry.more_nonces) == (1, {2})
@@ -35,7 +34,7 @@ class TestOnInterest:
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=9), in_face=1, now=0)
         out = node.on_interest(InterestPacket(NAME, nonce=9), in_face=3, now=1)
-        assert out == []
+        assert out is None
         assert node.duplicates_suppressed == 1
         # the suppressed face is not added
         entry = node.pit[NAME.canonical_text]
@@ -48,10 +47,11 @@ class TestOnInterest:
         pytest.param((5, 6, 7), LOCAL_FACE, [1, 2, 3], id="from-local-face-uses-all"),
     ])
     def test_flooding_forwards_to_all_other_faces(self, neighbors, in_face, faces):
+        # FLOOD sends the Interest on flood_faces[in_face], in that order
         node = flooding_node(neighbors=neighbors)  # faces 1..len(neighbors)
         out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=in_face, now=0)
-        assert [face for face, _ in out] == faces
-        assert all(pkt.name == NAME for _, pkt in out)
+        assert out is (FLOOD if faces else None)
+        assert list(node.flood_faces[in_face]) == faces
 
     def test_unknown_face_rejected(self):
         node = flooding_node()
@@ -79,7 +79,7 @@ class TestDeadEnd:
 
     def test_transit_interest_leaves_no_entry_or_reclaim_record(self):
         node = flooding_node(neighbors=(7,))
-        assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0) == []
+        assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0) is None
         assert not node.pit and not node.pit_reclaim
 
     def test_repeated_nonce_leaves_no_state(self):
@@ -87,7 +87,7 @@ class TestDeadEnd:
         # as a duplicate either
         node = flooding_node(neighbors=(7,))
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
-        assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=1) == []
+        assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=1) is None
         assert node.duplicates_suppressed == 0
         assert not node.pit and not node.pit_reclaim
 
@@ -97,7 +97,8 @@ class TestDeadEnd:
         node.pit_expiry_hook = timers.append
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         request = InterestPacket(NAME, nonce=2)
-        assert node.on_interest(request, in_face=LOCAL_FACE, now=5) == [(1, request)]
+        assert node.on_interest(request, in_face=LOCAL_FACE, now=5) is FLOOD
+        assert node.flood_faces[LOCAL_FACE] == (1,)
         entry = node.pit[NAME.canonical_text]
         assert timers == [entry] and entry.expiry == 5 + PIT_LIFETIME_NS
         assert entry.in_faces == LOCAL_BIT
@@ -144,11 +145,13 @@ class TestDeadNonces:
     def test_producer_answers_each_nonce_once(self):
         node = flooding_node()
         node.publish(NAME, 1024)
-        assert len(node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)) == 1
-        assert node.on_interest(InterestPacket(NAME, nonce=5), in_face=2, now=1) == []
+        answer = node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
+        assert isinstance(answer, DataPacket)
+        assert node.on_interest(InterestPacket(NAME, nonce=5), in_face=2, now=1) is None
         assert node.duplicates_suppressed == 1
         # another consumer's Interest has its own nonce and is answered
-        assert len(node.on_interest(InterestPacket(NAME, nonce=6), in_face=2, now=1)) == 1
+        answer = node.on_interest(InterestPacket(NAME, nonce=6), in_face=2, now=1)
+        assert isinstance(answer, DataPacket)
 
     def test_consumed_entry_nonces_stop_late_copies(self):
         node = flooding_node()
@@ -157,7 +160,7 @@ class TestDeadNonces:
         node.on_data(DataPacket(NAME, 1024), in_face=3, now=10)
         for nonce in (1, 2):
             assert node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=3,
-                                    now=20) == []
+                                    now=20) is None
         assert node.duplicates_suppressed == 2 and not node.pit
         assert set(node.dead_nonces) == {(NAME.canonical_text, 1), (NAME.canonical_text, 2)}
 
@@ -168,13 +171,13 @@ class TestDeadNonces:
         entry = node.pit[NAME.canonical_text]
         assert (entry.nonce, entry.more_nonces) == (1, {2, 3})
         # a repeat of the third nonce is a duplicate, and adds nothing
-        assert node.on_interest(InterestPacket(NAME, nonce=3), in_face=1, now=1) == []
+        assert node.on_interest(InterestPacket(NAME, nonce=3), in_face=1, now=1) is None
         assert node.duplicates_suppressed == 1 and entry.more_nonces == {2, 3}
         node.on_data(DataPacket(NAME, 1024), in_face=2, now=10)
         assert set(node.dead_nonces) == {(NAME.canonical_text, n) for n in (1, 2, 3)}
         for nonce in (1, 2, 3):
             assert node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=1,
-                                    now=20) == []
+                                    now=20) is None
         assert node.duplicates_suppressed == 4 and not node.pit
 
     def test_dead_nonce_lives_one_pit_lifetime(self):
@@ -182,8 +185,8 @@ class TestDeadNonces:
         node.publish(NAME, 1024)
         node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
         late = InterestPacket(NAME, nonce=5)
-        assert node.on_interest(late, in_face=1, now=PIT_LIFETIME_NS - 1) == []
-        assert len(node.on_interest(late, in_face=1, now=PIT_LIFETIME_NS)) == 1
+        assert node.on_interest(late, in_face=1, now=PIT_LIFETIME_NS - 1) is None
+        assert isinstance(node.on_interest(late, in_face=1, now=PIT_LIFETIME_NS), DataPacket)
 
     def test_reclaim_drops_expired_dead_nonces_only(self):
         node = flooding_node()
@@ -233,7 +236,7 @@ class TestPitExpiry:
         assert node.on_data(DataPacket(NAME, 8), in_face=2, now=PIT_LIFETIME_NS) == []
         out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=1,
                                now=PIT_LIFETIME_NS)
-        assert [face for face, _ in out] == [2, 3]  # a fresh flood
+        assert out is FLOOD and node.flood_faces[1] == (2, 3)  # a fresh flood
         assert node.pit[NAME.canonical_text].expiry == 2 * PIT_LIFETIME_NS
 
     def test_reclaim_deletes_only_current_transit_entries(self):
