@@ -249,22 +249,19 @@ class Simulation:
                 row.append((nbr, self.nodes[nbr].face_of[nid],
                             link_transit_ns(link, INTEREST_BITS), link))
             self._face_table[nid] = row
-        # node -> in-face -> (copies, groups): where a flood that came in on
-        # that face goes, from the node's own flood faces.  Each group is
-        # (Interest transit ns, ((neighbour, face at the neighbour), ...)),
-        # the targets of one fire time in face order.
-        self._flood_targets: dict[int, list[tuple[int, tuple]]] = {}
+        # node -> in-face -> where a flood that came in on that face goes,
+        # from the node's own flood faces: groups of face-table rows that
+        # share one Interest transit time, each group in face order.  Rows
+        # are shared, not copied, so the table adds few objects to set-up.
+        self._flood_targets: dict[int, list[tuple[tuple[tuple, ...], ...]]] = {}
         for nid, node in self.nodes.items():
             row = self._face_table[nid]
-            targets = [None] + [(nbr, nbr_face) for nbr, nbr_face, _, _ in row[1:]]
             plans = []
             for in_face in range(len(node.faces)):
-                out_faces = node.flood_faces[in_face]
-                groups: dict[int, list[tuple[int, int]]] = {}
-                for face in out_faces:
-                    groups.setdefault(row[face][2], []).append(targets[face])
-                plans.append((len(out_faces),
-                              tuple((ns, tuple(group)) for ns, group in groups.items())))
+                groups: dict[int, list[tuple]] = {}
+                for face in node.flood_faces[in_face]:
+                    groups.setdefault(row[face][2], []).append(row[face])
+                plans.append(tuple(tuple(group) for group in groups.values()))
             self._flood_targets[nid] = plans
         # A flood that drains costs each request at most its injection, one
         # expiry per node, 2|E| Interest deliveries (each node forwards a
@@ -461,28 +458,26 @@ class Simulation:
         its bucket in one call, in face order.  Only a traced packet is
         copied per hop.
         """
-        copies, groups = self._flood_targets[node_id][in_face]
         key = interest.name.canonical_text
+        schedule_many = self.queue.schedule_many
+        arrival_hops = hops + 1
+        copies = 0
+        for targets in self._flood_targets[node_id][in_face]:
+            copies += len(targets)
+            if interest.trace:
+                events = []
+                for to_node, to_face, _, _ in targets:
+                    edge = (node_id, to_node, key)
+                    self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
+                    events.append((DELIVER_INTEREST, to_node, to_face,
+                                   interest.delivered_to(to_node), arrival_hops))
+            else:
+                events = [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
+                          for to_node, to_face, _, _ in targets]
+            schedule_many(now + targets[0][2], events)
         flow = self.flows[key]
         flow.interest_traversals += copies
         flow.bits_moved += copies * INTEREST_BITS
-        schedule_many = self.queue.schedule_many
-        arrival_hops = hops + 1
-        if not interest.trace:
-            for interest_ns, targets in groups:
-                schedule_many(now + interest_ns,
-                              [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
-                               for to_node, to_face in targets])
-            return
-        counts = self.edge_interest_counts
-        for interest_ns, targets in groups:
-            events = []
-            for to_node, to_face in targets:
-                edge = (node_id, to_node, key)
-                counts[edge] = counts.get(edge, 0) + 1
-                events.append((DELIVER_INTEREST, to_node, to_face,
-                               interest.delivered_to(to_node), arrival_hops))
-            schedule_many(now + interest_ns, events)
 
     def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
         state = self.requests.get(data.name.canonical_text, {}).get(node_id)
