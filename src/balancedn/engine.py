@@ -16,8 +16,8 @@ leaf, which is a dead end (see ``balancedn.node``).
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
 time the simulation turns those faces into one target table per (node,
-in-face): the (neighbour, face at the neighbour) of each flood face,
-grouped by Interest transit time in face order.  A flood hands each
+in-face): the face-table row of each flood face (its neighbour and the
+face there), grouped by Interest transit time in face order.  A flood hands each
 group to its fire time's bucket with one ``EventQueue.schedule_many``
 call, not one ``schedule`` call per copy.  The copies of one flood step
 are appended together, so each bucket still receives them in face order
