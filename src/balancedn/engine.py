@@ -17,12 +17,13 @@ A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
 time the simulation turns those faces into one target table per (node,
 in-face): the face-table row of each flood face (its neighbour and the
-face there), grouped by Interest transit time in face order.  A flood hands each
-group to its fire time's bucket with one ``EventQueue.schedule_many``
-call, not one ``schedule`` call per copy.  The copies of one flood step
-are appended together, so each bucket still receives them in face order
-after the events already in it, whatever the link delays; on
-equal-delay links each table entry is a single group.
+face there), grouped by Interest transit time in face order.  A flood
+hands each group to its fire time's bucket with one
+``EventQueue.schedule_many`` call, not one ``schedule`` call per copy.
+The copies of one flood step are appended together, so each bucket
+still receives them in face order after the events already in it,
+whatever the link delays; on equal-delay links each table entry is a
+single group.
 
 A flood sends one Interest object on every hop: the hop count travels
 on the event, and it is the only hop count the engine reads, for a
@@ -50,7 +51,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from operator import length_hint
-from typing import IO, Iterator, Optional
+from typing import IO, Iterator, Optional, Sequence
 
 from .core import ContentName, DataPacket, InterestPacket
 from .node import FLOOD, LOCAL_FACE, NdnNode, PitEntry, reclaim_expired
@@ -424,17 +425,18 @@ class Simulation:
         if state is not None and not state.interest_path:
             state.interest_path = interest.trace
 
-    def _send_data(self, node_id: int, emissions, now: int, hops: int) -> None:
+    def _send_data(self, node_id: int, emissions: Sequence[tuple[int, DataPacket]],
+                   now: int, hops: int) -> None:
         """Send one node's ``(face, Data)`` emissions, all of one name.
 
         ``hops`` is the Data's hop count at this node; each copy arrives
         one hop further.  Only a traced packet is copied per hop.
         """
-        data = emissions[0][1]
-        flow = self.flows[data.name.canonical_text]
+        first = emissions[0][1]
+        flow = self.flows[first.name.canonical_text]
         row = self._face_table[node_id]
         schedule = self.queue.schedule
-        bits = data.payload_size
+        bits = first.payload_size
         sent = 0
         for face, data in emissions:
             if face == LOCAL_FACE:
