@@ -35,13 +35,16 @@ in parallel with no shared state.  The per-instance random generator
 is used only for Interest nonces, drawn once per injected request in
 injection order, so identical seeds replay exactly.
 
-Only PIT entries that hold a consumer's local face get an expiry event;
-the rest expire lazily (see ``balancedn.node``) and are reclaimed from
-one FIFO whenever a request is injected.  Per-hop traces are recorded
-only when ``track_edges`` is set.  Every run is bounded: once the events
-since the queue was last empty pass a budget derived from the topology's
-size and the requests injected meanwhile, ``run_until`` raises
-:class:`EventBudgetError` instead of running on.
+Each injected request gets one ``PIT_EXPIRY`` event, its consumer's
+lifetime timer, ``PIT_LIFETIME_NS`` after its injection: it fails the
+request if it is still pending.  PIT entries themselves expire lazily
+(see ``balancedn.node``) and are reclaimed from one FIFO whenever a
+request is injected; the timer, as the last event of a drained flood,
+is what moves the clock past the entries a flood left.  Per-hop traces
+are recorded only when ``track_edges`` is set.  Every run is bounded:
+once the events since the queue was last empty pass a budget derived
+from the topology's size and the requests injected meanwhile,
+``run_until`` raises :class:`EventBudgetError` instead of running on.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from operator import length_hint
 from typing import IO, Iterator, Optional, Sequence
 
 from .core import ContentName, DataPacket, InterestPacket
-from .node import FLOOD, LOCAL_FACE, NdnNode, PitEntry, reclaim_expired
+from .node import FLOOD, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode, reclaim_expired
 from .topology import LinkDescriptor, Topology
 
 NS_PER_US = 1_000
@@ -66,7 +69,7 @@ DEFAULT_PAYLOAD_BITS = 1024
 
 # Event kinds.  An event is a plain tuple (kind, node, face, packet, hops):
 # the packet delivered to ``node`` on ``face`` and the links it has crossed
-# so far, or for PIT_EXPIRY the entry its timer was set for.
+# so far, or for PIT_EXPIRY the RequestState its timer was set for.
 DELIVER_INTEREST = 0
 DELIVER_DATA = 1
 PIT_EXPIRY = 2
@@ -221,8 +224,8 @@ class Simulation:
 
     Used for the flooding baseline: every node runs the flooding
     strategy, content lives on producer nodes, and injected requests
-    are traced until the Data returns (or the consumer's PIT entry
-    expires).  ``track_edges`` also records each Interest's per-hop
+    are traced until the Data returns (or the request's lifetime
+    ends).  ``track_edges`` also records each Interest's per-hop
     trace and its transmissions per directed edge.
     """
 
@@ -236,7 +239,6 @@ class Simulation:
         self.nodes: dict[int, NdnNode] = {}
         for nid in sorted(topology.nodes):
             node = NdnNode(nid, topology.adjacency[nid])
-            node.pit_expiry_hook = self._make_expiry_hook(nid)
             node.pit_reclaim = self._reclaim
             self.nodes[nid] = node
         # node -> face -> (neighbour, face at the neighbour, Interest transit
@@ -264,11 +266,12 @@ class Simulation:
                     groups.setdefault(row[face][2], []).append(row[face])
                 plans.append(tuple(tuple(group) for group in groups.values()))
             self._flood_targets[nid] = plans
-        # A flood that drains costs each request at most its injection, one
-        # expiry per node, 2|E| Interest deliveries (each node forwards a
+        # A flood that drains costs each request at most its injection, its
+        # one expiry event, 2|E| Interest deliveries (each node forwards a
         # name once) and 4|E| Data deliveries (each PIT entry answers each
-        # in-face once, each producer each neighbour once).  The budget
-        # allows twice that.
+        # in-face once, each producer each neighbour once).  The |V| term
+        # covers the expiry event with headroom to spare, and the budget
+        # allows twice the sum.
         self._events_per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
         self._requests_since_drain = 0
         self._events_since_drain = 0
@@ -285,11 +288,6 @@ class Simulation:
         self.edge_interest_counts: dict[tuple[int, int, str], int] = {}
 
     # -- wiring ------------------------------------------------------------
-
-    def _make_expiry_hook(self, node_id: int):
-        def hook(entry: PitEntry) -> None:
-            self.queue.schedule(entry.expiry, (PIT_EXPIRY, node_id, LOCAL_FACE, entry, 0))
-        return hook
 
     @property
     def now(self) -> int:
@@ -337,6 +335,7 @@ class Simulation:
         self.injections += 1
         self._requests_since_drain += 1
         self.queue.schedule(at, (REQUEST_INJECTION, consumer, LOCAL_FACE, interest, 0))
+        self.queue.schedule(at + PIT_LIFETIME_NS, (PIT_EXPIRY, consumer, LOCAL_FACE, state, 0))
         return state
 
     # -- event loop ----------------------------------------------------------
@@ -406,17 +405,18 @@ class Simulation:
             self._requests_since_drain = 0
         return processed
 
-    def _expire(self, node_id: int, entry: PitEntry, now: int) -> None:
-        """Fail the request of a consumer whose PIT entry's timer fired.
+    def _expire(self, node_id: int, state: RequestState, now: int) -> None:
+        """Fail ``state`` if it is still pending when its lifetime ends.
 
-        Only an entry that holds the local face gets a timer.
+        Only then is the consumer's entry for the name dropped, if it has
+        lapsed too.
         """
-        if self.nodes[node_id].expire_pit(entry, now) is not None:
-            state = self.requests.get(entry.key, {}).get(node_id)
-            if state is not None and not state.satisfied and not state.failed:
-                state.failed = True
-                state.completed_at = now
-                self.failed += 1
+        if state.satisfied or state.failed:
+            return
+        state.failed = True
+        state.completed_at = now
+        self.failed += 1
+        self.nodes[node_id].expire_pit(state.name.canonical_text, now)
 
     def _record_answered(self, interest: InterestPacket) -> None:
         """Keep the trace of the first answered Interest of its own consumer."""

@@ -15,28 +15,25 @@ bitmask (bit ``f`` for face ``f``), the nonce that created it and its
 expiry.  Its ``more_nonces`` set exists only once another nonce has
 joined the entry.
 
-PIT entries expire lazily.  Only an entry that holds the local face
-decides whether a request failed, so only such an entry gets an expiry
-timer (through ``pit_expiry_hook``).  Every other entry simply counts as
-absent once a lookup finds ``expiry <= now``; the entry itself is queued
-on the ``pit_reclaim`` FIFO, and :func:`reclaim_expired` deletes it
-later if its node's PIT still maps its key to it.
-Every delivery is scheduled after the entry it meets was created, so an
-entry whose expiry equals the delivery time counts as gone, just as a
-timer set at its creation would already have removed it.  Most
-Interests of a flood reach a dead end, a node whose only face is the
-one they came in on.  No Data can come back to an entry there, so
-``on_interest`` returns None before it creates one, as NFD rejects an
-Interest with no eligible upstream.  Only the local face keeps its
-entry at a dead end (a node with no neighbours): its timer is what fails
-the request.
+PIT entries expire lazily.  An entry simply counts as absent once a
+lookup finds ``expiry <= now``; every entry is queued on the
+``pit_reclaim`` FIFO as it is created, and :func:`reclaim_expired`
+deletes it later if its node's PIT still maps its key to it.  Whether a
+request failed is decided by the request's own lifetime timer in the
+event loop, not by any entry.  Every delivery is scheduled after the
+entry it meets was created, so an entry whose expiry equals the delivery
+time counts as gone, just as a timer set at its creation would already
+have removed it.  Most Interests of a flood reach a dead end, a node
+whose only face is the one they came in on.  No Data can come back to
+an entry there, so ``on_interest`` returns None before it creates one,
+as NFD rejects an Interest with no eligible upstream.
 
 Each node also keeps a dead-nonce list: the (name, nonce) pairs it has
 answered from its own content, and the nonces of every PIT entry that
 Data consumed.  A copy of such an Interest that arrives later is dropped
 as a duplicate for ``PIT_LIFETIME_NS``, so a producer answers each flood
 once and a late copy cannot flood again after the Data has passed.
-Dead entries expire lazily like transit PIT entries and are reclaimed
+Dead entries expire lazily like PIT entries and are reclaimed
 from the same FIFO, which holds an ``(expiry, node, (name, nonce))``
 tuple for each.
 
@@ -47,12 +44,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Literal
+from typing import Iterable, Literal
 
 from .core import ContentName, DataPacket, InterestPacket
 
 LOCAL_FACE = 0
-LOCAL_BIT = 1 << LOCAL_FACE  # the local face in a PIT entry's in-face mask
 
 # PIT entries and dead nonces live 4 simulated seconds, then expire; late
 # Data is dropped by the no-PIT rule.
@@ -110,9 +106,7 @@ class NdnNode:
         # or whose PIT entry Data consumed
         self.dead_nonces: dict[tuple[str, int], int] = {}
         self.duplicates_suppressed = 0
-        # hook(entry) lets the event loop time entries that hold the local face
-        self.pit_expiry_hook: Callable[[PitEntry], None] | None = None
-        # every other entry, and (expiry, node, (name_key, nonce)) of every
+        # every PIT entry, and (expiry, node, (name_key, nonce)) of every
         # dead nonce, in creation order; the event loop shares one FIFO
         # among all its nodes
         self.pit_reclaim: deque[PitEntry | tuple] = deque()
@@ -157,8 +151,6 @@ class NdnNode:
             if nonce == entry.nonce or (more is not None and nonce in more):
                 self.duplicates_suppressed += 1
                 return None
-            if in_face == LOCAL_FACE and not entry.in_faces & LOCAL_BIT:
-                self._watch(entry)
             entry.in_faces |= 1 << in_face
             if more is None:
                 entry.more_nonces = {nonce}
@@ -166,14 +158,11 @@ class NdnNode:
                 more.add(nonce)
             return None
 
-        if not out_faces and in_face != LOCAL_FACE:
+        if not out_faces:
             return None  # a dead end: no Data can come back to an entry here
         entry = pit[key] = PitEntry(key, pit, 1 << in_face, interest.nonce,
                                     now + PIT_LIFETIME_NS)
-        if in_face == LOCAL_FACE:
-            self._watch(entry)
-        else:
-            self.pit_reclaim.append(entry)
+        self.pit_reclaim.append(entry)
         return FLOOD
 
     def on_data(self, data: DataPacket, in_face: int,
@@ -196,10 +185,11 @@ class NdnNode:
             faces ^= low
         return out
 
-    def expire_pit(self, entry: PitEntry, now: int) -> PitEntry | None:
-        """Drop ``entry`` if it is still its name's PIT entry and has expired."""
-        if self.pit.get(entry.key) is entry and entry.expiry <= now:
-            del self.pit[entry.key]
+    def expire_pit(self, key: str, now: int) -> PitEntry | None:
+        """Drop and return the PIT entry of name ``key`` if it has expired."""
+        entry = self.pit.get(key)
+        if entry is not None and entry.expiry <= now:
+            del self.pit[key]
             return entry
         return None
 
@@ -208,20 +198,15 @@ class NdnNode:
         self.dead_nonces[pair] = expiry
         self.pit_reclaim.append((expiry, self, pair))
 
-    def _watch(self, entry: PitEntry) -> None:
-        if self.pit_expiry_hook is not None:
-            self.pit_expiry_hook(entry)
-
 
 def reclaim_expired(fifo: deque[PitEntry | tuple], now: int) -> None:
     """Delete the queued PIT entries and dead nonces whose lifetime ended by ``now``.
 
     Entries are queued as they are created and all live the same
     PIT_LIFETIME_NS, so the FIFO is ordered by expiry.  An entry that
-    Data consumed or a newer entry replaced is no longer in its PIT, an
-    entry the local face joined later belongs to its expiry timer, and a
-    dead nonce marked again after its expiry is still live: all three
-    are skipped.
+    Data consumed or a newer entry replaced is no longer in its PIT, and
+    a dead nonce marked again after its expiry is still live: both are
+    skipped.
     """
     while fifo:
         item = fifo[0]
@@ -229,7 +214,7 @@ def reclaim_expired(fifo: deque[PitEntry | tuple], now: int) -> None:
             if item.expiry > now:
                 return
             fifo.popleft()
-            if not item.in_faces & LOCAL_BIT and item.pit.get(item.key) is item:
+            if item.pit.get(item.key) is item:
                 del item.pit[item.key]
         else:
             expiry, node, pair = item

@@ -10,7 +10,7 @@ from balancedn.core import InterestPacket, parse_name
 from balancedn.engine import (DELIVER_INTEREST, EventBudgetError, EventQueue,
                               INTEREST_BITS, SchedulingError, Simulation,
                               link_transit_ns)
-from balancedn.node import LOCAL_BIT, PIT_LIFETIME_NS
+from balancedn.node import LOCAL_FACE, PIT_LIFETIME_NS
 from balancedn.scenarios import _cross_subnet_pairs
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, Topology,
                                 load_preset)
@@ -186,6 +186,17 @@ class TestRunUntil:
         assert flow.interest_traversals == 1 and flow.data_traversals == 1
         assert state.completed_at == 1_000_320 + 1_001_024
 
+    def test_self_served_request_gets_its_timer_event(self):
+        # the consumer publishes the name it asks for: the injection answers
+        # it at once, and its lifetime timer still fires and does nothing
+        sim = Simulation(two_node_topology())
+        sim.publish(0, NAME, 1024)
+        state = sim.inject_request(0, NAME, at=0)
+        assert sim.run_until(None) == 2  # the injection and its timer
+        assert state.satisfied and not state.failed
+        assert state.path_hops == 0 and state.completed_at == 0
+        assert sim.failed == 0 and sim.conservation_holds()
+
     def test_deadline_leaves_future_events_queued(self):
         sim = Simulation(two_node_topology())
         sim.publish(1, NAME, 1024)
@@ -329,6 +340,21 @@ class TestAggregatedRequests:
         assert far.interest_path == ()
         assert far.data_path == (3, 2, 1, 0)
 
+    def test_simultaneous_second_request_fails_at_its_lifetime(self):
+        # NSFNET consumers 11 and 12 share router 0, and 11 also links
+        # producer 44.  12's Interest joins 11's entry at router 0, but the
+        # producer answers 11's direct copy and drops the copy from router 0
+        # as a dead nonce, so no Data comes back to router 0.  With no
+        # consumer retransmission, 12 fails at its own lifetime.
+        sim = Simulation(load_preset("nsfnet"))
+        sim.publish(44, NAME, 1024)
+        first = sim.inject_request(11, NAME, at=0)
+        second = sim.inject_request(12, NAME, at=0)
+        sim.run_until(None)
+        assert first.satisfied and first.completed_at == 2_001_344
+        assert second.failed and second.completed_at == PIT_LIFETIME_NS
+        assert sim.failed == 1 and sim.conservation_holds()
+
     def test_traces_are_opt_in(self):
         sim = Simulation(line_topology(4))
         sim.publish(3, NAME, 1024)
@@ -344,15 +370,17 @@ class TestLazyPitExpiry:
         first = sim.inject_request(2, NAME, at=0)
         sim.run_until(2_000_000)  # node 1 now holds a transit entry
         transit = sim.nodes[1].pit[NAME.canonical_text]
+        assert transit.expiry == 1_000_320 + PIT_LIFETIME_NS
         joined = sim.inject_request(1, NAME, at=2_000_000)
         sim.run_until(None)
         assert first.failed and joined.failed
-        assert joined.completed_at == transit.expiry == 1_000_320 + PIT_LIFETIME_NS
+        # the joined request fails at its own lifetime, not at the entry's
+        assert joined.completed_at == 2_000_000 + PIT_LIFETIME_NS
         assert sim.failed == 2 and sim.conservation_holds()
 
     def test_lone_consumer_request_fails_at_its_expiry(self):
-        # a one-node topology: the local face has no flood faces, yet the
-        # consumer's entry and its timer must stay to fail the request
+        # a one-node topology: the local face has no flood faces, so no
+        # entry is left, and the request's own timer fails it
         topology = Topology.build([NodeDescriptor(0, "c0", "consumer")], [])
         sim = Simulation(topology)
         state = sim.inject_request(0, NAME, at=0)
@@ -362,7 +390,7 @@ class TestLazyPitExpiry:
         assert sim.failed == 1 and sim.satisfied + sim.failed == sim.injections
         assert sim.conservation_holds()
 
-    def test_only_local_entries_get_expiry_events(self):
+    def test_each_request_gets_one_expiry_event(self):
         sim = Simulation(line_topology(5))
         sim.publish(4, NAME, 1024)
         sim.inject_request(0, NAME, at=0)
@@ -482,8 +510,8 @@ class TestFloodAccounting:
 
     def test_oteglobe_flood_pit_entries_are_one_tracked_object(self):
         # the collector tracks a PIT entry, but nothing of its own that it
-        # refers to; the reclaim FIFO holds each live transit entry and each
-        # live dead nonce once, and the entries the Data consumed.  Leaves
+        # refers to; the reclaim FIFO holds each live entry and each live
+        # dead nonce once, and the entries the Data consumed.  Leaves
         # keep no entry, so one is left on each non-leaf node the flood
         # reached but the Data did not pass
         topology = load_preset("oteglobe")
@@ -498,7 +526,7 @@ class TestFloodAccounting:
                 assert not [r for r in referents if isinstance(r, (set, tuple, list))]
                 assert all(r is node.pit or r is type(entry) or not gc.is_tracked(r)
                            for r in referents)
-                assert not entry.in_faces & LOCAL_BIT
+                assert not entry.in_faces & 1 << LOCAL_FACE
                 live.append(entry)
             dead += [(node, pair, expiry) for pair, expiry in node.dead_nonces.items()]
         non_leaves = [nid for nid, nbrs in topology.adjacency.items() if len(nbrs) > 1]
@@ -512,8 +540,9 @@ class TestFloodAccounting:
         assert ({(node.id, pair, expiry) for expiry, node, pair in records}
                 == {(node.id, pair, expiry) for node, pair, expiry in dead})
         assert len(records) == len(dead)
-        # one transit entry consumed on each node between producer and consumer
-        assert len(entries) - len(current) == state.path_hops - 1
+        # one entry consumed on each node between producer and consumer,
+        # the consumer's own included
+        assert len(entries) - len(current) == state.path_hops
 
 
 class TestRunBudget:

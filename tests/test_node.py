@@ -1,7 +1,7 @@
 import pytest
 
 from balancedn.core import DataPacket, InterestPacket, parse_name
-from balancedn.node import (FLOOD, LOCAL_BIT, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode,
+from balancedn.node import (FLOOD, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode,
                             UnknownFaceError, reclaim_expired)
 
 NAME = parse_name("/video/a.mp4")
@@ -93,17 +93,15 @@ class TestDeadEnd:
 
     def test_local_request_after_transit_copy_is_forwarded(self):
         node = flooding_node(neighbors=(7,))
-        timers = []
-        node.pit_expiry_hook = timers.append
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         request = InterestPacket(NAME, nonce=2)
         assert node.on_interest(request, in_face=LOCAL_FACE, now=5) is FLOOD
         assert node.flood_faces[LOCAL_FACE] == (1,)
         entry = node.pit[NAME.canonical_text]
-        assert timers == [entry] and entry.expiry == 5 + PIT_LIFETIME_NS
-        assert entry.in_faces == LOCAL_BIT
+        assert entry.expiry == 5 + PIT_LIFETIME_NS
+        assert entry.in_faces == 1 << LOCAL_FACE
         assert (entry.nonce, entry.more_nonces) == (2, None)
-        assert not node.pit_reclaim
+        assert list(node.pit_reclaim) == [entry]
 
 
 class TestOnData:
@@ -208,7 +206,8 @@ class TestPitExpiry:
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         entry = node.pit[NAME.canonical_text]
-        removed = node.expire_pit(entry, entry.expiry)
+        assert node.expire_pit(NAME.canonical_text, entry.expiry - 1) is None
+        removed = node.expire_pit(NAME.canonical_text, entry.expiry)
         assert removed is entry
         assert NAME.canonical_text not in node.pit
 
@@ -220,7 +219,7 @@ class TestPitExpiry:
         node.on_interest(InterestPacket(NAME, nonce=2), in_face=1, now=old.expiry)
         new = node.pit[NAME.canonical_text]
         assert new is not old
-        assert node.expire_pit(old, old.expiry) is None
+        assert node.expire_pit(NAME.canonical_text, old.expiry) is None
         assert node.pit[NAME.canonical_text] is new
 
     def test_satisfaction_wins_over_expiry(self):
@@ -228,7 +227,7 @@ class TestPitExpiry:
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         entry = node.pit[NAME.canonical_text]
         node.on_data(DataPacket(NAME, 8), in_face=2, now=1)
-        assert node.expire_pit(entry, entry.expiry) is None
+        assert node.expire_pit(NAME.canonical_text, entry.expiry) is None
 
     def test_entry_counts_as_absent_from_its_expiry_on(self):
         node = flooding_node()
@@ -239,7 +238,7 @@ class TestPitExpiry:
         assert out is FLOOD and node.flood_faces[1] == (2, 3)  # a fresh flood
         assert node.pit[NAME.canonical_text].expiry == 2 * PIT_LIFETIME_NS
 
-    def test_reclaim_deletes_only_current_transit_entries(self):
+    def test_reclaim_deletes_only_current_entries(self):
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         other = parse_name("/other")
@@ -250,10 +249,10 @@ class TestPitExpiry:
         stale = parse_name("/stale")
         node.on_interest(InterestPacket(stale, nonce=5), in_face=1, now=0)
         node.on_interest(InterestPacket(stale, nonce=6), in_face=2, now=PIT_LIFETIME_NS)
-        assert len(node.pit_reclaim) == 4  # the local entry has a timer instead
+        assert len(node.pit_reclaim) == 5  # every entry, the local one too
         reclaim_expired(node.pit_reclaim, PIT_LIFETIME_NS)
-        # the expired transit entry is gone; the local one, the one a local
-        # request joined (its timer owns it) and the re-created one stay
-        assert set(node.pit) == {other.canonical_text, joined.canonical_text,
-                                 stale.canonical_text}
+        # the expired transit, local and joined entries are gone; the
+        # replaced one is skipped and the re-created one stays
+        assert set(node.pit) == {stale.canonical_text}
+        assert node.pit[stale.canonical_text].expiry == 2 * PIT_LIFETIME_NS
         assert len(node.pit_reclaim) == 1
