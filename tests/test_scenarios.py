@@ -4,9 +4,12 @@ import pytest
 
 from balancedn import topology as topology_module
 from balancedn.core import parse_name
+from balancedn.engine import DEFAULT_PAYLOAD_BITS, Simulation
 from balancedn.scenarios import (ScenarioConfig, ScenarioError,
-                                 default_topology, run_scenario,
-                                 synthetic_corpus)
+                                 _cross_subnet_pairs, _flooding_record,
+                                 _with_extra_consumer, default_topology,
+                                 run_scenario, synthetic_corpus)
+from balancedn.topology import load_preset
 
 
 class TestScenarioConfig:
@@ -160,6 +163,48 @@ class TestPairSweep:
         with pytest.raises(ScenarioError, match="exceeds"):
             run_scenario(ScenarioConfig(scenario="s2", resolver_count=12,
                                         content_count=3000))
+
+
+def flooded_alone(topology, scenario, consumer, producer, key, seed):
+    """The flooding row of one request run alone in a fresh simulation."""
+    sim = Simulation(topology, seed=seed)
+    name = parse_name(key)
+    sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
+    state = sim.inject_request(consumer, name, at=0)
+    sim.run_until(None)
+    return _flooding_record(sim, scenario, producer,
+                            topology.paths.distance(consumer, producer), state)
+
+
+class TestSweepRowsStandAlone:
+    # A flooding row is a function of its (consumer, producer) pair alone:
+    # neither the requests before it in the sweep nor the nonce stream
+    # moves it.  This is what lets the engine change a flood's event
+    # stream and keep every CSV byte.
+    def sweep(self, scenario, topology, content_count):
+        config = ScenarioConfig(scenario=scenario, content_count=content_count,
+                                schemes=("flooding",))
+        report = run_scenario(config)
+        corpus = synthetic_corpus(content_count, config.seed)
+        rows = [(record, (consumer, producer, corpus[slot]))
+                for record, (consumer, producer, slot)
+                in zip(report.records, _cross_subnet_pairs(topology))]
+        assert len(rows) == len(report.records)
+        return rows, config.seed + 1
+
+    def test_s2_rows_equal_each_request_run_alone(self):
+        topology = _with_extra_consumer(load_preset("nsfnet"))
+        rows, seed = self.sweep("s2", topology, 3000)
+        assert len(rows) == 167
+        for record, request in rows:
+            assert record == flooded_alone(topology, "s2", *request, seed)
+
+    def test_sampled_s3_rows_equal_each_request_run_alone(self):
+        topology = load_preset("oteglobe")
+        rows, seed = self.sweep("s3", topology, 20_000)
+        assert len(rows) == 14_520
+        for record, request in random.Random(seed).sample(rows, 50):
+            assert record == flooded_alone(topology, "s3", *request, seed)
 
 
 class TestSkewScenario:
