@@ -28,6 +28,14 @@ whose only face is the one they came in on.  No Data can come back to
 an entry there, so ``on_interest`` returns None before it creates one,
 as NFD rejects an Interest with no eligible upstream.
 
+An Interest with a new nonce that meets a live entry joins it if the
+entry was forwarded less than ``RETX_SUPPRESS_NS`` ago.  Later, it is a
+retransmission, as in NFD's retransmission suppression: a fresh entry
+takes over the old one's in-faces and nonces and the Interest is
+forwarded again, so a repeated request is not absorbed by an entry off
+the Data's path, which would see no Data until it expired.  At a dead
+end the retransmission returns None and leaves the old entry as it is.
+
 Each node also keeps a dead-nonce list: the (name, nonce) pairs it has
 answered from its own content, and the nonces of every PIT entry that
 Data consumed.  A copy of such an Interest that arrives later is dropped
@@ -53,6 +61,10 @@ LOCAL_FACE = 0
 # PIT entries and dead nonces live 4 simulated seconds, then expire; late
 # Data is dropped by the no-PIT rule.
 PIT_LIFETIME_NS = 4_000_000_000
+# An Interest with a new nonce joins a live entry forwarded less than this
+# long ago; past it, the Interest is forwarded again (NFD's retransmission
+# suppression, at its multicast strategy's initial 10 ms interval).
+RETX_SUPPRESS_NS = 10_000_000
 
 
 class UnknownFaceError(ValueError):
@@ -123,9 +135,10 @@ class NdnNode:
         """Decide what becomes of ``interest``, which came in on ``in_face``.
 
         Returns None when it goes no further (a duplicate, joined to a
-        live entry, or at a dead end), the Data that answers it on
-        ``in_face``, or :data:`FLOOD` once it holds a new PIT entry, to
-        forward it unchanged on every face of ``flood_faces[in_face]``.
+        live entry forwarded less than ``RETX_SUPPRESS_NS`` ago, or at a
+        dead end), the Data that answers it on ``in_face``, or
+        :data:`FLOOD` once it holds a new PIT entry, to forward it
+        unchanged on every face of ``flood_faces[in_face]``.
         """
         # runs once per delivery: the out-faces of a flood in one lookup,
         # and the name's text from its slot rather than through the property
@@ -145,23 +158,34 @@ class NdnNode:
 
         pit = self.pit
         entry = pit.get(key)
+        in_faces = 1 << in_face
+        nonces = None
         if entry is not None and entry.expiry > now:
             nonce = interest.nonce
             more = entry.more_nonces
             if nonce == entry.nonce or (more is not None and nonce in more):
                 self.duplicates_suppressed += 1
                 return None
-            entry.in_faces |= 1 << in_face
-            if more is None:
-                entry.more_nonces = {nonce}
-            else:
-                more.add(nonce)
-            return None
+            # an entry is created when its node forwards, so this is how
+            # long ago the name was last forwarded here
+            if now - (entry.expiry - PIT_LIFETIME_NS) < RETX_SUPPRESS_NS:
+                entry.in_faces |= in_faces
+                if more is None:
+                    entry.more_nonces = {nonce}
+                else:
+                    more.add(nonce)
+                return None
+            # a retransmission: a fresh entry takes over the old one's
+            # in-faces and nonces and is forwarded again
+            in_faces |= entry.in_faces
+            nonces = {entry.nonce}
+            if more is not None:
+                nonces |= more
 
         if not out_faces:
             return None  # a dead end: no Data can come back to an entry here
-        entry = pit[key] = PitEntry(key, pit, 1 << in_face, interest.nonce,
-                                    now + PIT_LIFETIME_NS)
+        entry = pit[key] = PitEntry(key, pit, in_faces, interest.nonce,
+                                    now + PIT_LIFETIME_NS, nonces)
         self.pit_reclaim.append(entry)
         return FLOOD
 

@@ -364,6 +364,46 @@ class TestAggregatedRequests:
         assert state.interest_path == () and state.data_path == ()
 
 
+def assert_repeats_are_served(topology, first, second, producer):
+    # a drained flood, then a second consumer asks for the name, then the
+    # first asks again; each request drains within its event budget
+    per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
+    sim = Simulation(topology)
+    sim.publish(producer, NAME, 1024)
+    states = []
+    for consumer in (first, second, first):
+        states.append(sim.inject_request(consumer, NAME, at=sim.now))
+        assert sim.run_until(None) <= per_request and len(sim.queue) == 0
+    assert [state.satisfied for state in states] == [True, True, True]
+    assert sim.satisfied == 3 and sim.conservation_holds()
+
+
+class TestRepeatedRequests:
+    def test_nsfnet_repeat_after_another_consumer_is_served(self):
+        # consumer 11's flood leaves live entries off the Data's path; 4 s
+        # later they are past the suppression interval, so neither 12's
+        # request nor 11's repeat is absorbed by them
+        assert_repeats_are_served(load_preset("nsfnet"), 11, 12, 44)
+
+    @pytest.mark.parametrize("preset", ["nsfnet", "oteglobe"])
+    def test_repeats_are_served_on_the_presets(self, preset):
+        topology = load_preset(preset)
+        consumers = topology.nodes_with_role("consumer")
+        producers = topology.nodes_with_role("producer")
+        rng = random.Random(VARIED_SEED)
+        for _ in range(20):
+            first, second = rng.sample(consumers, 2)
+            assert_repeats_are_served(topology, first, second, rng.choice(producers))
+
+    def test_repeats_are_served_on_varied_delay_graphs(self):
+        rng = random.Random(VARIED_SEED)
+        pick = random.Random(VARIED_SEED + 1)
+        for _ in range(200):
+            topology, first, producer = varied_delay_graph(rng)
+            second = pick.choice([n for n in topology.nodes if n not in (first, producer)])
+            assert_repeats_are_served(topology, first, second, producer)
+
+
 class TestLazyPitExpiry:
     def test_local_request_joining_transit_entry_still_fails(self):
         sim = Simulation(line_topology(3))  # nothing published

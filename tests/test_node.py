@@ -1,8 +1,9 @@
 import pytest
 
 from balancedn.core import DataPacket, InterestPacket, parse_name
-from balancedn.node import (FLOOD, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode,
-                            UnknownFaceError, reclaim_expired)
+from balancedn.node import (FLOOD, LOCAL_FACE, PIT_LIFETIME_NS,
+                            RETX_SUPPRESS_NS, NdnNode, UnknownFaceError,
+                            reclaim_expired)
 
 NAME = parse_name("/video/a.mp4")
 
@@ -71,6 +72,56 @@ class TestOnInterest:
             with pytest.raises(UnknownFaceError):
                 node.on_interest(InterestPacket(name, nonce), in_face=99, now=1)
         assert state() == before
+
+
+class TestRetransmission:
+    def test_new_nonce_past_the_interval_is_forwarded_again(self):
+        node = flooding_node()
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        node.on_interest(InterestPacket(NAME, nonce=2), in_face=2, now=1)
+        old = node.pit[NAME.canonical_text]
+        now = RETX_SUPPRESS_NS
+        assert node.on_interest(InterestPacket(NAME, nonce=3), in_face=3, now=now) is FLOOD
+        fresh = node.pit[NAME.canonical_text]
+        assert fresh is not old
+        # the old in-faces and every old nonce carry over
+        assert fresh.in_faces == 1 << 1 | 1 << 2 | 1 << 3
+        assert (fresh.nonce, fresh.more_nonces) == (3, {1, 2})
+        assert fresh.expiry == now + PIT_LIFETIME_NS
+        assert list(node.pit_reclaim) == [old, fresh]
+        # a copy of an old nonce is still a duplicate
+        assert node.on_interest(InterestPacket(NAME, nonce=1), in_face=2, now=now) is None
+        assert node.duplicates_suppressed == 1
+
+    def test_new_nonce_inside_the_interval_joins(self):
+        node = flooding_node()
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        entry = node.pit[NAME.canonical_text]
+        out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=2,
+                               now=RETX_SUPPRESS_NS - 1)
+        assert out is None and node.pit[NAME.canonical_text] is entry
+        assert entry.more_nonces == {2} and list(node.pit_reclaim) == [entry]
+
+    def test_interval_counts_from_the_last_forwarding(self):
+        node = flooding_node()
+        node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
+        node.on_interest(InterestPacket(NAME, nonce=2), in_face=2, now=RETX_SUPPRESS_NS)
+        out = node.on_interest(InterestPacket(NAME, nonce=3), in_face=3,
+                               now=2 * RETX_SUPPRESS_NS - 1)
+        assert out is None
+        assert node.pit[NAME.canonical_text].more_nonces == {1, 3}
+
+    def test_retransmission_at_a_dead_end_keeps_the_old_entry(self):
+        # a leaf holding its own request's entry: a copy from its one
+        # neighbour has nowhere to go
+        node = flooding_node(neighbors=(5,))
+        assert node.on_interest(InterestPacket(NAME, nonce=1), LOCAL_FACE, now=0) is FLOOD
+        entry = node.pit[NAME.canonical_text]
+        out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=1,
+                               now=RETX_SUPPRESS_NS)
+        assert out is None and node.pit[NAME.canonical_text] is entry
+        assert entry.in_faces == 1 << LOCAL_FACE and entry.more_nonces is None
+        assert list(node.pit_reclaim) == [entry]
 
 
 class TestDeadEnd:
