@@ -10,20 +10,35 @@ time's events in scheduling order, so events are totally ordered by
 while that time's events run (a link whose transit rounds to 0 ns)
 fires after them.  ``Simulation.run_until`` takes one bucket at a time,
 dispatches each event in place and marks the bucket dispatched once,
-after its events; most of a flood's events deliver an Interest to a
-leaf, which is a dead end (see ``balancedn.node``).
+after its events.
 
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
 time the simulation turns those faces into one target table per (node,
-in-face): the face-table row of each flood face (its neighbour and the
-face there), grouped by Interest transit time in face order.  A flood
+in-face): the face-table row of each flood face (its neighbour, the
+face there and, if the neighbour is a leaf, its node), grouped by
+Interest transit time in face order.  A flood
 hands each group to its fire time's bucket with one
 ``EventQueue.schedule_many`` call, not one ``schedule`` call per copy.
 The copies of one flood step are appended together, so each bucket
 still receives them in face order after the events already in it,
 whatever the link delays; on equal-delay links each table entry is a
 single group.
+
+The event contract: a flood counts every Interest copy it sends, in
+``interest_traversals``, ``bits_moved`` and, when traced,
+``edge_interest_counts``, but a copy to a leaf (a node with one
+neighbour) is an event only if the leaf publishes the name or holds any
+PIT entry when the copy is sent.  Any other leaf could only drop the
+copy: as a dead nonce, or at a dead end (see ``balancedn.node``), since
+it has no entry to join.  So skipping it changes no request and no flow
+count, only ``processed``, the event log and that leaf's
+``duplicates_suppressed``; an OTEGlobe flood sends 428 Interest copies
+and runs 83 events.  The leaf's state is read when the copy is sent, so
+``publish`` is refused while events are queued.  A request injected at
+a leaf while a copy to it is in flight would at most have joined that
+request's entry, and a join at a leaf changes nothing: the entry's Data
+can come in only on the leaf's one face, which ``on_data`` masks out.
 
 A flood sends one Interest object on every hop: the hop count travels
 on the event, and it is the only hop count the engine reads, for a
@@ -76,6 +91,11 @@ PIT_EXPIRY = 2
 REQUEST_INJECTION = 3
 
 EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_injection")
+
+
+# One face of a node: (neighbour, face at the neighbour, Interest transit ns,
+# link, the neighbour's NdnNode if it is a leaf (one neighbour) else None).
+FaceRow = tuple[int, int, int, LinkDescriptor, Optional[NdnNode]]
 
 
 class SchedulingError(ValueError):
@@ -241,16 +261,16 @@ class Simulation:
             node = NdnNode(nid, topology.adjacency[nid])
             node.pit_reclaim = self._reclaim
             self.nodes[nid] = node
-        # node -> face -> (neighbour, face at the neighbour, Interest transit
-        # ns, link); the local face has no entry
-        self._face_table: dict[int, list[tuple[int, int, int, LinkDescriptor] | None]] = {}
+        # node -> face -> its FaceRow; the local face has no entry
+        self._face_table: dict[int, list[FaceRow | None]] = {}
         for nid, node in self.nodes.items():
-            row: list[tuple[int, int, int, LinkDescriptor] | None] = [None]
+            row: list[FaceRow | None] = [None]
             for face in range(1, len(node.faces)):
                 nbr = node.faces[face]
                 link = topology.link_between(nid, nbr)
-                row.append((nbr, self.nodes[nbr].face_of[nid],
-                            link_transit_ns(link, INTEREST_BITS), link))
+                target = self.nodes[nbr]
+                row.append((nbr, target.face_of[nid], link_transit_ns(link, INTEREST_BITS),
+                            link, target if len(target.face_of) == 1 else None))
             self._face_table[nid] = row
         # node -> in-face -> where a flood that came in on that face goes,
         # from the node's own flood faces: groups of face-table rows that
@@ -268,10 +288,11 @@ class Simulation:
             self._flood_targets[nid] = plans
         # A flood that drains costs each request at most its injection, its
         # one expiry event, 2|E| Interest deliveries (each node forwards a
-        # name once) and 4|E| Data deliveries (each PIT entry answers each
-        # in-face once, each producer each neighbour once).  The |V| term
-        # covers the expiry event with headroom to spare, and the budget
-        # allows twice the sum.
+        # nonce once; copies to inert leaves are sent but are no events) and
+        # 4|E| Data deliveries (each PIT entry answers each in-face once,
+        # each producer each neighbour once).  The |V| term covers the
+        # expiry event with headroom to spare, and the budget allows twice
+        # the sum.
         self._events_per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
         self._requests_since_drain = 0
         self._events_since_drain = 0
@@ -299,6 +320,15 @@ class Simulation:
 
     def publish(self, producer: int, name: ContentName,
                 payload_bits: int = DEFAULT_PAYLOAD_BITS) -> None:
+        """Make ``producer`` answer Interests for ``name``.
+
+        Only while no event is queued, else ``ValueError``: a flood
+        decides whether a leaf gets a copy when it sends the copy, so
+        content published while a copy is in flight could go unseen.
+        """
+        if len(self.queue):
+            raise ValueError(f"cannot publish {name.canonical_text} while "
+                             f"{len(self.queue)} event(s) are queued")
         self.nodes[producer].publish(name, payload_bits)
 
     # -- scheduling --------------------------------------------------------
@@ -442,7 +472,7 @@ class Simulation:
             if face == LOCAL_FACE:
                 self._satisfy(node_id, data, now, hops)
                 continue
-            to_node, to_face, _, link = row[face]
+            to_node, to_face, _, link, _ = row[face]
             if data.trace:
                 data = data.delivered_to(to_node)
             schedule(now + link_transit_ns(link, bits),
@@ -456,9 +486,11 @@ class Simulation:
         """Send a copy of ``interest`` on each flood face of ``in_face``.
 
         ``hops`` is the Interest's hop count at this node; each copy
-        arrives one hop further.  The copies that share a fire time go to
-        its bucket in one call, in face order.  Only a traced packet is
-        copied per hop.
+        arrives one hop further.  Every copy is counted as sent, but a
+        copy to a leaf that neither publishes the name nor holds a PIT
+        entry is not scheduled: the leaf could only drop it.  The copies
+        that share a fire time go to its bucket in one call, in face
+        order.  Only a traced packet is copied per hop.
         """
         key = interest.name.canonical_text
         schedule_many = self.queue.schedule_many
@@ -468,15 +500,18 @@ class Simulation:
             copies += len(targets)
             if interest.trace:
                 events = []
-                for to_node, to_face, _, _ in targets:
+                for to_node, to_face, _, _, leaf in targets:
                     edge = (node_id, to_node, key)
                     self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
-                    events.append((DELIVER_INTEREST, to_node, to_face,
-                                   interest.delivered_to(to_node), arrival_hops))
+                    if leaf is None or key in leaf.published or leaf.pit:
+                        events.append((DELIVER_INTEREST, to_node, to_face,
+                                       interest.delivered_to(to_node), arrival_hops))
             else:
                 events = [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
-                          for to_node, to_face, _, _ in targets]
-            schedule_many(now + targets[0][2], events)
+                          for to_node, to_face, _, _, leaf in targets
+                          if leaf is None or key in leaf.published or leaf.pit]
+            if events:
+                schedule_many(now + targets[0][2], events)
         flow = self.flows[key]
         flow.interest_traversals += copies
         flow.bits_moved += copies * INTEREST_BITS

@@ -23,10 +23,12 @@ request failed is decided by the request's own lifetime timer in the
 event loop, not by any entry.  Every delivery is scheduled after the
 entry it meets was created, so an entry whose expiry equals the delivery
 time counts as gone, just as a timer set at its creation would already
-have removed it.  Most Interests of a flood reach a dead end, a node
-whose only face is the one they came in on.  No Data can come back to
-an entry there, so ``on_interest`` returns None before it creates one,
-as NFD rejects an Interest with no eligible upstream.
+have removed it.  Most Interest copies of a flood go to a dead end, a
+node whose only face is the one they came in on, and the event loop
+delivers only those a leaf could act on (see ``balancedn.engine``).  No
+Data can come back to an entry at a dead end, so ``on_interest``
+returns None before it creates one, as NFD rejects an Interest with no
+eligible upstream.
 
 An Interest with a new nonce that meets a live entry joins it if the
 entry was forwarded less than ``RETX_SUPPRESS_NS`` ago.  Later, it is a

@@ -183,9 +183,9 @@ class TestRunCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("scenario, digest", [
-        ("s1_near", "fc8d3e07a710c66490bc854857a17dbca0ed4662371108c8959583995cc88ef3"),
-        ("s1_mid", "99e2f23316451b25002a2b4f0bbeb433f37b28a7e17c96a4e07f81444d8743c5"),
-        ("s1_long", "5ffa85dc51aaa9fa42a2e6762f449a1969920fac56461e630ff78e3410e2b11a"),
+        ("s1_near", "07feef37b3eddda6ab7399a434237ffe8a744dc49002e1e81912d49f0cf70ea6"),
+        ("s1_mid", "b59010b7e802ea1255c70996a7585c6764bfa1532fe76f19e2fe328b2d02e96b"),
+        ("s1_long", "099567b479c4af263c00c4c76efb60715f241e6ee3124d2c0fe6ed7fd45513d3"),
     ])
     def test_verbose_event_log_is_pinned(self, tmp_path, capsys, scenario, digest):
         out = tmp_path / f"{scenario}.csv"

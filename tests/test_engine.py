@@ -31,6 +31,13 @@ def line_topology(n):
     return Topology.build(nodes, links)
 
 
+def star_topology(leaves):
+    # hub 0 with leaves 1..leaves
+    nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(leaves + 1)]
+    links = [LinkDescriptor(0, i, 1.0, 1000.0) for i in range(1, leaves + 1)]
+    return Topology.build(nodes, links)
+
+
 def event(node):
     return (DELIVER_INTEREST, node, 0, None, 0)
 
@@ -457,14 +464,16 @@ class TestLazyPitExpiry:
 class TestFloodAccounting:
     def test_oteglobe_flood_events_are_pinned(self):
         # one flood over all 427 links from consumer 122 to producer 379:
-        # the injection, 428 Interest deliveries (365 of them to leaves),
-        # 17 Data deliveries and the consumer's expiry event
+        # 428 Interest copies sent, 365 of them to leaves.  The 364 to
+        # leaves other than the producer are not events, so the events are
+        # the injection, 64 Interest deliveries, 17 Data deliveries and the
+        # consumer's expiry event
         sim = Simulation(load_preset("oteglobe"))
         sim.publish(379, NAME, 1024)
         state = sim.inject_request(122, NAME, at=0)
-        assert sim.run_until(None) == 447
+        assert sim.run_until(None) == 83
         flow = sim.flow_stats(NAME)
-        assert (sim.processed, flow.interest_traversals, flow.data_traversals) == (447, 428, 17)
+        assert (sim.processed, flow.interest_traversals, flow.data_traversals) == (83, 428, 17)
         assert state.satisfied and state.path_hops == 17
 
     def test_oteglobe_flood_event_log_is_pinned(self):
@@ -473,11 +482,11 @@ class TestFloodAccounting:
         sim = Simulation(load_preset("oteglobe"), log=out)
         sim.publish(379, NAME, 1024)
         sim.inject_request(122, NAME, at=0)
-        assert sim.run_until(None) == 447
+        assert sim.run_until(None) == 83
         log = out.getvalue()
-        assert len(log.splitlines()) == 446
+        assert len(log.splitlines()) == 82
         assert (hashlib.sha256(log.encode()).hexdigest()
-                == "464dbc475d8047b7d84fa05c54b9dc3ad2b2c62e42fc60bfafffd4089c2a2d79")
+                == "ebad33c2ba635f80cb6072f6f5c300c7c8cb636642770158582398d43dfc209d")
 
     def test_queue_depth_mid_bucket_counts_undispatched_events(self):
         # each event is a node call here but the final expiry, which
@@ -510,7 +519,7 @@ class TestFloodAccounting:
             node.on_interest, node.on_data = counted(node.on_interest), counted(node.on_data)
         sim.publish(379, NAME, 1024)
         sim.inject_request(122, NAME, at=0)
-        assert sim.run_until(None) == 447 == scheduled[0] == taken[0] + 1
+        assert sim.run_until(None) == 83 == scheduled[0] == taken[0] + 1
         assert all(depth == expected for depth, expected in depths)
         assert max(depth for depth, _ in depths) > 1
 
@@ -543,7 +552,7 @@ class TestFloodAccounting:
             assert sim.run_until(queue.peek_time()) > 0
             steps += 1
             assert len(queue) == len(scheduled) - sim.processed
-        assert steps > 1 and len(scheduled) == sim.processed == whole.processed == 447
+        assert steps > 1 and len(scheduled) == sim.processed == whole.processed == 83
         assert sim.flow_stats(NAME) == whole.flow_stats(NAME)
         assert (state.satisfied, state.path_hops, state.completed_at) == (
             whole_state.satisfied, whole_state.path_hops, whole_state.completed_at)
@@ -558,7 +567,7 @@ class TestFloodAccounting:
         sim = Simulation(topology)
         sim.publish(379, NAME, 1024)
         state = sim.inject_request(122, NAME, at=0)
-        assert sim.run_until(None) == 447
+        assert sim.run_until(None) == 83
         live, dead = [], []
         for node in sim.nodes.values():
             for entry in node.pit.values():
@@ -583,6 +592,64 @@ class TestFloodAccounting:
         # one entry consumed on each node between producer and consumer,
         # the consumer's own included
         assert len(entries) - len(current) == state.path_hops
+
+
+class TestLeafDeliveries:
+    # a flood's copy to a leaf is an event only if the leaf publishes the
+    # name or holds a PIT entry when the copy is sent
+    OTHER = parse_name("/video/b.mp4")
+
+    @staticmethod
+    def delivered(log):
+        return [(line.split()[2], line.split()[3]) for line in log.getvalue().splitlines()
+                if line.split()[1] == "deliver_interest"]
+
+    @pytest.mark.parametrize("track_edges", [True, False])
+    def test_inert_leaf_gets_no_event_but_its_copy_counts(self, track_edges):
+        # consumer 1 asks; leaf 2 publishes the name, leaf 3 another one
+        out = io.StringIO()
+        sim = Simulation(star_topology(3), log=out, track_edges=track_edges)
+        sim.publish(2, NAME, 1024)
+        sim.publish(3, self.OTHER, 1024)
+        state = sim.inject_request(1, NAME, at=0)
+        # the injection, the hub, producer 2, two Data deliveries, the expiry
+        assert sim.run_until(None) == 6
+        assert self.delivered(out) == [("0", "/video/a.mp4"), ("2", "/video/a.mp4")]
+        assert sim.flow_stats(NAME).interest_traversals == 3
+        assert sim.flow_stats(NAME).bits_moved == 3 * INTEREST_BITS + 2 * 1024
+        assert state.satisfied and state.path_hops == 2
+        if track_edges:
+            key = NAME.canonical_text
+            assert sim.edge_interest_counts == {(1, 0, key): 1, (0, 2, key): 1,
+                                                (0, 3, key): 1}
+            assert state.interest_path == (1, 0, 2)
+
+    def test_leaf_with_a_pending_entry_is_delivered_to(self):
+        # leaves 1 and 3 each ask for a name nobody publishes; at the hub
+        # each flood reaches the other's leaf, which holds its own entry,
+        # but not leaf 2, which holds none
+        out = io.StringIO()
+        sim = Simulation(star_topology(3), log=out)
+        first = sim.inject_request(1, NAME, at=0)
+        second = sim.inject_request(3, self.OTHER, at=0)
+        sim.run_until(None)
+        assert sorted(self.delivered(out)) == [
+            ("0", "/video/a.mp4"), ("0", "/video/b.mp4"),
+            ("1", "/video/b.mp4"), ("3", "/video/a.mp4")]
+        assert sim.flow_stats(NAME).interest_traversals == 3
+        assert first.failed and second.failed and sim.conservation_holds()
+
+    def test_publish_while_events_are_queued_is_rejected(self):
+        sim = Simulation(star_topology(2))
+        sim.inject_request(1, NAME, at=0)
+        with pytest.raises(ValueError, match="queued"):
+            sim.publish(2, NAME, 1024)
+        assert not sim.nodes[2].published
+        sim.run_until(None)
+        sim.publish(2, NAME, 1024)
+        state = sim.inject_request(1, NAME, at=sim.now)
+        sim.run_until(None)
+        assert state.satisfied
 
 
 class TestRunBudget:
@@ -736,7 +803,7 @@ class TestVariedDelayFloods:
             sim.run_until(None)
             digest.update(out.getvalue().encode())
         assert (digest.hexdigest()
-                == "08b8d446a73740d89be7675b094c9d41bf009759841e204a50aa355eaf2cfdb2")
+                == "e5c99080a78eb4ac0226dae374182931b9b5be60acaf5074325f93ce865b2fc2")
 
     def test_traced_and_untraced_floods_agree(self):
         # tracing copies packets per hop; it must not change what happens
