@@ -17,13 +17,12 @@ an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
 time the simulation turns those faces into one target table per (node,
 in-face): the face-table row of each flood face (its neighbour, the
 face there and, if the neighbour is a leaf, its node), grouped by
-Interest transit time in face order.  A flood
-hands each group to its fire time's bucket with one
-``EventQueue.schedule_many`` call, not one ``schedule`` call per copy.
-The copies of one flood step are appended together, so each bucket
-still receives them in face order after the events already in it,
-whatever the link delays; on equal-delay links each table entry is a
-single group.
+Interest transit time in face order.  A flood hands each group to its
+fire time's bucket with one ``EventQueue.schedule_many`` call, not one
+``schedule`` call per copy.  The copies of one flood step are appended
+together, so each bucket still receives them in face order after the
+events already in it, whatever the link delays; on equal-delay links
+each table entry is a single group.
 
 The event contract: a flood counts every Interest copy it sends, in
 ``interest_traversals``, ``bits_moved`` and, when traced,

@@ -606,22 +606,23 @@ class TestLeafDeliveries:
 
     @pytest.mark.parametrize("track_edges", [True, False])
     def test_inert_leaf_gets_no_event_but_its_copy_counts(self, track_edges):
-        # consumer 1 asks; leaf 2 publishes the name, leaf 3 another one
+        # consumer 1 asks; leaf 2 publishes the name, leaf 3 only another
+        # name and leaf 4 nothing
         out = io.StringIO()
-        sim = Simulation(star_topology(3), log=out, track_edges=track_edges)
+        sim = Simulation(star_topology(4), log=out, track_edges=track_edges)
         sim.publish(2, NAME, 1024)
         sim.publish(3, self.OTHER, 1024)
         state = sim.inject_request(1, NAME, at=0)
         # the injection, the hub, producer 2, two Data deliveries, the expiry
         assert sim.run_until(None) == 6
         assert self.delivered(out) == [("0", "/video/a.mp4"), ("2", "/video/a.mp4")]
-        assert sim.flow_stats(NAME).interest_traversals == 3
-        assert sim.flow_stats(NAME).bits_moved == 3 * INTEREST_BITS + 2 * 1024
+        assert sim.flow_stats(NAME).interest_traversals == 4
+        assert sim.flow_stats(NAME).bits_moved == 4 * INTEREST_BITS + 2 * 1024
         assert state.satisfied and state.path_hops == 2
         if track_edges:
             key = NAME.canonical_text
             assert sim.edge_interest_counts == {(1, 0, key): 1, (0, 2, key): 1,
-                                                (0, 3, key): 1}
+                                                (0, 3, key): 1, (0, 4, key): 1}
             assert state.interest_path == (1, 0, 2)
 
     def test_leaf_with_a_pending_entry_is_delivered_to(self):
