@@ -820,3 +820,51 @@ class TestVariedDelayFloods:
                              sim.duplicates_suppressed, state.satisfied, state.failed,
                              state.completed_at, state.path_hops))
             assert runs[0] == runs[1]
+
+
+def every_copy_an_event(sim):
+    """Rewrite ``sim``'s flood table so that no row names a leaf.
+
+    Every Interest copy is then an event, as if no leaf were skipped.
+    """
+    for plans in sim._flood_targets.values():
+        plans[:] = [tuple(tuple(row[:4] + (None,) for row in group) for group in plan)
+                    for plan in plans]
+
+
+class TestConcurrentRequests:
+    # overlapping floods for a few names: they join each other's entries,
+    # retransmit past the suppression interval and meet each other's dead
+    # nonces.  Skipping the copies to leaves must change no outcome
+    NAMES = [parse_name(f"/cc/{i}") for i in range(3)]
+
+    def run(self, topology, producer, requests, reference):
+        sim = Simulation(topology)
+        if reference:
+            every_copy_an_event(sim)
+        sim.publish(producer, self.NAMES[0], 1024)
+        states = [sim.inject_request(consumer, self.NAMES[name], at=at)
+                  for at, consumer, name in requests]
+        sim.run_until(None)
+        assert len(sim.queue) == 0 and sim.conservation_holds()
+        outcome = ([(s.satisfied, s.failed, s.completed_at, s.path_hops) for s in states],
+                   sim.flows, (sim.injections, sim.satisfied, sim.failed))
+        return outcome, sim.processed
+
+    def test_overlapping_floods_match_every_copy_delivered(self):
+        rng = random.Random(VARIED_SEED)
+        pick = random.Random(VARIED_SEED + 2)
+        events, reference_events, satisfied, failed = 0, 0, 0, 0
+        for _ in range(200):
+            topology, _, producer = varied_delay_graph(rng)
+            asks = pick.sample([(node, name) for node in sorted(topology.nodes)
+                                for name in range(len(self.NAMES))], 6)
+            requests = [(pick.randrange(30_000_000), node, name) for node, name in asks]
+            outcome, processed = self.run(topology, producer, requests, False)
+            expected, reference_processed = self.run(topology, producer, requests, True)
+            assert outcome == expected
+            events += processed
+            reference_events += reference_processed
+            satisfied += outcome[2][1]
+            failed += outcome[2][2]
+        assert satisfied and failed and events < reference_events

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from balancedn import topology as topology_module
 from balancedn.core import parse_name
 from balancedn.engine import DEFAULT_PAYLOAD_BITS, Simulation
+from balancedn.metrics import emit_csv
 from balancedn.scenarios import (ScenarioConfig, ScenarioError,
                                  _cross_subnet_pairs, _flooding_record,
                                  _with_extra_consumer, default_topology,
@@ -181,10 +183,13 @@ class TestSweepRowsStandAlone:
     # neither the requests before it in the sweep nor the nonce stream
     # moves it.  This is what lets the engine change a flood's event
     # stream and keep every CSV byte.
-    def sweep(self, scenario, topology, content_count):
+    def sweep(self, scenario, topology, content_count, digest=None):
         config = ScenarioConfig(scenario=scenario, content_count=content_count,
                                 schemes=("flooding",))
         report = run_scenario(config)
+        if digest is not None:
+            # the CSV `balancedn run` writes from this report
+            assert hashlib.sha256(emit_csv(report).encode()).hexdigest() == digest
         corpus = synthetic_corpus(content_count, config.seed)
         rows = [(record, (consumer, producer, corpus[slot]))
                 for record, (consumer, producer, slot)
@@ -201,7 +206,9 @@ class TestSweepRowsStandAlone:
 
     def test_sampled_s3_rows_equal_each_request_run_alone(self):
         topology = load_preset("oteglobe")
-        rows, seed = self.sweep("s3", topology, 20_000)
+        rows, seed = self.sweep(
+            "s3", topology, 20_000,
+            "64714060797930b665c713fd1193f8ba8afdb34909277bdfed58761335ba51c8")
         assert len(rows) == 14_520
         for record, request in random.Random(seed).sample(rows, 50):
             assert record == flooded_alone(topology, "s3", *request, seed)
