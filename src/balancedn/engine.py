@@ -8,18 +8,20 @@ events per fire time and a heap of the distinct times, and fires each
 time's events in scheduling order, so events are totally ordered by
 (fire_at, scheduling order).  An event scheduled for the current time
 while that time's events run (a link whose transit rounds to 0 ns)
-fires after them.  ``Simulation.run_until`` takes one bucket at a time,
-dispatches each event in place and marks the bucket dispatched once,
-after its events.
+fires after them.  ``Simulation.run_until`` takes each bucket with one
+``EventQueue.take`` call and dispatches its events in place.
+``len(queue)`` counts a taken event until the iteration passes it, so no
+further call marks a bucket dispatched.
 
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
 time the simulation turns those faces into one target table per (node,
 in-face): the face-table row of each flood face (its neighbour, the
 face there and, if the neighbour is a leaf, its node), grouped by
-Interest transit time in face order.  A flood hands each group to its
-fire time's bucket with one ``EventQueue.schedule_many`` call, not one
-``schedule`` call per copy.  The copies of one flood step are appended
+Interest transit time in face order, and each group's rows that are
+not leaves.  A flood hands each group to its fire time's bucket with
+one ``EventQueue.schedule_many`` call, not one ``schedule`` call per
+copy.  The copies of one flood step are appended
 together, so each bucket still receives them in face order after the
 events already in it, whatever the link delays; on equal-delay links
 each table entry is a single group.
@@ -27,17 +29,22 @@ each table entry is a single group.
 The event contract: a flood counts every Interest copy it sends, in
 ``interest_traversals``, ``bits_moved`` and, when traced,
 ``edge_interest_counts``, but a copy to a leaf (a node with one
-neighbour) is an event only if the leaf publishes the name or holds any
-PIT entry when the copy is sent.  Any other leaf could only drop the
-copy: as a dead nonce, or at a dead end (see ``balancedn.node``), since
-it has no entry to join.  So skipping it changes no request and no flow
-count, only ``processed``, the event log and that leaf's
-``duplicates_suppressed``; an OTEGlobe flood sends 428 Interest copies
-and runs 83 events.  The leaf's state is read when the copy is sent, so
-``publish`` is refused while events are queued.  A request injected at
-a leaf while a copy to it is in flight would at most have joined that
-request's entry, and a join at a leaf changes nothing: the entry's Data
-can come in only on the leaf's one face, which ``on_data`` masks out.
+neighbour) is an event only if the leaf publishes the name.  This is
+exact.  The leaf's one face leads back to the node that sent the copy.
+A leaf that does not publish the name can only drop the copy, as a
+dead nonce or at a dead end (see ``balancedn.node``), or join its own
+pending entry for the name.  That entry's Data can come in only on the
+leaf's one face, which ``on_data`` masks out, so a join there sends no
+Data anywhere new.  Skipping the copy changes no request and no flow
+count, only ``processed``, the event log and leaf-level counters such
+as ``duplicates_suppressed``; an OTEGlobe flood sends 428 Interest
+copies and runs 83 events.  ``Simulation`` keeps, per node, the set of
+names that its leaves publish, filled by ``publish``.  A flood step at
+a node whose set lacks the name schedules each group's non-leaf rows
+and reads no leaf; otherwise, and for a traced packet, it tests each
+leaf row.  In a sweep only the producer's router tests its leaves.
+``publish`` is refused while events are queued, so the sets stay fixed
+while a flood is in flight.
 
 A flood sends one Interest object on every hop: the hop count travels
 on the event, and it is the only hop count the engine reads, for a
@@ -95,6 +102,9 @@ EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_inject
 # One face of a node: (neighbour, face at the neighbour, Interest transit ns,
 # link, the neighbour's NdnNode if it is a leaf (one neighbour) else None).
 FaceRow = tuple[int, int, int, LinkDescriptor, Optional[NdnNode]]
+# The flood faces that share one Interest transit time: (transit ns, their
+# rows in face order, the rows of those that are not leaves).
+FloodGroup = tuple[int, tuple[FaceRow, ...], tuple[FaceRow, ...]]
 
 
 class SchedulingError(ValueError):
@@ -118,25 +128,20 @@ class EventQueue:
     A heap holds each distinct pending time once; on equal-delay links a
     whole flood wave shares one time, so the heap stays small.  The
     clock ``now`` is the time of the bucket last taken.  ``len`` counts
-    the events not yet dispatched, including the rest of a bucket that
-    is being drained.
+    the events not yet dispatched: those queued and those of the last
+    take that its iterator has not reached.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[int, list[tuple]] = {}
         self._times: list[int] = []
-        self._size = 0
+        self._size = 0  # queued events, not counting the last take's
         self.now = 0
-        # the run loop's iterator over the events it is dispatching, and
-        # how many it was given; None outside a bucket
-        self._cursor: Iterator[tuple] | None = None
-        self._cursor_len = 0
+        # the iterator over the events last taken, for dispatching them
+        self._taken: Iterator[tuple] = iter(())
 
     def __len__(self) -> int:
-        if self._cursor is None:
-            return self._size
-        # the events the cursor has passed are dispatched, if not yet done
-        return self._size - self._cursor_len + length_hint(self._cursor)
+        return self._size + length_hint(self._taken)
 
     def schedule(self, fire_at: int, event: tuple) -> None:
         if fire_at < self.now:
@@ -171,47 +176,30 @@ class EventQueue:
     def peek_time(self) -> int | None:
         return self._times[0] if self._times else None
 
-    def pop_bucket(self) -> list[tuple]:
-        """Take the earliest bucket and move the clock to its time.
+    def take(self, deadline: int | None, limit: int) -> Iterator[tuple] | None:
+        """Take the earliest bucket due by ``deadline`` and move the clock to it.
 
-        Its events stay counted until the caller marks them dispatched
-        with :meth:`done`.  An event scheduled for the same time
-        meanwhile opens a new bucket, which fires after this one.
+        Returns an iterator over at most ``limit`` of its events, in
+        scheduling order, or None when no bucket is due (with ``deadline``
+        None, when the queue is empty).  The rest of the bucket stays
+        queued at its time, ahead of any event scheduled for that time
+        meanwhile.  Once a whole bucket is taken, an event scheduled for
+        its time opens a new bucket, which fires after it.  ``len`` counts
+        each taken event until the iterator passes it.
         """
-        fire_at = heapq.heappop(self._times)
+        times = self._times
+        if not times or (deadline is not None and times[0] > deadline):
+            return None
+        fire_at = heapq.heappop(times)
         self.now = fire_at
-        return self._buckets.pop(fire_at)
-
-    def dispatching(self, events: list[tuple]) -> Iterator[tuple]:
-        """Iterate over ``events`` of the bucket just taken, to run them.
-
-        Until :meth:`done` marks them, ``len`` counts only those the
-        iteration has not reached, as if each were marked when taken.
-        """
-        self._cursor = cursor = iter(events)
-        self._cursor_len = len(events)
-        return cursor
-
-    def done(self, count: int = 1) -> None:
-        """Mark ``count`` taken events dispatched, and end any iteration.
-
-        The run loop marks each bucket once, after its events have run.
-        """
-        self._size -= count
-        self._cursor = None
-
-    def push_front(self, events: list[tuple]) -> None:
-        """Return undispatched events of the current bucket to the queue.
-
-        They fire before any event scheduled for the same time since the
-        bucket was taken, as their scheduling order requires.
-        """
-        bucket = self._buckets.get(self.now)
-        if bucket is None:
-            self._buckets[self.now] = events
-            heapq.heappush(self._times, self.now)
-        else:
-            bucket[:0] = events
+        bucket = self._buckets.pop(fire_at)
+        if len(bucket) > limit:
+            self._buckets[fire_at] = bucket[limit:]
+            heapq.heappush(times, fire_at)
+            bucket = bucket[:limit]
+        self._size -= len(bucket)
+        self._taken = taken = iter(bucket)
+        return taken
 
 
 @dataclass(slots=True)
@@ -272,19 +260,27 @@ class Simulation:
                             link, target if len(target.face_of) == 1 else None))
             self._face_table[nid] = row
         # node -> in-face -> where a flood that came in on that face goes,
-        # from the node's own flood faces: groups of face-table rows that
-        # share one Interest transit time, each group in face order.  Rows
-        # are shared, not copied, so the table adds few objects to set-up.
-        self._flood_targets: dict[int, list[tuple[tuple[tuple, ...], ...]]] = {}
+        # from the node's own flood faces: one FloodGroup per Interest
+        # transit time, its rows in face order.  Rows are shared, not
+        # copied, and a group with no leaf row shares its tuple too, so
+        # the table adds few objects to set-up.
+        self._flood_targets: dict[int, list[tuple[FloodGroup, ...]]] = {}
         for nid, node in self.nodes.items():
             row = self._face_table[nid]
             plans = []
             for in_face in range(len(node.faces)):
-                groups: dict[int, list[tuple]] = {}
+                groups: dict[int, list[FaceRow]] = {}
                 for face in node.flood_faces[in_face]:
                     groups.setdefault(row[face][2], []).append(row[face])
-                plans.append(tuple(tuple(group) for group in groups.values()))
+                plan = []
+                for transit, group in groups.items():
+                    rows = tuple(group)
+                    inner = tuple(r for r in rows if r[4] is None)
+                    plan.append((transit, rows, rows if len(inner) == len(rows) else inner))
+                plans.append(tuple(plan))
             self._flood_targets[nid] = plans
+        # node -> the names its leaf neighbours publish, filled by publish
+        self._leaf_names: dict[int, set[str]] = {nid: set() for nid in self.nodes}
         # A flood that drains costs each request at most its injection, its
         # one expiry event, 2|E| Interest deliveries (each node forwards a
         # nonce once; copies to inert leaves are sent but are no events) and
@@ -321,14 +317,26 @@ class Simulation:
                 payload_bits: int = DEFAULT_PAYLOAD_BITS) -> None:
         """Make ``producer`` answer Interests for ``name``.
 
-        Only while no event is queued, else ``ValueError``: a flood
-        decides whether a leaf gets a copy when it sends the copy, so
-        content published while a copy is in flight could go unseen.
+        This is the only way content enters a simulation: a flood sends a
+        leaf its copy only if the leaf publishes the name, and it looks
+        that up in the per-node index of the names its leaves publish,
+        which is filled here, not by ``NdnNode.publish``.  Raises
+        ``ValueError`` for an unknown producer, for a payload of no bits,
+        and while any event is queued, so that the index never changes
+        under a flood in flight.  A rejected call stores nothing.
         """
+        node = self.nodes.get(producer)
+        if node is None:
+            raise ValueError(f"no node {producer} to publish {name.canonical_text}")
+        if payload_bits <= 0:
+            raise ValueError(f"payload_bits must be positive, not {payload_bits}")
         if len(self.queue):
             raise ValueError(f"cannot publish {name.canonical_text} while "
                              f"{len(self.queue)} event(s) are queued")
-        self.nodes[producer].publish(name, payload_bits)
+        node.publish(name, payload_bits)
+        if len(node.face_of) == 1:
+            (router,) = node.face_of
+            self._leaf_names[router].add(name.canonical_text)
 
     # -- scheduling --------------------------------------------------------
 
@@ -380,19 +388,16 @@ class Simulation:
         running the events the budget allows; the rest stay queued.
         """
         queue = self.queue
+        take = queue.take
         nodes = self.nodes
         log = self.log
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
                   - self._events_since_drain)
         processed = 0
-        while len(queue):
-            now = queue.peek_time()
-            if deadline is not None and now > deadline:
-                break
-            bucket = queue.pop_bucket()
-            allowed = budget - processed
-            run = bucket if len(bucket) <= allowed else bucket[:allowed]
-            for kind, node_id, face, packet, hops in queue.dispatching(run):
+        while (events := take(deadline, budget - processed)) is not None:
+            processed += length_hint(events)
+            now = queue.now
+            for kind, node_id, face, packet, hops in events:
                 if log is not None and kind != PIT_EXPIRY:
                     log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
                               f"{packet.name.canonical_text} {hops}\n")
@@ -415,17 +420,16 @@ class Simulation:
                     self._expire(node_id, packet, now)
                 else:
                     raise ValueError(f"unknown event kind {kind!r}")
-            queue.done(len(run))
-            if run is not bucket:
-                queue.push_front(bucket[allowed:])
-                self.processed += budget
-                self._events_since_drain += budget
-                raise EventBudgetError(
-                    f"{self._events_since_drain} events without draining for "
-                    f"{self._requests_since_drain} request(s), past the budget of "
-                    f"{self._events_per_request} per request; the flood does not "
-                    f"converge on this topology")
-            processed += len(bucket)
+            if processed == budget:
+                due = queue.peek_time()
+                if due is not None and (deadline is None or due <= deadline):
+                    self.processed += budget
+                    self._events_since_drain += budget
+                    raise EventBudgetError(
+                        f"{self._events_since_drain} events without draining for "
+                        f"{self._requests_since_drain} request(s), past the budget of "
+                        f"{self._events_per_request} per request; the flood does not "
+                        f"converge on this topology")
         self.processed += processed
         if len(queue):
             self._events_since_drain += processed
@@ -486,31 +490,43 @@ class Simulation:
 
         ``hops`` is the Interest's hop count at this node; each copy
         arrives one hop further.  Every copy is counted as sent, but a
-        copy to a leaf that neither publishes the name nor holds a PIT
-        entry is not scheduled: the leaf could only drop it.  The copies
-        that share a fire time go to its bucket in one call, in face
-        order.  Only a traced packet is copied per hop.
+        copy to a leaf that does not publish the name is not scheduled:
+        the leaf could only drop it.  Unless one of this node's leaves
+        publishes the name, or the packet is traced, that is every leaf
+        row, so only the group's non-leaf rows are read.  The copies that
+        share a fire time go to its bucket in one call, in face order.
+        Only a traced packet is copied per hop.
         """
-        key = interest.name.canonical_text
+        key = interest.name._text
         schedule_many = self.queue.schedule_many
         arrival_hops = hops + 1
         copies = 0
-        for targets in self._flood_targets[node_id][in_face]:
-            copies += len(targets)
-            if interest.trace:
-                events = []
-                for to_node, to_face, _, _, leaf in targets:
-                    edge = (node_id, to_node, key)
-                    self.edge_interest_counts[edge] = self.edge_interest_counts.get(edge, 0) + 1
-                    if leaf is None or key in leaf.published or leaf.pit:
-                        events.append((DELIVER_INTEREST, to_node, to_face,
-                                       interest.delivered_to(to_node), arrival_hops))
-            else:
-                events = [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
-                          for to_node, to_face, _, _, leaf in targets
-                          if leaf is None or key in leaf.published or leaf.pit]
-            if events:
-                schedule_many(now + targets[0][2], events)
+        plan = self._flood_targets[node_id][in_face]
+        if interest.trace or key in self._leaf_names[node_id]:
+            for transit, targets, _ in plan:
+                copies += len(targets)
+                if interest.trace:
+                    events = []
+                    for to_node, to_face, _, _, leaf in targets:
+                        edge = (node_id, to_node, key)
+                        self.edge_interest_counts[edge] = (
+                            self.edge_interest_counts.get(edge, 0) + 1)
+                        if leaf is None or key in leaf.published:
+                            events.append((DELIVER_INTEREST, to_node, to_face,
+                                           interest.delivered_to(to_node), arrival_hops))
+                else:
+                    events = [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
+                              for to_node, to_face, _, _, leaf in targets
+                              if leaf is None or key in leaf.published]
+                if events:
+                    schedule_many(now + transit, events)
+        else:
+            for transit, targets, inner in plan:
+                copies += len(targets)
+                if inner:
+                    schedule_many(now + transit,
+                                  [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
+                                   for to_node, to_face, _, _, _ in inner])
         flow = self.flows[key]
         flow.interest_traversals += copies
         flow.bits_moved += copies * INTEREST_BITS

@@ -51,12 +51,18 @@ class TestEventQueue:
         q.schedule(5, event(3))
         assert len(q) == 4
         times = []
-        while len(q):
-            bucket = q.pop_bucket()
-            for _ in bucket:
-                q.done()
-            times.append((q.now, [e[1] for e in bucket]))
+        while (events := q.take(None, 10)) is not None:
+            times.append((q.now, [e[1] for e in events]))
         assert times == [(3, [1]), (5, [0, 3]), (9, [2])]
+        assert len(q) == 0
+
+    def test_take_leaves_buckets_past_the_deadline(self):
+        q = EventQueue()
+        q.schedule(5, event(0))
+        q.schedule(9, event(1))
+        assert [e[1] for e in q.take(8, 10)] == [0] and q.now == 5
+        assert q.take(8, 10) is None and q.now == 5
+        assert len(q) == 1 and q.peek_time() == 9
 
     def test_simultaneous_events_fifo(self):
         q = EventQueue()
@@ -64,52 +70,48 @@ class TestEventQueue:
         q.schedule(7, first)
         q.schedule(7, second)
         q.schedule(7, third)
-        bucket = q.pop_bucket()
-        assert bucket[0] is first and bucket[1] is second and bucket[2] is third
-        assert len(q) == 3  # counted until marked dispatched
-        q.done()
+        events = q.take(None, 10)
+        assert len(q) == 3  # counted until the iteration passes them
+        assert next(events) is first
         assert len(q) == 2
+        assert next(events) is second and next(events) is third
+        assert len(q) == 0
 
     def test_same_time_event_scheduled_during_drain_fires_after_bucket(self):
         q = EventQueue()
         q.schedule(7, event(1))
         q.schedule(7, event(2))
-        q.pop_bucket()
-        q.done()
-        q.done()
+        events = q.take(None, 10)
+        next(events)
         late = event(3)
         q.schedule(7, late)
-        assert q.peek_time() == 7 and q.pop_bucket() == [late]
+        assert [e[1] for e in events] == [2]
+        assert q.peek_time() == 7 and list(q.take(None, 10)) == [late]
 
-    def test_push_front_keeps_scheduling_order(self):
+    def test_partial_take_keeps_its_rest_ahead_of_later_events(self):
         q = EventQueue()
         q.schedule(7, event(1))
         q.schedule(7, event(2))
-        bucket = q.pop_bucket()
-        q.done()
+        assert [e[1] for e in q.take(None, 1)] == [1] and q.now == 7
         q.schedule(7, event(3))
-        q.push_front(bucket[1:])
         assert len(q) == 2
-        assert [e[1] for e in q.pop_bucket()] == [2, 3]
+        assert [e[1] for e in q.take(None, 10)] == [2, 3]
 
-    def test_dispatching_counts_only_events_not_yet_reached(self):
+    def test_len_counts_only_taken_events_not_yet_reached(self):
         q = EventQueue()
         for node in range(3):
             q.schedule(7, event(node))
-        bucket = q.pop_bucket()
         depths = []
-        for _ in q.dispatching(bucket):
+        for _ in q.take(None, 10):
             q.schedule(9, event(9))
             depths.append(len(q))
         assert depths == [3, 3, 3]  # one reached, one scheduled, each step
-        assert len(q) == 3
-        q.done(len(bucket))
         assert len(q) == 3 and q.peek_time() == 9
 
     def test_scheduling_into_the_past_rejected(self):
         q = EventQueue()
         q.schedule(10, event(0))
-        q.pop_bucket()
+        q.take(None, 10)
         with pytest.raises(SchedulingError):
             q.schedule(3, event(0))
         with pytest.raises(SchedulingError):
@@ -122,10 +124,9 @@ class TestEventQueue:
         q.schedule_many(5, [event(4)])
         q.schedule_many(9, [])  # nothing to fire: no bucket opens
         assert len(q) == 4
-        assert [e[1] for e in q.pop_bucket()] == [4] and q.now == 5
-        assert [e[1] for e in q.pop_bucket()] == [1, 2, 3] and q.now == 7
-        q.done(4)
-        assert len(q) == 0 and q.peek_time() is None
+        assert [e[1] for e in q.take(None, 10)] == [4] and q.now == 5
+        assert [e[1] for e in q.take(None, 10)] == [1, 2, 3] and q.now == 7
+        assert len(q) == 0 and q.peek_time() is None and q.take(None, 10) is None
 
 
 class TestZeroTransit:
@@ -596,7 +597,7 @@ class TestFloodAccounting:
 
 class TestLeafDeliveries:
     # a flood's copy to a leaf is an event only if the leaf publishes the
-    # name or holds a PIT entry when the copy is sent
+    # name
     OTHER = parse_name("/video/b.mp4")
 
     @staticmethod
@@ -625,20 +626,60 @@ class TestLeafDeliveries:
                                                 (0, 3, key): 1, (0, 4, key): 1}
             assert state.interest_path == (1, 0, 2)
 
-    def test_leaf_with_a_pending_entry_is_delivered_to(self):
+    def test_leaf_with_a_pending_entry_gets_no_copy(self):
         # leaves 1 and 3 each ask for a name nobody publishes; at the hub
-        # each flood reaches the other's leaf, which holds its own entry,
-        # but not leaf 2, which holds none
+        # each flood reaches the other's leaf, which holds its own entry
+        # but could only join it, and leaf 2, which holds none
         out = io.StringIO()
         sim = Simulation(star_topology(3), log=out)
         first = sim.inject_request(1, NAME, at=0)
         second = sim.inject_request(3, self.OTHER, at=0)
-        sim.run_until(None)
-        assert sorted(self.delivered(out)) == [
-            ("0", "/video/a.mp4"), ("0", "/video/b.mp4"),
-            ("1", "/video/b.mp4"), ("3", "/video/a.mp4")]
+        # two injections, two hub deliveries, two expiries
+        assert sim.run_until(None) == 6
+        assert sorted(self.delivered(out)) == [("0", "/video/a.mp4"), ("0", "/video/b.mp4")]
         assert sim.flow_stats(NAME).interest_traversals == 3
         assert first.failed and second.failed and sim.conservation_holds()
+
+    def test_leaf_asking_for_the_same_name_gets_no_copy(self):
+        # leaf 2 publishes the name and leaves 1 and 3 ask for it at once:
+        # 3's Interest joins 1's entry at the hub, so the Data serves both,
+        # and 1's copy to leaf 3 could only join 3's own entry
+        out = io.StringIO()
+        sim = Simulation(star_topology(3), log=out)
+        sim.publish(2, NAME, 1024)
+        first = sim.inject_request(1, NAME, at=0)
+        second = sim.inject_request(3, NAME, at=0)
+        # two injections, two hub deliveries, the producer, three Data
+        # deliveries, two expiries
+        assert sim.run_until(None) == 10
+        assert self.delivered(out) == [("0", "/video/a.mp4"), ("0", "/video/a.mp4"),
+                                       ("2", "/video/a.mp4")]
+        flow = sim.flow_stats(NAME)
+        assert (flow.interest_traversals, flow.data_traversals) == (4, 3)
+        assert first.satisfied and second.satisfied
+        assert first.completed_at == second.completed_at == 4_002_688
+        assert sim.conservation_holds()
+
+    def test_leaf_off_another_router_is_found_by_name(self):
+        # consumer 0 and leaf 4 hang off router 1; producer 3 and leaf 5,
+        # which publishes another name, off router 2.  Only router 2's
+        # leaves publish the name, so only there is a leaf delivered to
+        nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(6)]
+        links = [LinkDescriptor(a, b, 1.0, 1000.0)
+                 for a, b in ((0, 1), (1, 2), (2, 3), (1, 4), (2, 5))]
+        out = io.StringIO()
+        sim = Simulation(Topology.build(nodes, links), log=out)
+        sim.publish(3, NAME, 1024)
+        sim.publish(5, self.OTHER, 1024)
+        state = sim.inject_request(0, NAME, at=0)
+        # the injection, routers 1 and 2, the producer, three Data
+        # deliveries, the expiry
+        assert sim.run_until(None) == 8
+        assert self.delivered(out) == [("1", "/video/a.mp4"), ("2", "/video/a.mp4"),
+                                       ("3", "/video/a.mp4")]
+        flow = sim.flow_stats(NAME)
+        assert (flow.interest_traversals, flow.data_traversals) == (5, 3)
+        assert state.satisfied and state.path_hops == 3
 
     def test_publish_while_events_are_queued_is_rejected(self):
         sim = Simulation(star_topology(2))
@@ -651,6 +692,33 @@ class TestLeafDeliveries:
         state = sim.inject_request(1, NAME, at=sim.now)
         sim.run_until(None)
         assert state.satisfied
+
+
+class TestPublish:
+    # a rejected publish stores nothing, and the run goes on as if it had
+    # never been called
+    @staticmethod
+    def assert_unserved(sim):
+        state = sim.inject_request(1, NAME, at=0)
+        # the injection, the hub and the expiry: leaf 2 gets no copy
+        assert sim.run_until(None) == 3
+        assert state.failed and len(sim.queue) == 0
+        assert sim.run_until(None) == 0 and sim.conservation_holds()
+
+    def test_unknown_producer_is_rejected(self):
+        sim = Simulation(star_topology(2))
+        with pytest.raises(ValueError, match="no node 9"):
+            sim.publish(9, NAME, 1024)
+        assert not any(node.published for node in sim.nodes.values())
+        self.assert_unserved(sim)
+
+    @pytest.mark.parametrize("payload_bits", [0, -8])
+    def test_payload_of_no_bits_is_rejected(self, payload_bits):
+        sim = Simulation(star_topology(2))
+        with pytest.raises(ValueError, match="payload_bits must be positive"):
+            sim.publish(2, NAME, payload_bits)
+        assert not sim.nodes[2].published
+        self.assert_unserved(sim)
 
 
 class TestRunBudget:
@@ -673,7 +741,7 @@ class TestRunBudget:
         queue = sim.queue
         scheduled, sizes = [], []
         schedule, schedule_many = queue.schedule, queue.schedule_many
-        pop_bucket = queue.pop_bucket
+        take = queue.take
 
         def counting_schedule(fire_at, event):
             scheduled.append(event)
@@ -683,13 +751,14 @@ class TestRunBudget:
             scheduled.extend(events)
             schedule_many(fire_at, events)
 
-        def sizing_pop_bucket():
-            bucket = pop_bucket()
-            sizes.append(len(bucket))
-            return bucket
+        def sizing_take(deadline, limit):
+            # the size of the whole bucket the take is from
+            if queue.peek_time() is not None:
+                sizes.append(len(queue._buckets[queue.peek_time()]))
+            return take(deadline, limit)
 
         queue.schedule, queue.schedule_many = counting_schedule, counting_schedule_many
-        queue.pop_bucket = sizing_pop_bucket
+        queue.take = sizing_take
         sim.publish(producer, parse_name("/a"), 1024)
         for name in ("/a", "/b", "/c"):
             sim.inject_request(consumer, parse_name(name), at=0)
@@ -828,7 +897,9 @@ def every_copy_an_event(sim):
     Every Interest copy is then an event, as if no leaf were skipped.
     """
     for plans in sim._flood_targets.values():
-        plans[:] = [tuple(tuple(row[:4] + (None,) for row in group) for group in plan)
+        plans[:] = [tuple((transit, bare, bare) for transit, bare
+                          in ((transit, tuple(row[:4] + (None,) for row in rows))
+                              for transit, rows, _ in plan))
                     for plan in plans]
 
 
