@@ -22,10 +22,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
 
-SIGNATURE_BITS = 256
-_SIGNATURE_PLACEHOLDER = bytes(SIGNATURE_BITS // 8)
-
-
 def _build_crc_table() -> tuple[int, ...]:
     table = []
     for i in range(256):
@@ -199,25 +195,22 @@ class InterestPacket:
 class DataPacket:
     """Named content flowing back toward requesters.
 
-    The signature is an opaque fixed 256-bit placeholder; payload_size
-    is in bits.  ``trace`` mirrors InterestPacket's and exists for
-    metrics only.
+    ``payload_size`` is in bits, and it is all a Data packet costs on a
+    link.  ``trace`` mirrors InterestPacket's and exists for metrics
+    only.
     """
 
     name: ContentName
     payload_size: int
-    signature: bytes = _SIGNATURE_PLACEHOLDER
     trace: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.payload_size <= 0:
             raise ValueError("payload_size must be positive")
-        if len(self.signature) != SIGNATURE_BITS // 8:
-            raise ValueError("signature placeholder must be 256 bits")
 
     def delivered_to(self, node_id: int) -> "DataPacket":
         trace = self.trace + (node_id,) if self.trace else ()
-        return DataPacket(self.name, self.payload_size, self.signature, trace)
+        return DataPacket(self.name, self.payload_size, trace)
 
 
 def assign_resolver(name: ContentName, resolver_count: int) -> int:

@@ -9,9 +9,11 @@ time's events in scheduling order, so events are totally ordered by
 (fire_at, scheduling order).  An event scheduled for the current time
 while that time's events run (a link whose transit rounds to 0 ns)
 fires after them.  ``Simulation.run_until`` takes each bucket with one
-``EventQueue.take`` call and dispatches its events in place.
-``len(queue)`` counts a taken event until the iteration passes it, so no
-further call marks a bucket dispatched.
+``EventQueue.take`` call and dispatches its events in place.  The queue
+keeps no count of its own: ``len(queue)`` adds up the queued buckets and
+the ``length_hint`` of the taken bucket's iterator, so a taken event is
+counted until the iteration passes it, and neither scheduling nor
+dispatch updates a counter.
 
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
@@ -129,19 +131,21 @@ class EventQueue:
     whole flood wave shares one time, so the heap stays small.  The
     clock ``now`` is the time of the bucket last taken.  ``len`` counts
     the events not yet dispatched: those queued and those of the last
-    take that its iterator has not reached.
+    take that its iterator has not reached.  It is computed from the
+    buckets and the iterator, not kept as a counter, so its readers (a
+    guard or a sample, never the run loop) pay for it, not each
+    scheduling call.
     """
 
     def __init__(self) -> None:
         self._buckets: dict[int, list[tuple]] = {}
         self._times: list[int] = []
-        self._size = 0  # queued events, not counting the last take's
         self.now = 0
         # the iterator over the events last taken, for dispatching them
         self._taken: Iterator[tuple] = iter(())
 
     def __len__(self) -> int:
-        return self._size + length_hint(self._taken)
+        return sum(map(len, self._buckets.values())) + length_hint(self._taken)
 
     def schedule(self, fire_at: int, event: tuple) -> None:
         if fire_at < self.now:
@@ -153,7 +157,6 @@ class EventQueue:
             heapq.heappush(self._times, fire_at)
         else:
             bucket.append(event)
-        self._size += 1
 
     def schedule_many(self, fire_at: int, events: list[tuple]) -> None:
         """Schedule ``events`` for one time, in order, as one step.
@@ -171,7 +174,6 @@ class EventQueue:
         elif events:
             self._buckets[fire_at] = events
             heapq.heappush(self._times, fire_at)
-        self._size += len(events)
 
     def peek_time(self) -> int | None:
         return self._times[0] if self._times else None
@@ -197,7 +199,6 @@ class EventQueue:
             self._buckets[fire_at] = bucket[limit:]
             heapq.heappush(times, fire_at)
             bucket = bucket[:limit]
-        self._size -= len(bucket)
         self._taken = taken = iter(bucket)
         return taken
 
@@ -291,9 +292,9 @@ class Simulation:
         self._events_per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
         self._requests_since_drain = 0
         self._events_since_drain = 0
-        self.requests: dict[str, dict[int, RequestState]] = {}
-        # ended requests that a later request of the same consumer and name replaced
-        self._replaced_requests: list[RequestState] = []
+        # (name key, consumer) -> that consumer's latest request for the name
+        self.requests: dict[tuple[str, int], RequestState] = {}
+        self._injected: list[RequestState] = []  # every request, in injection order
         self.flows: dict[str, FlowStats] = {}
         self.injections = 0
         self.satisfied = 0
@@ -355,19 +356,17 @@ class Simulation:
             raise SchedulingError(
                 f"cannot inject at t={at} ns; clock is {self.queue.now} ns")
         key = name.canonical_text
-        by_consumer = self.requests.setdefault(key, {})
-        earlier = by_consumer.get(consumer)
-        if earlier is not None:
-            if not earlier.satisfied and not earlier.failed:
-                raise ValueError(f"consumer {consumer} already has a pending "
-                                 f"request for {key}")
-            self._replaced_requests.append(earlier)
+        earlier = self.requests.get((key, consumer))
+        if earlier is not None and not earlier.satisfied and not earlier.failed:
+            raise ValueError(f"consumer {consumer} already has a pending "
+                             f"request for {key}")
         reclaim_expired(self._reclaim, self.queue.now)
         nonce = self.rng.getrandbits(64)
         trace = (consumer,) if self.track_edges else ()
         interest = InterestPacket(name, nonce, trace)
         state = RequestState(name, consumer, at)
-        by_consumer[consumer] = state
+        self.requests[key, consumer] = state
+        self._injected.append(state)
         self.flows.setdefault(key, FlowStats())
         self.injections += 1
         self._requests_since_drain += 1
@@ -411,11 +410,11 @@ class Simulation:
                         # answered from published content: the Data starts at 0 hops
                         if packet.trace:
                             self._record_answered(packet)
-                        self._send_data(node_id, ((face, verdict),), now, 0)
+                        self._send_data(node_id, verdict, (face,), now, 0)
                 elif kind == DELIVER_DATA:
-                    emissions = nodes[node_id].on_data(packet, face, now)
-                    if emissions:
-                        self._send_data(node_id, emissions, now, hops)
+                    faces = nodes[node_id].on_data(packet, face, now)
+                    if faces:
+                        self._send_data(node_id, packet, faces, now, hops)
                 elif kind == PIT_EXPIRY:
                     self._expire(node_id, packet, now)
                 else:
@@ -453,33 +452,30 @@ class Simulation:
 
     def _record_answered(self, interest: InterestPacket) -> None:
         """Keep the trace of the first answered Interest of its own consumer."""
-        states = self.requests.get(interest.name.canonical_text, {})
-        state = states.get(interest.trace[0])
+        state = self.requests.get((interest.name.canonical_text, interest.trace[0]))
         if state is not None and not state.interest_path:
             state.interest_path = interest.trace
 
-    def _send_data(self, node_id: int, emissions: Sequence[tuple[int, DataPacket]],
+    def _send_data(self, node_id: int, data: DataPacket, faces: Sequence[int],
                    now: int, hops: int) -> None:
-        """Send one node's ``(face, Data)`` emissions, all of one name.
+        """Send ``data`` from ``node_id`` on each of ``faces``.
 
         ``hops`` is the Data's hop count at this node; each copy arrives
         one hop further.  Only a traced packet is copied per hop.
         """
-        first = emissions[0][1]
-        flow = self.flows[first.name.canonical_text]
+        flow = self.flows[data.name.canonical_text]
         row = self._face_table[node_id]
         schedule = self.queue.schedule
-        bits = first.payload_size
+        bits = data.payload_size
         sent = 0
-        for face, data in emissions:
+        for face in faces:
             if face == LOCAL_FACE:
                 self._satisfy(node_id, data, now, hops)
                 continue
             to_node, to_face, _, link, _ = row[face]
-            if data.trace:
-                data = data.delivered_to(to_node)
             schedule(now + link_transit_ns(link, bits),
-                     (DELIVER_DATA, to_node, to_face, data, hops + 1))
+                     (DELIVER_DATA, to_node, to_face,
+                      data.delivered_to(to_node) if data.trace else data, hops + 1))
             sent += 1
         flow.data_traversals += sent
         flow.bits_moved += sent * bits
@@ -532,7 +528,7 @@ class Simulation:
         flow.bits_moved += copies * INTEREST_BITS
 
     def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
-        state = self.requests.get(data.name.canonical_text, {}).get(node_id)
+        state = self.requests.get((data.name.canonical_text, node_id))
         if state is None or state.satisfied or state.failed:
             return
         state.satisfied = True
@@ -548,8 +544,5 @@ class Simulation:
 
     def conservation_holds(self) -> bool:
         """Every injected request ended exactly one of satisfied or failed."""
-        states = [state for by_consumer in self.requests.values()
-                  for state in by_consumer.values()]
-        states += self._replaced_requests
-        return (len(states) == self.injections
-                and all(state.satisfied != state.failed for state in states))
+        return (len(self._injected) == self.injections
+                and all(state.satisfied != state.failed for state in self._injected))

@@ -191,8 +191,13 @@ class NdnNode:
         self.pit_reclaim.append(entry)
         return FLOOD
 
-    def on_data(self, data: DataPacket, in_face: int,
-                now: int) -> list[tuple[int, DataPacket]]:
+    def on_data(self, data: DataPacket, in_face: int, now: int) -> list[int]:
+        """Consume the PIT entry ``data`` satisfies; return the faces it goes on.
+
+        The faces are the entry's in-faces but ``in_face``, in ascending
+        order, the local face included; the event loop sends ``data``
+        itself on each.  Unsolicited or late Data goes nowhere.
+        """
         if in_face not in self.faces:
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
         key = data.name.canonical_text
@@ -207,7 +212,7 @@ class NdnNode:
         faces = entry.in_faces & ~(1 << in_face)
         while faces:  # lowest face first
             low = faces & -faces
-            out.append((low.bit_length() - 1, data))
+            out.append(low.bit_length() - 1)
             faces ^= low
         return out
 

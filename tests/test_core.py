@@ -240,9 +240,3 @@ class TestPackets:
     def test_data_packet_validation(self):
         with pytest.raises(ValueError):
             DataPacket(parse_name("/a"), payload_size=0)
-        with pytest.raises(ValueError):
-            DataPacket(parse_name("/a"), payload_size=8, signature=b"short")
-
-    def test_data_signature_is_256_bits(self):
-        data = DataPacket(parse_name("/a"), payload_size=1024)
-        assert len(data.signature) * 8 == 256

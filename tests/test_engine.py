@@ -324,7 +324,7 @@ class TestRejectedInjection:
         sim = self.served_nsfnet()
         self.assert_retry_matches_clean_run(
             sim, lambda: sim.inject_request(9999, self.OTHER, at=sim.now), ValueError)
-        assert 9999 not in sim.requests[self.OTHER.canonical_text]
+        assert (self.OTHER.canonical_text, 9999) not in sim.requests
 
     def test_injection_into_the_past_is_rejected_before_recording(self):
         sim = self.served_nsfnet()
