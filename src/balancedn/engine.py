@@ -13,7 +13,12 @@ fires after them.  ``Simulation.run_until`` takes each bucket with one
 keeps no count of its own: ``len(queue)`` adds up the queued buckets and
 the ``length_hint`` of the taken bucket's iterator, so a taken event is
 counted until the iteration passes it, and neither scheduling nor
-dispatch updates a counter.
+dispatch updates a counter.  An exception raised while an event is
+dispatched spends that event and loses no other: ``run_until`` puts the
+bucket's undispatched rest back at the front of the bucket at ``now``
+(``EventQueue.requeue_taken``), counts every event taken before the
+raise, the raising one included, in ``processed`` and in the budget,
+and re-raises, so a later ``run_until`` goes on from there.
 
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
@@ -134,7 +139,8 @@ class EventQueue:
     take that its iterator has not reached.  It is computed from the
     buckets and the iterator, not kept as a counter, so its readers (a
     guard or a sample, never the run loop) pay for it, not each
-    scheduling call.
+    scheduling call.  ``requeue_taken`` puts the undispatched rest of
+    the last take back, for a dispatch that raised.
     """
 
     def __init__(self) -> None:
@@ -174,6 +180,22 @@ class EventQueue:
         elif events:
             self._buckets[fire_at] = events
             heapq.heappush(self._times, fire_at)
+
+    def requeue_taken(self) -> int:
+        """Put the last take's undispatched events back; returns how many.
+
+        They go to the front of the bucket at ``now``, ahead of any event
+        scheduled for that time since the take, in their own order.
+        """
+        rest = list(self._taken)
+        if rest:
+            bucket = self._buckets.get(self.now)
+            if bucket is None:
+                self._buckets[self.now] = rest
+                heapq.heappush(self._times, self.now)
+            else:
+                bucket[:0] = rest
+        return len(rest)
 
     def peek_time(self) -> int | None:
         return self._times[0] if self._times else None
@@ -322,15 +344,14 @@ class Simulation:
         leaf its copy only if the leaf publishes the name, and it looks
         that up in the per-node index of the names its leaves publish,
         which is filled here, not by ``NdnNode.publish``.  Raises
-        ``ValueError`` for an unknown producer, for a payload of no bits,
-        and while any event is queued, so that the index never changes
-        under a flood in flight.  A rejected call stores nothing.
+        ``ValueError`` for an unknown producer, while any event is queued,
+        so that the index never changes under a flood in flight, and, from
+        ``NdnNode.publish``, for a payload of no bits.  A rejected call
+        stores nothing.
         """
         node = self.nodes.get(producer)
         if node is None:
             raise ValueError(f"no node {producer} to publish {name.canonical_text}")
-        if payload_bits <= 0:
-            raise ValueError(f"payload_bits must be positive, not {payload_bits}")
         if len(self.queue):
             raise ValueError(f"cannot publish {name.canonical_text} while "
                              f"{len(self.queue)} event(s) are queued")
@@ -396,29 +417,36 @@ class Simulation:
         while (events := take(deadline, budget - processed)) is not None:
             processed += length_hint(events)
             now = queue.now
-            for kind, node_id, face, packet, hops in events:
-                if log is not None and kind != PIT_EXPIRY:
-                    log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
-                              f"{packet.name.canonical_text} {hops}\n")
-                if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
-                    verdict = nodes[node_id].on_interest(packet, face, now)
-                    if verdict is None:
-                        continue
-                    if verdict is FLOOD:
-                        self._flood(node_id, face, packet, now, hops)
+            try:
+                for kind, node_id, face, packet, hops in events:
+                    if log is not None and kind != PIT_EXPIRY:
+                        log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
+                                  f"{packet.name.canonical_text} {hops}\n")
+                    if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
+                        verdict = nodes[node_id].on_interest(packet, face, now)
+                        if verdict is None:
+                            continue
+                        if verdict is FLOOD:
+                            self._flood(node_id, face, packet, now, hops)
+                        else:
+                            # answered from published content: the Data starts at 0 hops
+                            if packet.trace:
+                                self._record_answered(packet)
+                            self._send_data(node_id, verdict, (face,), now, 0)
+                    elif kind == DELIVER_DATA:
+                        faces = nodes[node_id].on_data(packet, face, now)
+                        if faces:
+                            self._send_data(node_id, packet, faces, now, hops)
+                    elif kind == PIT_EXPIRY:
+                        self._expire(node_id, packet, now)
                     else:
-                        # answered from published content: the Data starts at 0 hops
-                        if packet.trace:
-                            self._record_answered(packet)
-                        self._send_data(node_id, verdict, (face,), now, 0)
-                elif kind == DELIVER_DATA:
-                    faces = nodes[node_id].on_data(packet, face, now)
-                    if faces:
-                        self._send_data(node_id, packet, faces, now, hops)
-                elif kind == PIT_EXPIRY:
-                    self._expire(node_id, packet, now)
-                else:
-                    raise ValueError(f"unknown event kind {kind!r}")
+                        raise ValueError(f"unknown event kind {kind!r}")
+            except BaseException:
+                # the event that raised is spent; the bucket's rest goes back
+                processed -= queue.requeue_taken()
+                self.processed += processed
+                self._events_since_drain += processed
+                raise
             if processed == budget:
                 due = queue.peek_time()
                 if due is not None and (deadline is None or due <= deadline):

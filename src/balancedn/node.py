@@ -128,6 +128,13 @@ class NdnNode:
     # -- content origin -------------------------------------------------
 
     def publish(self, name: ContentName, payload_bits: int) -> None:
+        """Answer Interests for ``name`` with Data of ``payload_bits`` bits.
+
+        Raises ``ValueError`` for a payload of no bits, before storing
+        anything.
+        """
+        if payload_bits <= 0:
+            raise ValueError(f"payload_bits must be positive, not {payload_bits}")
         self.published[name.canonical_text] = payload_bits
 
     # -- packet handling ---------------------------------------------------

@@ -42,6 +42,32 @@ def event(node):
     return (DELIVER_INTEREST, node, 0, None, 0)
 
 
+def record_scheduled(queue, before_each=None):
+    """Wrap ``queue``'s scheduling calls to record the events they schedule.
+
+    Returns the list the events are appended to, in scheduling order.
+    ``before_each``, if given, is called before each scheduling call, of
+    one event or of a fan-out's copies.
+    """
+    scheduled = []
+    schedule, schedule_many = queue.schedule, queue.schedule_many
+
+    def recording_schedule(fire_at, event):
+        if before_each is not None:
+            before_each()
+        scheduled.append(event)
+        schedule(fire_at, event)
+
+    def recording_schedule_many(fire_at, events):
+        if before_each is not None:
+            before_each()
+        scheduled.extend(events)
+        schedule_many(fire_at, events)
+
+    queue.schedule, queue.schedule_many = recording_schedule, recording_schedule_many
+    return scheduled
+
+
 class TestEventQueue:
     def test_pops_in_time_order(self):
         q = EventQueue()
@@ -92,10 +118,15 @@ class TestEventQueue:
         q = EventQueue()
         q.schedule(7, event(1))
         q.schedule(7, event(2))
-        assert [e[1] for e in q.take(None, 1)] == [1] and q.now == 7
+        events = q.take(None, 1)
+        assert len(q) == 2  # the taken one, not yet reached, and the rest
+        assert [e[1] for e in events] == [1] and q.now == 7
         q.schedule(7, event(3))
         assert len(q) == 2
-        assert [e[1] for e in q.take(None, 10)] == [2, 3]
+        events = q.take(None, 10)
+        assert len(q) == 2
+        assert [e[1] for e in events] == [2, 3]
+        assert len(q) == 0
 
     def test_len_counts_only_taken_events_not_yet_reached(self):
         q = EventQueue()
@@ -107,6 +138,18 @@ class TestEventQueue:
             depths.append(len(q))
         assert depths == [3, 3, 3]  # one reached, one scheduled, each step
         assert len(q) == 3 and q.peek_time() == 9
+
+    def test_requeued_rest_fires_ahead_of_later_events(self):
+        q = EventQueue()
+        for node in range(3):
+            q.schedule(7, event(node))
+        events = q.take(None, 10)
+        next(events)
+        late = event(9)
+        q.schedule(7, late)
+        assert q.requeue_taken() == 2 and len(q) == 3
+        assert q.requeue_taken() == 0  # the iterator is spent
+        assert [e[1] for e in q.take(None, 10)] == [1, 2, 9] and q.now == 7
 
     def test_scheduling_into_the_past_rejected(self):
         q = EventQueue()
@@ -496,18 +539,9 @@ class TestFloodAccounting:
         # taken for dispatch
         sim = Simulation(load_preset("oteglobe"))
         queue = sim.queue
-        scheduled, taken, depths = [0], [0], []
-        schedule, schedule_many = queue.schedule, queue.schedule_many
-
-        def counting_schedule(fire_at, event):
-            depths.append((len(queue), scheduled[0] - taken[0]))
-            scheduled[0] += 1
-            schedule(fire_at, event)
-
-        def counting_schedule_many(fire_at, events):
-            depths.append((len(queue), scheduled[0] - taken[0]))
-            scheduled[0] += len(events)
-            schedule_many(fire_at, events)
+        taken, depths = [0], []
+        scheduled = record_scheduled(
+            queue, lambda: depths.append((len(queue), len(scheduled) - taken[0])))
 
         def counted(handler):
             def call(*args):
@@ -515,12 +549,11 @@ class TestFloodAccounting:
                 return handler(*args)
             return call
 
-        queue.schedule, queue.schedule_many = counting_schedule, counting_schedule_many
         for node in sim.nodes.values():
             node.on_interest, node.on_data = counted(node.on_interest), counted(node.on_data)
         sim.publish(379, NAME, 1024)
         sim.inject_request(122, NAME, at=0)
-        assert sim.run_until(None) == 83 == scheduled[0] == taken[0] + 1
+        assert sim.run_until(None) == 83 == len(scheduled) == taken[0] + 1
         assert all(depth == expected for depth, expected in depths)
         assert max(depth for depth, _ in depths) > 1
 
@@ -534,18 +567,7 @@ class TestFloodAccounting:
 
         sim = Simulation(load_preset("oteglobe"))
         queue = sim.queue
-        scheduled = []
-        schedule, schedule_many = queue.schedule, queue.schedule_many
-
-        def counting_schedule(fire_at, event):
-            scheduled.append(event)
-            schedule(fire_at, event)
-
-        def counting_schedule_many(fire_at, events):
-            scheduled.extend(events)
-            schedule_many(fire_at, events)
-
-        queue.schedule, queue.schedule_many = counting_schedule, counting_schedule_many
+        scheduled = record_scheduled(queue)
         sim.publish(379, NAME, 1024)
         state = sim.inject_request(122, NAME, at=0)
         steps = 0
@@ -739,17 +761,8 @@ class TestRunBudget:
         topology, consumer, producer = storm_graph()
         sim = Simulation(topology)
         queue = sim.queue
-        scheduled, sizes = [], []
-        schedule, schedule_many = queue.schedule, queue.schedule_many
+        scheduled, sizes = record_scheduled(queue), []
         take = queue.take
-
-        def counting_schedule(fire_at, event):
-            scheduled.append(event)
-            schedule(fire_at, event)
-
-        def counting_schedule_many(fire_at, events):
-            scheduled.extend(events)
-            schedule_many(fire_at, events)
 
         def sizing_take(deadline, limit):
             # the size of the whole bucket the take is from
@@ -757,7 +770,6 @@ class TestRunBudget:
                 sizes.append(len(queue._buckets[queue.peek_time()]))
             return take(deadline, limit)
 
-        queue.schedule, queue.schedule_many = counting_schedule, counting_schedule_many
         queue.take = sizing_take
         sim.publish(producer, parse_name("/a"), 1024)
         for name in ("/a", "/b", "/c"):
@@ -768,6 +780,40 @@ class TestRunBudget:
         assert 0 < ran_of_last < sizes[-1]
         assert len(queue) == len(scheduled) - sim.processed
         assert queue.peek_time() == queue.now
+
+
+class TestDispatchErrors:
+    # an exception raised while an event is dispatched spends that event
+    # and puts the rest of its bucket back; a later run goes on from there
+    class FailingLog:
+        """An event log whose ``k``-th write raises ``OSError``."""
+
+        def __init__(self, k):
+            self.k, self.writes = k, 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == self.k:
+                raise OSError(f"write {self.k} failed")
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_raise_while_dispatching_loses_no_event(self, k):
+        # leaves 1 and 3 ask for two names leaf 2 publishes: ten events
+        # are logged, and the k-th write raises inside its bucket
+        sim = Simulation(star_topology(3), log=self.FailingLog(k))
+        scheduled = record_scheduled(sim.queue)
+        sim.publish(2, parse_name("/a"), 1024)
+        sim.publish(2, parse_name("/b"), 1024)
+        sim.inject_request(1, parse_name("/a"), at=0)
+        sim.inject_request(3, parse_name("/b"), at=0)
+        with pytest.raises(OSError):
+            sim.run_until(None)
+        assert len(sim.queue) == len(scheduled) - sim.processed
+        assert 0 < sim.processed == sim._events_since_drain
+        sim.log = None
+        sim.run_until(None)
+        assert len(sim.queue) == 0 and sim.processed == len(scheduled)
+        assert sim.conservation_holds()
 
 
 def flood_model(topology, consumer, producer, payload_bits):

@@ -22,6 +22,13 @@ class TestOnInterest:
         assert packet.name == NAME and packet.payload_size == 2048
         assert not node.pit  # no PIT change on an answer
 
+    @pytest.mark.parametrize("payload_bits", [0, -8])
+    def test_publish_of_no_bits_is_rejected(self, payload_bits):
+        node = flooding_node()
+        with pytest.raises(ValueError, match="payload_bits must be positive"):
+            node.publish(NAME, payload_bits)
+        assert not node.published
+
     def test_aggregation_grows_in_faces_without_forwarding(self):
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
