@@ -201,9 +201,10 @@ class NdnNode:
     def on_data(self, data: DataPacket, in_face: int, now: int) -> list[int]:
         """Consume the PIT entry ``data`` satisfies; return the faces it goes on.
 
-        The faces are the entry's in-faces but ``in_face``, in ascending
-        order, the local face included; the event loop sends ``data``
-        itself on each.  Unsolicited or late Data goes nowhere.
+        The faces are the entry's in-faces other than ``in_face``, in
+        ascending order, so the local face comes first when a local
+        request is pending; the event loop sends ``data`` itself on each.
+        Unsolicited or late Data goes nowhere: the list is empty.
         """
         if in_face not in self.faces:
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
