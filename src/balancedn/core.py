@@ -195,22 +195,17 @@ class InterestPacket:
 class DataPacket:
     """Named content flowing back toward requesters.
 
-    ``payload_size`` is in bits, and it is all a Data packet costs on a
-    link.  ``trace`` mirrors InterestPacket's and exists for metrics
-    only.
+    Every Data packet is the same size, ``engine.DEFAULT_PAYLOAD_BITS``,
+    so it carries no size of its own.  ``trace`` mirrors InterestPacket's
+    and exists for metrics only.
     """
 
     name: ContentName
-    payload_size: int
     trace: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.payload_size <= 0:
-            raise ValueError("payload_size must be positive")
 
     def delivered_to(self, node_id: int) -> "DataPacket":
         trace = self.trace + (node_id,) if self.trace else ()
-        return DataPacket(self.name, self.payload_size, trace)
+        return DataPacket(self.name, trace)
 
 
 def assign_resolver(name: ContentName, resolver_count: int) -> int:

@@ -24,7 +24,8 @@ A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
 time the simulation turns those faces into one target table per (node,
 in-face): the face-table row of each flood face (its neighbour, the
-face there and, if the neighbour is a leaf, its node), grouped by
+face there, the face's Interest and Data transit times and, if the
+neighbour is a leaf, its node), grouped by
 Interest transit time in face order, and each group's rows that are
 not leaves.  A flood hands each group to its fire time's bucket with
 one ``EventQueue.schedule_many`` call, not one ``schedule`` call per
@@ -34,7 +35,7 @@ events already in it, whatever the link delays; on equal-delay links
 each table entry is a single group.
 
 The event contract: a flood counts every Interest copy it sends, in
-``interest_traversals``, ``bits_moved`` and, when traced,
+``interest_traversals`` (and so in ``bits_moved``) and, when traced,
 ``edge_interest_counts``, but a copy to a leaf (a node with one
 neighbour) is an event only if the leaf publishes the name.  This is
 exact.  The leaf's one face leads back to the node that sent the copy.
@@ -91,7 +92,8 @@ from .topology import LinkDescriptor, Topology
 NS_PER_US = 1_000
 NS_PER_MS = 1_000_000
 
-# Interest packets are small and fixed-size; Data carries its payload.
+# Every packet of a kind has one size: Interests are small, and
+# DEFAULT_PAYLOAD_BITS is the one Data size, that of every content item.
 INTEREST_BITS = 320
 DEFAULT_PAYLOAD_BITS = 1024
 
@@ -107,8 +109,9 @@ EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_inject
 
 
 # One face of a node: (neighbour, face at the neighbour, Interest transit ns,
-# link, the neighbour's NdnNode if it is a leaf (one neighbour) else None).
-FaceRow = tuple[int, int, int, LinkDescriptor, Optional[NdnNode]]
+# Data transit ns, the neighbour's NdnNode if it is a leaf (one neighbour)
+# else None).  Both transit times are computed once, at wiring.
+FaceRow = tuple[int, int, int, int, Optional[NdnNode]]
 # The flood faces that share one Interest transit time: (transit ns, their
 # rows in face order, the rows of those that are not leaves).
 FloodGroup = tuple[int, tuple[FaceRow, ...], tuple[FaceRow, ...]]
@@ -154,15 +157,7 @@ class EventQueue:
         return sum(map(len, self._buckets.values())) + length_hint(self._taken)
 
     def schedule(self, fire_at: int, event: tuple) -> None:
-        if fire_at < self.now:
-            raise SchedulingError(
-                f"cannot schedule at t={fire_at} ns; clock is {self.now} ns")
-        bucket = self._buckets.get(fire_at)
-        if bucket is None:
-            self._buckets[fire_at] = [event]
-            heapq.heappush(self._times, fire_at)
-        else:
-            bucket.append(event)
+        self.schedule_many(fire_at, [event])
 
     def schedule_many(self, fire_at: int, events: list[tuple]) -> None:
         """Schedule ``events`` for one time, in order, as one step.
@@ -227,11 +222,19 @@ class EventQueue:
 
 @dataclass(slots=True)
 class FlowStats:
-    """Link-crossing totals for one content name's flood."""
+    """Link-crossing totals for one content name's flood.
+
+    Every Interest and every Data packet has its kind's one size, so
+    ``bits_moved`` follows from the traversals.
+    """
 
     interest_traversals: int = 0
     data_traversals: int = 0
-    bits_moved: int = 0
+
+    @property
+    def bits_moved(self) -> int:
+        return (self.interest_traversals * INTEREST_BITS
+                + self.data_traversals * DEFAULT_PAYLOAD_BITS)
 
 
 @dataclass(slots=True)
@@ -280,7 +283,8 @@ class Simulation:
                 link = topology.link_between(nid, nbr)
                 target = self.nodes[nbr]
                 row.append((nbr, target.face_of[nid], link_transit_ns(link, INTEREST_BITS),
-                            link, target if len(target.face_of) == 1 else None))
+                            link_transit_ns(link, DEFAULT_PAYLOAD_BITS),
+                            target if len(target.face_of) == 1 else None))
             self._face_table[nid] = row
         # node -> in-face -> where a flood that came in on that face goes,
         # from the node's own flood faces: one FloodGroup per Interest
@@ -339,18 +343,16 @@ class Simulation:
     def duplicates_suppressed(self) -> int:
         return sum(n.duplicates_suppressed for n in self.nodes.values())
 
-    def publish(self, producer: int, name: ContentName,
-                payload_bits: int = DEFAULT_PAYLOAD_BITS) -> None:
-        """Make ``producer`` answer Interests for ``name``.
+    def publish(self, producer: int, name: ContentName) -> None:
+        """Make ``producer`` answer Interests for ``name`` with its Data.
 
         This is the only way content enters a simulation: a flood sends a
         leaf its copy only if the leaf publishes the name, and it looks
         that up in the per-node index of the names its leaves publish,
         which is filled here, not by ``NdnNode.publish``.  Raises
-        ``ValueError`` for an unknown producer, while any event is queued,
-        so that the index never changes under a flood in flight, and, from
-        ``NdnNode.publish``, for a payload of no bits.  A rejected call
-        stores nothing.
+        ``ValueError`` for an unknown producer and while any event is
+        queued, so that the index never changes under a flood in flight.
+        A rejected call stores nothing.
         """
         node = self.nodes.get(producer)
         if node is None:
@@ -358,7 +360,7 @@ class Simulation:
         if len(self.queue):
             raise ValueError(f"cannot publish {name.canonical_text} while "
                              f"{len(self.queue)} event(s) are queued")
-        node.publish(name, payload_bits)
+        node.publish(name)
         if len(node.face_of) == 1:
             (router,) = node.face_of
             self._leaf_names[router].add(name.canonical_text)
@@ -491,24 +493,23 @@ class Simulation:
         """Send ``data`` from ``node_id`` on each of ``faces``.
 
         ``hops`` is the Data's hop count at this node; each copy arrives
-        one hop further.  Only a traced packet is copied per hop.
+        one hop further, after its face row's Data transit time.  Only a
+        traced packet is copied per hop.
         """
         flow = self.flows[data.name.canonical_text]
         row = self._face_table[node_id]
         schedule = self.queue.schedule
-        bits = data.payload_size
         sent = 0
         for face in faces:
             if face == LOCAL_FACE:
                 self._satisfy(node_id, data, now, hops)
                 continue
-            to_node, to_face, _, link, _ = row[face]
-            schedule(now + link_transit_ns(link, bits),
+            to_node, to_face, _, transit, _ = row[face]
+            schedule(now + transit,
                      (DELIVER_DATA, to_node, to_face,
                       data.delivered_to(to_node) if data.trace else data, hops + 1))
             sent += 1
         flow.data_traversals += sent
-        flow.bits_moved += sent * bits
 
     def _flood(self, node_id: int, in_face: int, interest: InterestPacket,
                now: int, hops: int) -> None:
@@ -553,9 +554,7 @@ class Simulation:
                     schedule_many(now + transit,
                                   [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
                                    for to_node, to_face, _, _, _ in inner])
-        flow = self.flows[key]
-        flow.interest_traversals += copies
-        flow.bits_moved += copies * INTEREST_BITS
+        self.flows[key].interest_traversals += copies
 
     def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
         state = self.requests.get((data.name.canonical_text, node_id))

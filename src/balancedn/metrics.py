@@ -28,7 +28,6 @@ CSV_COLUMNS = (
 class RequestRecord:
     """One measured request, either scheme."""
 
-    scenario: str
     consumer: int
     producer: int
     distance: int

@@ -115,7 +115,7 @@ class NdnNode:
         # incoming face -> the faces a flood leaves on, ascending
         self.flood_faces = {face: tuple(f for f in out if f != face) for face in self.faces}
         self.pit: dict[str, PitEntry] = {}
-        self.published: dict[str, int] = {}  # canonical name -> payload bits
+        self.published: set[str] = set()  # canonical names this node answers
         # (canonical name, nonce) -> expiry of the pairs this node has answered
         # or whose PIT entry Data consumed
         self.dead_nonces: dict[tuple[str, int], int] = {}
@@ -127,15 +127,9 @@ class NdnNode:
 
     # -- content origin -------------------------------------------------
 
-    def publish(self, name: ContentName, payload_bits: int) -> None:
-        """Answer Interests for ``name`` with Data of ``payload_bits`` bits.
-
-        Raises ``ValueError`` for a payload of no bits, before storing
-        anything.
-        """
-        if payload_bits <= 0:
-            raise ValueError(f"payload_bits must be positive, not {payload_bits}")
-        self.published[name.canonical_text] = payload_bits
+    def publish(self, name: ContentName) -> None:
+        """Answer Interests for ``name`` with its Data."""
+        self.published.add(name.canonical_text)
 
     # -- packet handling ---------------------------------------------------
 
@@ -159,11 +153,9 @@ class NdnNode:
             self.duplicates_suppressed += 1
             return None
 
-        size = self.published.get(key)
-        if size is not None:
+        if key in self.published:
             self._mark_dead((key, interest.nonce), now)
-            return DataPacket(interest.name, size,
-                              trace=(self.id,) if interest.trace else ())
+            return DataPacket(interest.name, (self.id,) if interest.trace else ())
 
         pit = self.pit
         entry = pit.get(key)

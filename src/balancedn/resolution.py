@@ -137,7 +137,8 @@ class Deployment:
     """Resolver sites plus the TLD and nameserver over one topology.
 
     Every record goes to one nameserver zone, at the lowest-id
-    nameserver node; a further nameserver node holds nothing.
+    nameserver node; a further nameserver node holds nothing.  Each
+    shard's record cache has ``ResolverShard``'s default capacity.
 
     Lookups read their costs from a memo of round trips, filled as
     requests first need them: ``(a, b, reply_bits)`` maps to (out hops,
@@ -146,8 +147,7 @@ class Deployment:
     lookups in it.
     """
 
-    def __init__(self, topology: Topology, resolver_count: int = 8, *,
-                 cache_capacity: int = 10_000) -> None:
+    def __init__(self, topology: Topology, resolver_count: int = 8) -> None:
         if resolver_count < 1:
             raise ConfigurationError("resolver_count must be at least 1")
         resolver_nodes = topology.nodes_with_role("resolver")
@@ -166,8 +166,7 @@ class Deployment:
         self._trips: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
         self.sites: dict[int, ClusterSite] = {
             nid: ClusterSite(nid, [
-                ResolverShard(i, cache_capacity)
-                for i in range(resolver_count)
+                ResolverShard(i) for i in range(resolver_count)
             ])
             for nid in resolver_nodes
         }

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .core import parse_name, parse_names
-from .engine import DEFAULT_PAYLOAD_BITS, Simulation
+from .engine import Simulation
 from .metrics import ProbeStat, RequestRecord, ScenarioReport, emit_csv
 from .resolution import (STAGE_DATA_RETURN, Deployment, build_skewed_shards,
                          interleaved_timing_probe)
@@ -164,11 +164,11 @@ def _log_stream(config: ScenarioConfig) -> IO[str] | None:
     return sys.stderr if config.verbose else None
 
 
-def _flooding_record(sim: Simulation, scenario: str, producer: int,
-                     distance: int, state) -> RequestRecord:
+def _flooding_record(sim: Simulation, producer: int, distance: int,
+                     state) -> RequestRecord:
     flow = sim.flow_stats(state.name)
     return RequestRecord(
-        scenario=scenario, consumer=state.consumer, producer=producer,
+        consumer=state.consumer, producer=producer,
         distance=distance, scheme="flooding",
         interest_traversals=flow.interest_traversals,
         data_traversals=flow.data_traversals,
@@ -179,11 +179,11 @@ def _flooding_record(sim: Simulation, scenario: str, producer: int,
     )
 
 
-def _balancedn_record(outcome, scenario: str, consumer: int, producer: int,
+def _balancedn_record(outcome, consumer: int, producer: int,
                       distance: int) -> RequestRecord:
     path_hops = dict(outcome.steps).get(STAGE_DATA_RETURN, 0)
     return RequestRecord(
-        scenario=scenario, consumer=consumer,
+        consumer=consumer,
         producer=outcome.producer if outcome.producer is not None else -1,
         distance=distance, scheme="balancedn",
         interest_traversals=outcome.interest_traversals,
@@ -274,11 +274,11 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
         # one name object per request: published, then injected
         names = [parse_name(key) for _, _, key in requests]
         for (_, producer, _), name in zip(requests, names):
-            sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
+            sim.publish(producer, name)
         for (consumer, producer, _), name in zip(requests, names):
             state = sim.inject_request(consumer, name, at=sim.now)
             sim.run_until(None)
-            report.add(_flooding_record(sim, config.scenario, producer,
+            report.add(_flooding_record(sim, producer,
                                         paths.distance(consumer, producer), state))
     if "balancedn" in config.schemes:
         deployment = Deployment(topology, config.resolver_count)
@@ -286,8 +286,8 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
         names = parse_names(key for _, _, key in requests)
         for (consumer, producer, _), name in zip(requests, names):
             outcome = deployment.resolve_and_fetch(consumer, name)
-            report.add(_balancedn_record(outcome, config.scenario, consumer,
-                                         producer, paths.distance(consumer, producer)))
+            report.add(_balancedn_record(outcome, consumer, producer,
+                                         paths.distance(consumer, producer)))
         report.shard_loads = _shard_loads(deployment)
     return report
 

@@ -99,7 +99,7 @@ def test_criterion_3_scheme_dominance_on_nsfnet():
         paths = PathTable(topology)
         consumers = topology.nodes_with_role("consumer")
         producers = topology.nodes_with_role("producer")
-        deployment = Deployment(topology, resolver_count=8, cache_capacity=0)
+        deployment = Deployment(topology, resolver_count=8)
         sim = Simulation(topology, seed=42)
         ratios_by_distance: dict[int, list[float]] = {}
         checked = 0
@@ -110,7 +110,7 @@ def test_criterion_3_scheme_dominance_on_nsfnet():
                     continue
                 name = parse_name(f"/pair{i}/obj{j}")
                 deployment.register_bulk([(name.canonical_text, producer)])
-                sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
+                sim.publish(producer, name)
                 outcome = deployment.resolve_and_fetch(consumer, name)
                 state = sim.inject_request(consumer, name, at=sim.now)
                 sim.run_until(None)
@@ -210,7 +210,7 @@ def test_criterion_7_forwarding_invariants():
 
             # single request: reverse path, nonce bound, completeness
             sim = Simulation(topology, seed=round_no, track_edges=True)
-            sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
+            sim.publish(producer, name)
             state = sim.inject_request(consumer, name, at=0)
             sim.run_until(None)
             flow = sim.flow_stats(name)
@@ -230,7 +230,7 @@ def test_criterion_7_forwarding_invariants():
             others = [v for v in range(n) if v != producer]
             group = rng.sample(others, min(3, len(others)))
             sim2 = Simulation(topology, seed=round_no, track_edges=True)
-            sim2.publish(producer, name, DEFAULT_PAYLOAD_BITS)
+            sim2.publish(producer, name)
             group_states = [sim2.inject_request(c, name, at=0) for c in group]
             sim2.run_until(None)
             assert any(s.satisfied for s in group_states)

@@ -229,14 +229,10 @@ class TestPackets:
 
     def test_untraced_packets_stay_untraced(self):
         interest = InterestPacket(parse_name("/a"), nonce=1)
-        data = DataPacket(parse_name("/a"), payload_size=8)
+        data = DataPacket(parse_name("/a"))
         for node_id in (3, 4, 5):
             interest = interest.delivered_to(node_id)
             data = data.delivered_to(node_id)
         assert interest.trace == () and data.trace == ()
-        traced = DataPacket(parse_name("/a"), payload_size=8, trace=(5,))
+        traced = DataPacket(parse_name("/a"), trace=(5,))
         assert traced.delivered_to(4).delivered_to(3).trace == (5, 4, 3)
-
-    def test_data_packet_validation(self):
-        with pytest.raises(ValueError):
-            DataPacket(parse_name("/a"), payload_size=0)

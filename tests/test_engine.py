@@ -43,20 +43,15 @@ def event(node):
 
 
 def record_scheduled(queue, before_each=None):
-    """Wrap ``queue``'s scheduling calls to record the events they schedule.
+    """Wrap ``queue.schedule_many`` to record the events it schedules.
 
+    Every event passes through it, ``schedule``'s single ones too.
     Returns the list the events are appended to, in scheduling order.
-    ``before_each``, if given, is called before each scheduling call, of
+    ``before_each``, if given, is called before each scheduling step, of
     one event or of a fan-out's copies.
     """
     scheduled = []
-    schedule, schedule_many = queue.schedule, queue.schedule_many
-
-    def recording_schedule(fire_at, event):
-        if before_each is not None:
-            before_each()
-        scheduled.append(event)
-        schedule(fire_at, event)
+    schedule_many = queue.schedule_many
 
     def recording_schedule_many(fire_at, events):
         if before_each is not None:
@@ -64,7 +59,7 @@ def record_scheduled(queue, before_each=None):
         scheduled.extend(events)
         schedule_many(fire_at, events)
 
-    queue.schedule, queue.schedule_many = recording_schedule, recording_schedule_many
+    queue.schedule_many = recording_schedule_many
     return scheduled
 
 
@@ -229,7 +224,7 @@ class TestRunUntil:
         # hand enumeration: injection, interest delivery at the producer,
         # data delivery at the consumer, and the consumer's PIT expiry
         sim = Simulation(two_node_topology())
-        sim.publish(1, NAME, 1024)
+        sim.publish(1, NAME)
         state = sim.inject_request(0, NAME, at=0)
         assert sim.run_until(None) == 4
         flow = sim.flow_stats(NAME)
@@ -241,7 +236,7 @@ class TestRunUntil:
         # the consumer publishes the name it asks for: the injection answers
         # it at once, and its lifetime timer still fires and does nothing
         sim = Simulation(two_node_topology())
-        sim.publish(0, NAME, 1024)
+        sim.publish(0, NAME)
         state = sim.inject_request(0, NAME, at=0)
         assert sim.run_until(None) == 2  # the injection and its timer
         assert state.satisfied and not state.failed
@@ -250,7 +245,7 @@ class TestRunUntil:
 
     def test_deadline_leaves_future_events_queued(self):
         sim = Simulation(two_node_topology())
-        sim.publish(1, NAME, 1024)
+        sim.publish(1, NAME)
         sim.inject_request(0, NAME, at=0)
         assert sim.run_until(500_000) == 1  # only the injection fires
         assert len(sim.queue) > 0
@@ -267,7 +262,7 @@ class TestRunUntil:
         for _ in range(2):
             out = io.StringIO()
             sim = Simulation(two_node_topology(), seed=42, log=out)
-            sim.publish(1, NAME, 1024)
+            sim.publish(1, NAME)
             sim.inject_request(0, NAME, at=0)
             sim.run_until(None)
             logs.append(out.getvalue())
@@ -278,7 +273,7 @@ class TestRunUntil:
         counts = []
         for seed in (1, 2):
             sim = Simulation(two_node_topology(), seed=seed)
-            sim.publish(1, NAME, 1024)
+            sim.publish(1, NAME)
             sim.inject_request(0, NAME, at=0)
             counts.append(sim.run_until(None))
         assert counts[0] == counts[1]
@@ -300,7 +295,7 @@ class TestConservation:
         topo = Topology.build(nodes, links)
         sim = Simulation(topo)
         served = parse_name("/served/x")
-        sim.publish(11, served, 1024)
+        sim.publish(11, served)
         sim.inject_request(0, served, at=0)
         sim.inject_request(2, parse_name("/missing/x"), at=0)
         sim.run_until(None)
@@ -318,7 +313,7 @@ class TestConservation:
 
     def test_repeat_while_pending_is_rejected(self):
         sim = Simulation(two_node_topology())
-        sim.publish(1, NAME, 1024)
+        sim.publish(1, NAME)
         first = sim.inject_request(0, NAME, at=0)
         with pytest.raises(ValueError, match=r"consumer 0 .*/video/a\.mp4"):
             sim.inject_request(0, NAME, at=0)
@@ -328,7 +323,7 @@ class TestConservation:
 
     def test_repeat_after_satisfied_keeps_conservation(self):
         sim = Simulation(two_node_topology())
-        sim.publish(1, NAME, 1024)
+        sim.publish(1, NAME)
         first = sim.inject_request(0, NAME, at=0)
         sim.run_until(None)
         second = sim.inject_request(0, NAME, at=sim.now)
@@ -345,8 +340,8 @@ class TestRejectedInjection:
 
     def served_nsfnet(self):
         sim = Simulation(load_preset("nsfnet"))
-        sim.publish(44, NAME, 1024)
-        sim.publish(45, self.OTHER, 1024)
+        sim.publish(44, NAME)
+        sim.publish(45, self.OTHER)
         sim.inject_request(11, NAME, at=0)
         sim.run_until(None)
         return sim
@@ -381,7 +376,7 @@ class TestAggregatedRequests:
         # line 0-1-2-3, producer 3: consumer 1's flood reaches the producer,
         # consumer 0's is absorbed by node 1's entry and served from it
         sim = Simulation(line_topology(4), track_edges=True)
-        sim.publish(3, NAME, 1024)
+        sim.publish(3, NAME)
         far = sim.inject_request(0, NAME, at=0)
         near = sim.inject_request(1, NAME, at=0)
         sim.run_until(None)
@@ -398,7 +393,7 @@ class TestAggregatedRequests:
         # as a dead nonce, so no Data comes back to router 0.  With no
         # consumer retransmission, 12 fails at its own lifetime.
         sim = Simulation(load_preset("nsfnet"))
-        sim.publish(44, NAME, 1024)
+        sim.publish(44, NAME)
         first = sim.inject_request(11, NAME, at=0)
         second = sim.inject_request(12, NAME, at=0)
         sim.run_until(None)
@@ -408,7 +403,7 @@ class TestAggregatedRequests:
 
     def test_traces_are_opt_in(self):
         sim = Simulation(line_topology(4))
-        sim.publish(3, NAME, 1024)
+        sim.publish(3, NAME)
         state = sim.inject_request(0, NAME, at=0)
         sim.run_until(None)
         assert state.satisfied and state.path_hops == 3
@@ -420,7 +415,7 @@ def assert_repeats_are_served(topology, first, second, producer):
     # first asks again; each request drains within its event budget
     per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
     sim = Simulation(topology)
-    sim.publish(producer, NAME, 1024)
+    sim.publish(producer, NAME)
     states = []
     for consumer in (first, second, first):
         states.append(sim.inject_request(consumer, NAME, at=sim.now))
@@ -483,7 +478,7 @@ class TestLazyPitExpiry:
 
     def test_each_request_gets_one_expiry_event(self):
         sim = Simulation(line_topology(5))
-        sim.publish(4, NAME, 1024)
+        sim.publish(4, NAME)
         sim.inject_request(0, NAME, at=0)
         # injection, 4 Interest and 4 Data deliveries, the consumer's expiry
         assert sim.run_until(None) == 10
@@ -497,7 +492,7 @@ class TestLazyPitExpiry:
         peak = 0
         for i in range(50):
             name = parse_name(f"/seq/flood{i}")
-            sim.publish(rng.choice(producers), name, 1024)
+            sim.publish(rng.choice(producers), name)
             state = sim.inject_request(rng.choice(consumers), name, at=sim.now)
             sim.run_until(None)
             assert state.satisfied
@@ -513,7 +508,7 @@ class TestFloodAccounting:
         # the injection, 64 Interest deliveries, 17 Data deliveries and the
         # consumer's expiry event
         sim = Simulation(load_preset("oteglobe"))
-        sim.publish(379, NAME, 1024)
+        sim.publish(379, NAME)
         state = sim.inject_request(122, NAME, at=0)
         assert sim.run_until(None) == 83
         flow = sim.flow_stats(NAME)
@@ -524,7 +519,7 @@ class TestFloodAccounting:
         # every event but the consumer's expiry is logged, in dispatch order
         out = io.StringIO()
         sim = Simulation(load_preset("oteglobe"), log=out)
-        sim.publish(379, NAME, 1024)
+        sim.publish(379, NAME)
         sim.inject_request(122, NAME, at=0)
         assert sim.run_until(None) == 83
         log = out.getvalue()
@@ -551,7 +546,7 @@ class TestFloodAccounting:
 
         for node in sim.nodes.values():
             node.on_interest, node.on_data = counted(node.on_interest), counted(node.on_data)
-        sim.publish(379, NAME, 1024)
+        sim.publish(379, NAME)
         sim.inject_request(122, NAME, at=0)
         assert sim.run_until(None) == 83 == len(scheduled) == taken[0] + 1
         assert all(depth == expected for depth, expected in depths)
@@ -561,14 +556,14 @@ class TestFloodAccounting:
         # one time bucket per step; the queue counts what was scheduled and
         # not yet run after every step
         whole = Simulation(load_preset("oteglobe"))
-        whole.publish(379, NAME, 1024)
+        whole.publish(379, NAME)
         whole_state = whole.inject_request(122, NAME, at=0)
         whole.run_until(None)
 
         sim = Simulation(load_preset("oteglobe"))
         queue = sim.queue
         scheduled = record_scheduled(queue)
-        sim.publish(379, NAME, 1024)
+        sim.publish(379, NAME)
         state = sim.inject_request(122, NAME, at=0)
         steps = 0
         while len(queue):
@@ -588,7 +583,7 @@ class TestFloodAccounting:
         # reached but the Data did not pass
         topology = load_preset("oteglobe")
         sim = Simulation(topology)
-        sim.publish(379, NAME, 1024)
+        sim.publish(379, NAME)
         state = sim.inject_request(122, NAME, at=0)
         assert sim.run_until(None) == 83
         live, dead = [], []
@@ -633,8 +628,8 @@ class TestLeafDeliveries:
         # name and leaf 4 nothing
         out = io.StringIO()
         sim = Simulation(star_topology(4), log=out, track_edges=track_edges)
-        sim.publish(2, NAME, 1024)
-        sim.publish(3, self.OTHER, 1024)
+        sim.publish(2, NAME)
+        sim.publish(3, self.OTHER)
         state = sim.inject_request(1, NAME, at=0)
         # the injection, the hub, producer 2, two Data deliveries, the expiry
         assert sim.run_until(None) == 6
@@ -668,7 +663,7 @@ class TestLeafDeliveries:
         # and 1's copy to leaf 3 could only join 3's own entry
         out = io.StringIO()
         sim = Simulation(star_topology(3), log=out)
-        sim.publish(2, NAME, 1024)
+        sim.publish(2, NAME)
         first = sim.inject_request(1, NAME, at=0)
         second = sim.inject_request(3, NAME, at=0)
         # two injections, two hub deliveries, the producer, three Data
@@ -691,8 +686,8 @@ class TestLeafDeliveries:
                  for a, b in ((0, 1), (1, 2), (2, 3), (1, 4), (2, 5))]
         out = io.StringIO()
         sim = Simulation(Topology.build(nodes, links), log=out)
-        sim.publish(3, NAME, 1024)
-        sim.publish(5, self.OTHER, 1024)
+        sim.publish(3, NAME)
+        sim.publish(5, self.OTHER)
         state = sim.inject_request(0, NAME, at=0)
         # the injection, routers 1 and 2, the producer, three Data
         # deliveries, the expiry
@@ -707,10 +702,10 @@ class TestLeafDeliveries:
         sim = Simulation(star_topology(2))
         sim.inject_request(1, NAME, at=0)
         with pytest.raises(ValueError, match="queued"):
-            sim.publish(2, NAME, 1024)
+            sim.publish(2, NAME)
         assert not sim.nodes[2].published
         sim.run_until(None)
-        sim.publish(2, NAME, 1024)
+        sim.publish(2, NAME)
         state = sim.inject_request(1, NAME, at=sim.now)
         sim.run_until(None)
         assert state.satisfied
@@ -730,16 +725,8 @@ class TestPublish:
     def test_unknown_producer_is_rejected(self):
         sim = Simulation(star_topology(2))
         with pytest.raises(ValueError, match="no node 9"):
-            sim.publish(9, NAME, 1024)
+            sim.publish(9, NAME)
         assert not any(node.published for node in sim.nodes.values())
-        self.assert_unserved(sim)
-
-    @pytest.mark.parametrize("payload_bits", [0, -8])
-    def test_payload_of_no_bits_is_rejected(self, payload_bits):
-        sim = Simulation(star_topology(2))
-        with pytest.raises(ValueError, match="payload_bits must be positive"):
-            sim.publish(2, NAME, payload_bits)
-        assert not sim.nodes[2].published
         self.assert_unserved(sim)
 
 
@@ -747,7 +734,7 @@ class TestRunBudget:
     def test_storm_raises_instead_of_hanging(self):
         topology, consumer, producer = storm_graph()
         sim = Simulation(topology)
-        sim.publish(producer, NAME, 1024)
+        sim.publish(producer, NAME)
         sim.inject_request(consumer, NAME, at=0)
         with pytest.raises(EventBudgetError):
             sim.run_until(None)
@@ -771,7 +758,7 @@ class TestRunBudget:
             return take(deadline, limit)
 
         queue.take = sizing_take
-        sim.publish(producer, parse_name("/a"), 1024)
+        sim.publish(producer, parse_name("/a"))
         for name in ("/a", "/b", "/c"):
             sim.inject_request(consumer, parse_name(name), at=0)
         with pytest.raises(EventBudgetError):
@@ -802,8 +789,8 @@ class TestDispatchErrors:
         # are logged, and the k-th write raises inside its bucket
         sim = Simulation(star_topology(3), log=self.FailingLog(k))
         scheduled = record_scheduled(sim.queue)
-        sim.publish(2, parse_name("/a"), 1024)
-        sim.publish(2, parse_name("/b"), 1024)
+        sim.publish(2, parse_name("/a"))
+        sim.publish(2, parse_name("/b"))
         sim.inject_request(1, parse_name("/a"), at=0)
         sim.inject_request(3, parse_name("/b"), at=0)
         with pytest.raises(OSError):
@@ -816,7 +803,7 @@ class TestDispatchErrors:
         assert sim.conservation_holds()
 
 
-def flood_model(topology, consumer, producer, payload_bits):
+def flood_model(topology, consumer, producer):
     """What one flood from ``consumer`` to ``producer`` costs, exactly.
 
     Every node but the producer forwards the first copy of a nonce on all
@@ -828,6 +815,7 @@ def flood_model(topology, consumer, producer, payload_bits):
     ``(path_hops, latency_ns, bytes_moved)`` over the chains that tie for
     first arrival.  Every link's transit must be positive.
     """
+    data_bits = 1024  # every Data packet; written out, not the program's constant
     arrival = {consumer: 0}
     chains = {consumer: {(0, 0)}}  # node -> {(hops, Data ns back to the consumer)}
     heap = [(0, consumer)]
@@ -845,7 +833,7 @@ def flood_model(topology, consumer, producer, payload_bits):
         for nbr in nbrs:
             link = topology.link_between(node, nbr)
             then = at + link_transit_ns(link, INTEREST_BITS)
-            back = link_transit_ns(link, payload_bits)
+            back = link_transit_ns(link, data_bits)
             via = {(hops + 1, ns + back) for hops, ns in chains[node]}
             if nbr not in arrival or then < arrival[nbr]:
                 arrival[nbr] = then
@@ -854,17 +842,17 @@ def flood_model(topology, consumer, producer, payload_bits):
             elif then == arrival[nbr]:
                 chains[nbr] |= via
     interest_bits = traversals * INTEREST_BITS
-    outcomes = {(hops, arrival[producer] + ns, (interest_bits + hops * payload_bits) // 8)
+    outcomes = {(hops, arrival[producer] + ns, (interest_bits + hops * data_bits) // 8)
                 for hops, ns in chains.get(producer, ())}
     return traversals, outcomes
 
 
 def assert_flood_matches_model(sim, topology, consumer, producer, name):
-    sim.publish(producer, name, 1024)
+    sim.publish(producer, name)
     state = sim.inject_request(consumer, name, at=sim.now)
     sim.run_until(None)
     flow = sim.flow_stats(name)
-    traversals, outcomes = flood_model(topology, consumer, producer, 1024)
+    traversals, outcomes = flood_model(topology, consumer, producer)
     assert state.satisfied and flow.data_traversals == state.path_hops
     assert flow.interest_traversals == traversals
     assert (state.path_hops, state.completed_at - state.injected_at,
@@ -877,7 +865,7 @@ class TestVariedDelayFloods:
         for _ in range(200):
             topology, consumer, producer = varied_delay_graph(rng)
             sim = Simulation(topology, track_edges=True)
-            sim.publish(producer, NAME, 1024)
+            sim.publish(producer, NAME)
             state = sim.inject_request(consumer, NAME, at=0)
             sim.run_until(None)
             flow = sim.flow_stats(NAME)
@@ -914,7 +902,7 @@ class TestVariedDelayFloods:
             topology, consumer, producer = varied_delay_graph(rng)
             out = io.StringIO()
             sim = Simulation(topology, log=out)
-            sim.publish(producer, name, 1024)
+            sim.publish(producer, name)
             sim.inject_request(consumer, name, at=0)
             sim.run_until(None)
             digest.update(out.getvalue().encode())
@@ -929,7 +917,7 @@ class TestVariedDelayFloods:
             runs = []
             for track_edges in (True, False):
                 sim = Simulation(topology, track_edges=track_edges)
-                sim.publish(producer, NAME, 1024)
+                sim.publish(producer, NAME)
                 state = sim.inject_request(consumer, NAME, at=0)
                 runs.append((sim.run_until(None), sim.processed, sim.flow_stats(NAME),
                              sim.duplicates_suppressed, state.satisfied, state.failed,
@@ -959,7 +947,7 @@ class TestConcurrentRequests:
         sim = Simulation(topology)
         if reference:
             every_copy_an_event(sim)
-        sim.publish(producer, self.NAMES[0], 1024)
+        sim.publish(producer, self.NAMES[0])
         states = [sim.inject_request(consumer, self.NAMES[name], at=at)
                   for at, consumer, name in requests]
         sim.run_until(None)

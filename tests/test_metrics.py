@@ -10,10 +10,10 @@ from balancedn.metrics import (CSV_COLUMNS, ProbeStat, RequestRecord,
                                parse_csv, top5_avg)
 
 
-def record(scenario="s2", distance=3, scheme="flooding", interest=30,
+def record(distance=3, scheme="flooding", interest=30,
            data=4, path=None, latency=5_000_000, consumer=11, producer=44,
            nbytes=2000):
-    return RequestRecord(scenario=scenario, consumer=consumer, producer=producer,
+    return RequestRecord(consumer=consumer, producer=producer,
                          distance=distance, scheme=scheme,
                          interest_traversals=interest, data_traversals=data,
                          path_hops=distance if path is None else path,
@@ -107,7 +107,7 @@ class TestRequestRecordInvariants:
             record(interest=2, path=3)
 
     def test_unsatisfied_records_skip_path_checks(self):
-        rec = RequestRecord(scenario="s2", consumer=1, producer=2, distance=5,
+        rec = RequestRecord(consumer=1, producer=2, distance=5,
                             scheme="flooding", interest_traversals=0,
                             data_traversals=0, path_hops=0, latency_ns=0,
                             satisfied=False)

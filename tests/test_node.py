@@ -15,19 +15,12 @@ def flooding_node(node_id=1, neighbors=(2, 3, 4)):
 class TestOnInterest:
     def test_published_content_answers_like_a_cache_hit(self):
         node = flooding_node()
-        node.publish(NAME, 2048)
+        node.publish(NAME)
         # the Data returned goes back on the Interest's in-face
         packet = node.on_interest(InterestPacket(NAME, nonce=1), in_face=3, now=5)
         assert isinstance(packet, DataPacket)
-        assert packet.name == NAME and packet.payload_size == 2048
+        assert packet.name == NAME
         assert not node.pit  # no PIT change on an answer
-
-    @pytest.mark.parametrize("payload_bits", [0, -8])
-    def test_publish_of_no_bits_is_rejected(self, payload_bits):
-        node = flooding_node()
-        with pytest.raises(ValueError, match="payload_bits must be positive"):
-            node.publish(NAME, payload_bits)
-        assert not node.published
 
     def test_aggregation_grows_in_faces_without_forwarding(self):
         node = flooding_node()
@@ -63,7 +56,7 @@ class TestOnInterest:
 
     def test_unknown_face_rejected(self):
         node = flooding_node()
-        node.publish(NAME, 1024)
+        node.publish(NAME)
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         other = parse_name("/other")
         node.on_interest(InterestPacket(other, nonce=2), in_face=1, now=0)
@@ -166,41 +159,41 @@ class TestOnData:
     def test_single_consumer_reverse_path(self):
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=3, now=0)
-        out = node.on_data(DataPacket(NAME, 1024), in_face=1, now=1)
+        out = node.on_data(DataPacket(NAME), in_face=1, now=1)
         assert out == [3]
         assert NAME.canonical_text not in node.pit
 
     def test_unsolicited_data_dropped(self):
         node = flooding_node()
-        assert node.on_data(DataPacket(NAME, 1024), in_face=1, now=0) == []
+        assert node.on_data(DataPacket(NAME), in_face=1, now=0) == []
 
     def test_aggregated_faces_both_served(self):
         # star center: interests in on faces 2 and 4, data back on another face
         node = NdnNode(0, neighbors=(10, 20, 30, 40))
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=2, now=0)
         node.on_interest(InterestPacket(NAME, nonce=2), in_face=4, now=0)
-        out = node.on_data(DataPacket(NAME, 1024), in_face=1, now=1)
+        out = node.on_data(DataPacket(NAME), in_face=1, now=1)
         assert out == [2, 4]
 
     def test_arrival_face_excluded_from_copies(self):
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=2, now=0)
         node.on_interest(InterestPacket(NAME, nonce=2), in_face=1, now=0)
-        out = node.on_data(DataPacket(NAME, 1024), in_face=1, now=1)
+        out = node.on_data(DataPacket(NAME), in_face=1, now=1)
         assert out == [2]
 
     def test_fan_out_in_ascending_face_order_past_eight_faces(self):
         node = flooding_node(neighbors=range(100, 112))  # faces 1..12
         for nonce, face in enumerate((12, 3, 9, LOCAL_FACE, 10, 1, 11)):
             node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=face, now=0)
-        out = node.on_data(DataPacket(NAME, 1024), in_face=11, now=1)
+        out = node.on_data(DataPacket(NAME), in_face=11, now=1)
         assert out == [LOCAL_FACE, 1, 3, 9, 10, 12]
 
 
 class TestDeadNonces:
     def test_producer_answers_each_nonce_once(self):
         node = flooding_node()
-        node.publish(NAME, 1024)
+        node.publish(NAME)
         answer = node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
         assert isinstance(answer, DataPacket)
         assert node.on_interest(InterestPacket(NAME, nonce=5), in_face=2, now=1) is None
@@ -213,7 +206,7 @@ class TestDeadNonces:
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         node.on_interest(InterestPacket(NAME, nonce=2), in_face=2, now=0)
-        node.on_data(DataPacket(NAME, 1024), in_face=3, now=10)
+        node.on_data(DataPacket(NAME), in_face=3, now=10)
         for nonce in (1, 2):
             assert node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=3,
                                     now=20) is None
@@ -229,7 +222,7 @@ class TestDeadNonces:
         # a repeat of the third nonce is a duplicate, and adds nothing
         assert node.on_interest(InterestPacket(NAME, nonce=3), in_face=1, now=1) is None
         assert node.duplicates_suppressed == 1 and entry.more_nonces == {2, 3}
-        node.on_data(DataPacket(NAME, 1024), in_face=2, now=10)
+        node.on_data(DataPacket(NAME), in_face=2, now=10)
         assert set(node.dead_nonces) == {(NAME.canonical_text, n) for n in (1, 2, 3)}
         for nonce in (1, 2, 3):
             assert node.on_interest(InterestPacket(NAME, nonce=nonce), in_face=1,
@@ -238,7 +231,7 @@ class TestDeadNonces:
 
     def test_dead_nonce_lives_one_pit_lifetime(self):
         node = flooding_node()
-        node.publish(NAME, 1024)
+        node.publish(NAME)
         node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
         late = InterestPacket(NAME, nonce=5)
         assert node.on_interest(late, in_face=1, now=PIT_LIFETIME_NS - 1) is None
@@ -246,7 +239,7 @@ class TestDeadNonces:
 
     def test_reclaim_drops_expired_dead_nonces_only(self):
         node = flooding_node()
-        node.publish(NAME, 1024)
+        node.publish(NAME)
         node.on_interest(InterestPacket(NAME, nonce=5), in_face=1, now=0)
         node.on_interest(InterestPacket(NAME, nonce=6), in_face=1, now=10)
         # nonce 5 answered again once its entry expired: marked dead anew
@@ -284,13 +277,13 @@ class TestPitExpiry:
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         entry = node.pit[NAME.canonical_text]
-        node.on_data(DataPacket(NAME, 8), in_face=2, now=1)
+        node.on_data(DataPacket(NAME), in_face=2, now=1)
         assert node.expire_pit(NAME.canonical_text, entry.expiry) is None
 
     def test_entry_counts_as_absent_from_its_expiry_on(self):
         node = flooding_node()
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
-        assert node.on_data(DataPacket(NAME, 8), in_face=2, now=PIT_LIFETIME_NS) == []
+        assert node.on_data(DataPacket(NAME), in_face=2, now=PIT_LIFETIME_NS) == []
         out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=1,
                                now=PIT_LIFETIME_NS)
         assert out is FLOOD and node.flood_faces[1] == (2, 3)  # a fresh flood

@@ -438,12 +438,12 @@ class TestSchemeComparison:
             p = rng.choice(producers)
             if paths.distance(c, p) >= 2:
                 pairs.append((c, p))
-        deployment = Deployment(topo, resolver_count=8, cache_capacity=0)
+        deployment = Deployment(topo, resolver_count=8)
         sim = Simulation(topo)
         for i, (c, p) in enumerate(pairs):
             name = parse_name(f"/cmp{i}/obj{i}")
             register(deployment, p, name)
-            sim.publish(p, name, 1024)
+            sim.publish(p, name)
             outcome = deployment.resolve_and_fetch(c, name)
             state = sim.inject_request(c, name, at=sim.now)
             sim.run_until(None)
@@ -488,7 +488,7 @@ class TestShardLookup:
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            Deployment(line_topology(), cache_capacity=-1)
+            ResolverShard(0, cache_capacity=-1)
 
     @given(st.lists(st.tuples(st.sampled_from(["lookup", "store"]),
                               st.integers(min_value=0, max_value=7)),

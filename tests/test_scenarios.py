@@ -5,7 +5,7 @@ import pytest
 
 from balancedn import topology as topology_module
 from balancedn.core import parse_name
-from balancedn.engine import DEFAULT_PAYLOAD_BITS, Simulation
+from balancedn.engine import Simulation
 from balancedn.metrics import emit_csv
 from balancedn.scenarios import (ScenarioConfig, ScenarioError,
                                  _cross_subnet_pairs, _flooding_record,
@@ -167,14 +167,14 @@ class TestPairSweep:
                                         content_count=3000))
 
 
-def flooded_alone(topology, scenario, consumer, producer, key, seed):
+def flooded_alone(topology, consumer, producer, key, seed):
     """The flooding row of one request run alone in a fresh simulation."""
     sim = Simulation(topology, seed=seed)
     name = parse_name(key)
-    sim.publish(producer, name, DEFAULT_PAYLOAD_BITS)
+    sim.publish(producer, name)
     state = sim.inject_request(consumer, name, at=0)
     sim.run_until(None)
-    return _flooding_record(sim, scenario, producer,
+    return _flooding_record(sim, producer,
                             topology.paths.distance(consumer, producer), state)
 
 
@@ -202,7 +202,7 @@ class TestSweepRowsStandAlone:
         rows, seed = self.sweep("s2", topology, 3000)
         assert len(rows) == 167
         for record, request in rows:
-            assert record == flooded_alone(topology, "s2", *request, seed)
+            assert record == flooded_alone(topology, *request, seed)
 
     def test_sampled_s3_rows_equal_each_request_run_alone(self):
         topology = load_preset("oteglobe")
@@ -211,7 +211,7 @@ class TestSweepRowsStandAlone:
             "64714060797930b665c713fd1193f8ba8afdb34909277bdfed58761335ba51c8")
         assert len(rows) == 14_520
         for record, request in random.Random(seed).sample(rows, 50):
-            assert record == flooded_alone(topology, "s3", *request, seed)
+            assert record == flooded_alone(topology, *request, seed)
 
 
 class TestSkewScenario:
