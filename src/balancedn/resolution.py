@@ -20,7 +20,14 @@ corpus holds no object per name for the garbage collector to track.
 
 Stage traversal counts are shortest-path hop distances; latency sums
 the same per-link transit times the event engine charges, so the two
-schemes' accounting is directly comparable.
+schemes' accounting is directly comparable.  An outcome stores only its
+producer, its stages' hop counts and its latency.  Every other count
+follows from the stages: each reply crosses as many links as the
+Interest it answers, because BFS hop distances on an undirected graph
+are the same both ways, so the record reply crosses the two TLD
+stages' hops again and the Data the fetch's plus the consumer's.  Only
+the transit times of the two directions can differ, when the shortest
+path back takes links of other delays.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ class ResolverShard:
         return record
 
     def store_cached(self, key: str, producer: int) -> None:
-        if key in self.authoritative or self.cache_capacity == 0:
+        if key in self.authoritative:
             return
         self.cache[key] = producer
         self.cache.move_to_end(key)
@@ -107,30 +114,59 @@ class ClusterSite:
     shards: list[ResolverShard]
 
 
-@dataclass(slots=True)
-class NameServer:
-    host_node: int
-    zone: dict[str, int] = field(default_factory=dict)  # canonical name -> producer
+_TLD_STAGES = (STAGE_RESOLVER_TO_TLD, STAGE_TLD_TO_NAMESERVER)
+_REPLY_STAGES = (*_TLD_STAGES, STAGE_DATA_RETURN)
+
+# bits a hop of each stage moves: its Interest, plus on a TLD stage the
+# record reply that retraces it; the Data return carries the content
+_HOP_BITS = {
+    STAGE_CONSUMER_TO_CLUSTER: INTEREST_BITS,
+    STAGE_RESOLVER_TO_TLD: INTEREST_BITS + LOCATOR_REPLY_BITS,
+    STAGE_TLD_TO_NAMESERVER: INTEREST_BITS + LOCATOR_REPLY_BITS,
+    STAGE_FETCH: INTEREST_BITS,
+    STAGE_DATA_RETURN: DEFAULT_PAYLOAD_BITS,
+}
 
 
 @dataclass(slots=True)
 class ResolutionOutcome:
     """Result of one resolve-and-fetch, stage by stage.
 
-    ``steps`` lists (stage, link traversals) in flow order; the two TLD
-    stages are present exactly when the shortcut was not taken.
-    Interest traversals sum every forward stage; data traversals cover
-    the nameserver's record reply plus the content's return path.
+    ``steps`` lists (stage, link traversals) in flow order and is the
+    one record of the request's hops; every count below follows from
+    it.  The two TLD stages are present exactly when the shortcut was
+    not taken.  Interest traversals sum every stage but the Data
+    return.  Data traversals are the nameserver's record reply, which
+    retraces the two TLD stages, plus the content's return path: hop
+    distances are symmetric, so a reply crosses as many links as the
+    Interest it answers.  Bits moved price each Interest hop at
+    INTEREST_BITS, each record-reply hop at LOCATOR_REPLY_BITS and each
+    return hop at DEFAULT_PAYLOAD_BITS.
     """
 
     producer: int | None
     steps: list[tuple[str, int]]
-    shortcut_taken: bool
-    satisfied: bool
-    interest_traversals: int
-    data_traversals: int
     latency_ns: int
-    bits_moved: int
+
+    @property
+    def satisfied(self) -> bool:
+        return self.producer is not None
+
+    @property
+    def shortcut_taken(self) -> bool:
+        return not any(stage in _TLD_STAGES for stage, _ in self.steps)
+
+    @property
+    def interest_traversals(self) -> int:
+        return sum([hops for stage, hops in self.steps if stage != STAGE_DATA_RETURN])
+
+    @property
+    def data_traversals(self) -> int:
+        return sum([hops for stage, hops in self.steps if stage in _REPLY_STAGES])
+
+    @property
+    def bits_moved(self) -> int:
+        return sum([hops * _HOP_BITS[stage] for stage, hops in self.steps])
 
 
 class Deployment:
@@ -141,10 +177,9 @@ class Deployment:
     shard's record cache has ``ResolverShard``'s default capacity.
 
     Lookups read their costs from a memo of round trips, filled as
-    requests first need them: ``(a, b, reply_bits)`` maps to (out hops,
-    back hops, out transit ns, back transit ns) of an Interest a -> b
-    and a reply of ``reply_bits`` b -> a.  A request makes at most four
-    lookups in it.
+    requests first need them: ``(a, b, reply_bits)`` maps to (hops, out
+    transit ns, back transit ns) of an Interest a -> b and a reply of
+    ``reply_bits`` b -> a.  A request makes at most four lookups in it.
     """
 
     def __init__(self, topology: Topology, resolver_count: int = 8) -> None:
@@ -163,7 +198,7 @@ class Deployment:
         self.topology = topology
         self.resolver_count = resolver_count
         self.paths = topology.paths
-        self._trips: dict[tuple[int, int, int], tuple[int, int, int, int]] = {}
+        self._trips: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self.sites: dict[int, ClusterSite] = {
             nid: ClusterSite(nid, [
                 ResolverShard(i) for i in range(resolver_count)
@@ -171,14 +206,18 @@ class Deployment:
             for nid in resolver_nodes
         }
         self.tld_node = tld_nodes[0]
-        self.nameserver = NameServer(ns_nodes[0])
+        self.nameserver_node = ns_nodes[0]
+        self.zone: dict[str, int] = {}  # canonical name -> producer
         self._nearest_site: dict[int, ClusterSite] = {}
 
     # -- placement ---------------------------------------------------------
 
     def nearest_site(self, node_id: int) -> ClusterSite:
+        """The resolver site nearest ``node_id``, the lower id on a tie."""
         site = self._nearest_site.get(node_id)
         if site is None:
+            if node_id not in self.topology.nodes:
+                raise ConfigurationError(f"unknown node {node_id}")
             site = self.sites[self.paths.nearest(node_id, self.sites)]
             self._nearest_site[node_id] = site
         return site
@@ -199,8 +238,8 @@ class Deployment:
         input order, so the pairs before a failing one stay registered.
         """
         n = self.resolver_count
-        ns_node = self.nameserver.host_node
-        zone = self.nameserver.zone
+        ns_node = self.nameserver_node
+        zone = self.zone
         # producer -> (nearest site's shards, hops)
         placement: dict[int, tuple[list[ResolverShard], int]] = {}
         total = 0
@@ -239,11 +278,7 @@ class Deployment:
         miss, and ingress <-> producer.  A failed lookup stops at the
         ingress, so it counts only the outbound half of the first trip.
         """
-        site = self._nearest_site.get(consumer)
-        if site is None:
-            if consumer not in self.topology.nodes:
-                raise ConfigurationError(f"unknown consumer node {consumer}")
-            site = self.nearest_site(consumer)
+        site = self._nearest_site.get(consumer) or self.nearest_site(consumer)
         ingress = site.node
         key = name.canonical_text
         shard = site.shards[name.crc % self.resolver_count]
@@ -251,68 +286,53 @@ class Deployment:
 
         # the back half, ingress -> consumer, is the Data's last leg and
         # counts only once the fetch is made
-        hops, return_hops, latency, return_ns = (
+        consumer_hops, latency, return_ns = (
             trips.get((consumer, ingress, DEFAULT_PAYLOAD_BITS))
             or self._trip(consumer, ingress, DEFAULT_PAYLOAD_BITS))
-        steps = [(STAGE_CONSUMER_TO_CLUSTER, hops)]
-        interest_traversals = hops
-        reply_hops = 0
+        steps = [(STAGE_CONSUMER_TO_CLUSTER, consumer_hops)]
 
         producer = shard.lookup(key)
-        shortcut = producer is not None
-        if not shortcut:
+        if producer is None:
             tld_node = self.tld_node
-            ns = self.nameserver
             # the record reply retraces nameserver -> tld -> ingress: the
             # back halves of this trip and the next
-            hops, back_hops, out_ns, back_ns = (
+            hops, out_ns, back_ns = (
                 trips.get((ingress, tld_node, LOCATOR_REPLY_BITS))
                 or self._trip(ingress, tld_node, LOCATOR_REPLY_BITS))
             steps.append((STAGE_RESOLVER_TO_TLD, hops))
-            interest_traversals += hops
-            reply_hops = back_hops
             latency += out_ns + back_ns
-            hops, back_hops, out_ns, back_ns = (
-                trips.get((tld_node, ns.host_node, LOCATOR_REPLY_BITS))
-                or self._trip(tld_node, ns.host_node, LOCATOR_REPLY_BITS))
+            hops, out_ns, back_ns = (
+                trips.get((tld_node, self.nameserver_node, LOCATOR_REPLY_BITS))
+                or self._trip(tld_node, self.nameserver_node, LOCATOR_REPLY_BITS))
             steps.append((STAGE_TLD_TO_NAMESERVER, hops))
-            interest_traversals += hops
-            reply_hops += back_hops
             latency += out_ns + back_ns
-            producer = ns.zone.get(key)
+            producer = self.zone.get(key)
             if producer is None:
-                return ResolutionOutcome(
-                    None, steps, False, False, interest_traversals, reply_hops,
-                    latency, interest_traversals * INTEREST_BITS
-                    + reply_hops * LOCATOR_REPLY_BITS)
+                return ResolutionOutcome(None, steps, latency)
             # the record reply caches the locator at the consumer-side site
             shard.store_cached(key, producer)
 
-        hops, back_hops, out_ns, back_ns = (
+        hops, out_ns, back_ns = (
             trips.get((ingress, producer, DEFAULT_PAYLOAD_BITS))
             or self._trip(ingress, producer, DEFAULT_PAYLOAD_BITS))
         steps.append((STAGE_FETCH, hops))
-        interest_traversals += hops
-        return_hops += back_hops
-        steps.append((STAGE_DATA_RETURN, return_hops))
-        return ResolutionOutcome(
-            producer, steps, shortcut, True, interest_traversals,
-            reply_hops + return_hops, latency + return_ns + out_ns + back_ns,
-            interest_traversals * INTEREST_BITS + reply_hops * LOCATOR_REPLY_BITS
-            + return_hops * DEFAULT_PAYLOAD_BITS)
+        steps.append((STAGE_DATA_RETURN, consumer_hops + hops))
+        return ResolutionOutcome(producer, steps, latency + return_ns + out_ns + back_ns)
 
-    def _trip(self, a: int, b: int, reply_bits: int) -> tuple[int, int, int, int]:
+    def _trip(self, a: int, b: int, reply_bits: int) -> tuple[int, int, int]:
         """Fill the memo with the round trip a -> b -> a and return it.
 
-        The value is (out hops, back hops, out transit ns, back transit
-        ns) for an Interest a -> b and a reply of ``reply_bits`` b -> a.
-        Each direction is walked on its own: the shortest path b -> a
-        need not retrace a -> b, and with unequal link delays its
-        transit time then differs.
+        The value is (hops, out transit ns, back transit ns) for an
+        Interest a -> b and a reply of ``reply_bits`` b -> a.  Each
+        direction is walked on its own: the shortest path b -> a need
+        not retrace a -> b, and with unequal link delays its transit
+        time then differs.  Its hop count cannot differ, because BFS
+        distances on an undirected graph are symmetric, so one count
+        serves both halves.
         """
-        out_hops, out_ns = self._leg(a, b, INTEREST_BITS)
-        back_hops, back_ns = self._leg(b, a, reply_bits)
-        trip = self._trips[(a, b, reply_bits)] = (out_hops, back_hops, out_ns, back_ns)
+        hops, out_ns = self._leg(a, b, INTEREST_BITS)
+        back_ns = self._leg(b, a, reply_bits)[1]
+        trip = self._trips[(a, b, reply_bits)] = (hops, out_ns, back_ns)
         return trip
 
     def _leg(self, src: int, dst: int, bits: int) -> tuple[int, int]:

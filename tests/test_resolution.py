@@ -56,8 +56,8 @@ class TestRegistration:
         idx = assign_resolver(NAME, 4)
         # producer 5's nearest site is resolver node 4
         assert deployment.sites[4].shards[idx].lookup(NAME.canonical_text) == 5
-        assert deployment.nameserver.host_node == 3
-        assert deployment.nameserver.zone == {NAME.canonical_text: 5}
+        assert deployment.nameserver_node == 3
+        assert deployment.zone == {NAME.canonical_text: 5}
 
     def test_registration_traversal_count(self):
         deployment = Deployment(line_topology(), resolver_count=1)
@@ -97,7 +97,7 @@ class TestRegistration:
         assert register(deployment, 0, NAME) == 0  # a repeat is skipped
         with pytest.raises(RegistrationConflictError, match="producer 0"):
             register(deployment, 6, NAME)
-        assert deployment.nameserver.zone == {key: 0}
+        assert deployment.zone == {key: 0}
         idx = assign_resolver(NAME, 2)
         assert deployment.sites[1].shards[idx].lookup(key) == 0
         cold = deployment.resolve_and_fetch(5, NAME)
@@ -175,8 +175,8 @@ class TestSeveralNameservers:
     def test_every_record_lands_in_node_3_zone(self):
         deployment, _, _ = self.run(line_topology(extra_producer=True,
                                                   extra_nameserver=True))
-        assert deployment.nameserver.host_node == 3
-        assert deployment.nameserver.zone == dict(self.PAIRS)
+        assert deployment.nameserver_node == 3
+        assert deployment.zone == dict(self.PAIRS)
 
     def test_cold_lookup_asks_node_3(self):
         deployment = Deployment(line_topology(extra_nameserver=True), resolver_count=4)
@@ -195,7 +195,7 @@ class TestSeveralNameservers:
             line_topology(extra_producer=True))
         assert with_7_total == without_total
         assert with_7_outcomes == without_outcomes
-        assert with_7.nameserver.zone == without.nameserver.zone
+        assert with_7.zone == without.zone
         for node, site in with_7.sites.items():
             assert ([shard.authoritative for shard in site.shards]
                     == [shard.authoritative for shard in without.sites[node].shards])
@@ -218,7 +218,7 @@ class TestBulkAcrossChunks:
     def state(self, deployment):
         return ({node: [list(shard.authoritative.items()) for shard in site.shards]
                  for node, site in deployment.sites.items()},
-                list(deployment.nameserver.zone.items()))
+                list(deployment.zone.items()))
 
     def test_one_call_equals_one_call_per_pair(self):
         pairs = self.pairs()
@@ -227,14 +227,14 @@ class TestBulkAcrossChunks:
         bulk = self.deployment()
         assert bulk.register_bulk(pair for pair in pairs) == single_total
         assert self.state(bulk) == self.state(single)
-        assert list(bulk.nameserver.zone.items()) == pairs
+        assert list(bulk.zone.items()) == pairs
 
     def test_every_stored_record_is_a_plain_int(self):
         deployment = self.deployment()
         deployment.register_bulk(pair for pair in self.pairs())
         for key, _ in self.pairs()[:50]:
             deployment.resolve_and_fetch(0, parse_name(key))  # fills the caches
-        tables = [deployment.nameserver.zone]
+        tables = [deployment.zone]
         for site in deployment.sites.values():
             tables += [table for shard in site.shards
                        for table in (shard.authoritative, shard.cache)]
@@ -285,6 +285,10 @@ class TestDeploymentValidation:
         register(deployment, 5, NAME)
         with pytest.raises(ConfigurationError):
             deployment.resolve_and_fetch(99, NAME)
+
+    def test_unknown_node_has_no_nearest_site(self):
+        with pytest.raises(ConfigurationError):
+            Deployment(line_topology(), resolver_count=1).nearest_site(99)
 
 
 class TestResolveAndFetch:
@@ -541,7 +545,8 @@ class TestLegMemo:
 
     def test_memoized_legs_equal_hop_by_hop_sums_on_unequal_delays(self):
         # every round trip (a, b, reply bits) holds the Interest's walk
-        # a -> b and the reply's walk b -> a, each on its own path
+        # a -> b and the reply's walk b -> a, each on its own path; the
+        # memo keeps one hop count, which needs the two walks' to agree
         rng = random.Random(11)
         for _ in range(4):
             topo = with_hierarchy_roles(varied_delay_graph(rng)[0])
@@ -552,7 +557,8 @@ class TestLegMemo:
                     for b in topo.nodes:
                         out_hops, out_ns = walked(topo, fresh, a, b, INTEREST_BITS)
                         back_hops, back_ns = walked(topo, fresh, b, a, bits)
-                        expected = (out_hops, back_hops, out_ns, back_ns)
+                        assert back_hops == out_hops
+                        expected = (out_hops, out_ns, back_ns)
                         assert deployment._trip(a, b, bits) == expected
                         assert deployment._trips[(a, b, bits)] == expected
             assert len(deployment._trips) == len(self.BITS) * len(topo.nodes) ** 2
