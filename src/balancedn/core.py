@@ -4,7 +4,10 @@ The checksum is CRC-16/ARC: width=16, poly=0x8005, init=0, refIn=True,
 refOut=True, xorOut=0.  Check value: crc16(b"123456789") == 0xBB3D.
 It has two entry points that agree on every input: ``crc16`` hashes one
 byte string, and ``crc16_many`` hashes a batch one byte column at a
-time (bulk registration, ``parse_names``).
+time (bulk registration, ``parse_names``).  The CRC is linear, so
+``crc16_many`` looks each byte up in a table for its distance from the
+end of the item and XORs the shares; zero-padding the items on the left
+to one width changes no CRC.
 
 A ContentName carries the CRC of its canonical UTF-8 bytes, so a name
 is hashed at most once however often it is resolved.  ``parse_names``
@@ -17,7 +20,6 @@ one at a time (``parse_name``, ``ContentName(...)``) hashes itself with
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
@@ -53,38 +55,60 @@ def crc16(data: bytes) -> int:
     return crc
 
 
+# (low bytes, high bytes) of T_0, T_1, ...; grown by _position_tables
+_POSITION_TABLES = [(_CRC_LO, _CRC_HI)]
+
+
+def _position_tables(width: int) -> list[tuple[bytes, bytes]]:
+    """The low- and high-byte halves of T_0 .. T_{width-1} (or more).
+
+    T_d[b] is ``crc16(bytes([b]) + bytes(d))``: byte b's share of a CRC
+    when d bytes follow it.  T_0 is ``_CRC_TABLE``, and T_d is T_{d-1}
+    run one table step further on a zero byte.  Missing tables are built
+    in a longer copy of the list, which then replaces the old one, so a
+    concurrent caller never sees a half-built list.
+    """
+    global _POSITION_TABLES
+    tables = _POSITION_TABLES
+    if len(tables) < width:
+        tables = list(tables)
+        while len(tables) < width:
+            step = [_CRC_TABLE[low] ^ high for low, high in zip(*tables[-1])]
+            tables.append((bytes(v & 0xFF for v in step), bytes(v >> 8 for v in step)))
+        _POSITION_TABLES = tables
+    return tables
+
+
 def crc16_many(items: list[bytes]) -> list[int]:
     """Return ``[crc16(x) for x in items]``, one byte column at a time.
 
-    Items are grouped by length, so none is padded.  A group of L-byte
-    items is joined into one block whose column j, ``block[j::L]``,
-    holds byte j of every item.  The CRC state is kept as two columns,
-    low and high byte, one byte per item, and each step of the table
-    loop runs on whole columns: ``idx = lo ^ column``,
-    ``lo = LO[idx] ^ hi``, ``hi = HI[idx]``, with the lookups done by
-    ``bytes.translate`` and the XORs on integers built from the columns.
+    CRC-16/ARC has init 0 and xorout 0, so it is linear: the CRC of x is
+    the XOR over positions j of ``T_d[x[j]]``, where d is the number of
+    bytes after j (see ``_position_tables``).  Leading zero bytes leave
+    a zero-init CRC at 0, so every item is left-padded with zero bytes
+    to the batch's longest item and the padded items are joined into
+    one block, whose column j, ``block[j::width]``, holds byte j of every
+    item.  Each column adds its share to all the CRCs at once: one
+    ``bytes.translate`` per half of T_d and an integer XOR per half.
+
+    The block costs ``len(items)`` times the longest item in bytes; for
+    CRC_CHUNK names of at most 22 bytes that is about 90 KB.  One long
+    item in a batch of short ones pads them all to its length.
     """
-    groups: defaultdict[int, list[int]] = defaultdict(list)
-    for i, length in enumerate(map(len, items)):
-        groups[length].append(i)
-    out = [0] * len(items)
-    for length, positions in groups.items():
-        if not length:
-            continue
-        count = len(positions)
-        block = b"".join(map(items.__getitem__, positions))
-        lo = hi = 0
-        for j in range(length):
-            column = int.from_bytes(block[j::length], "little")
-            idx = (lo ^ column).to_bytes(count, "little")
-            lo = int.from_bytes(idx.translate(_CRC_LO), "little") ^ hi
-            hi = int.from_bytes(idx.translate(_CRC_HI), "little")
-        both = bytearray(2 * count)
-        both[_LO_SLOT::2] = lo.to_bytes(count, "little")
-        both[1 - _LO_SLOT::2] = hi.to_bytes(count, "little")
-        for pos, crc in zip(positions, memoryview(both).cast("H")):
-            out[pos] = crc
-    return out
+    count = len(items)
+    width = max(map(len, items), default=0)
+    block = b"".join([x.rjust(width, b"\0") for x in items])
+    tables = _position_tables(width)
+    lo = hi = 0
+    for j in range(width):
+        column = block[j::width]
+        lo_table, hi_table = tables[width - 1 - j]
+        lo ^= int.from_bytes(column.translate(lo_table), "little")
+        hi ^= int.from_bytes(column.translate(hi_table), "little")
+    both = bytearray(2 * count)
+    both[_LO_SLOT::2] = lo.to_bytes(count, "little")
+    both[1 - _LO_SLOT::2] = hi.to_bytes(count, "little")
+    return memoryview(both).cast("H").tolist()
 
 
 class NameFormatError(ValueError):

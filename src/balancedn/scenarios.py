@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
+from itertools import cycle
 from typing import IO, Iterable
 
 from .core import parse_name, parse_names
@@ -119,11 +120,24 @@ def resolve_topology(config: ScenarioConfig) -> Topology:
 
 
 def synthetic_corpus(count: int, seed: int) -> list[str]:
-    """Deterministic canonical names, hash-diverse via a seeded tag."""
+    """Deterministic canonical names, hash-diverse via a seeded tag.
+
+    Name i's tag is the i-th ``getrandbits(16)`` of ``Random(seed)``, in
+    four hex digits, but all tags come from one ``getrandbits(32 * count)``
+    draw.  CPython's Mersenne Twister fills a k-bit result from
+    consecutive 32-bit outputs, least significant word first, and
+    ``getrandbits(16)`` is the top half of one output.  So in the draw's
+    little-endian bytes, bytes 3 and 2 of word i are tag i: interleaved
+    into one buffer, they give every tag's hex digits in one ``hex`` call.
+    """
     rng = random.Random(seed)
-    bits = rng.getrandbits
+    words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
+    tags = bytearray(2 * count)
+    tags[0::2] = words[3::4]
+    tags[1::2] = words[2::4]
+    hexed = tags.hex()
     stems = [f"/cat{k}/obj" for k in range(16)]
-    return [f"{stems[i & 15]}{i}-{bits(16):04x}" for i in range(count)]
+    return [f"{stems[i & 15]}{i}-{hexed[4 * i:4 * i + 4]}" for i in range(count)]
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -251,10 +265,7 @@ def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioRepor
             f"{len(pairs)} unique cross-subnet requests")
     requests = [(c, p, corpus[slot]) for c, p, slot in pairs]
     # the whole corpus, owned round-robin by the producers
-    n_producers = len(producers)
-    registrations = ((key, producers[i % n_producers])
-                     for i, key in enumerate(corpus))
-    return _run_requests(topology, config, requests, registrations)
+    return _run_requests(topology, config, requests, zip(corpus, cycle(producers)))
 
 
 def _run_requests(topology: Topology, config: ScenarioConfig,

@@ -1,0 +1,35 @@
+"""The trajectory script's per-run function, on s1_long alone.
+
+It runs in a subprocess, because importing the script puts
+``benchmarks/`` and ``tools/`` on the import path.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+S1_LONG_SHA256 = "7fc947cb1111ce7ab4ad02d6e8c4f33e1db73dd843bcbf9de00c7f708f45091e"
+
+ONE_RUN = """\
+import json, sys
+sys.path.insert(0, {tools!r})
+import bench_trajectory
+print(json.dumps(bench_trajectory.one_run(["s1_long"], repeats=1, micro=False)))
+"""
+
+
+def test_one_run_records_the_s1_long_digest_and_its_times():
+    code = ONE_RUN.format(tools=str(ROOT / "tools"))
+    result = subprocess.run([sys.executable, "-B", "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    run = json.loads(result.stdout.splitlines()[-1])
+    entry = run["end_to_end"]["s1_long"]
+    assert list(run["end_to_end"]) == ["s1_long"]
+    assert entry["sha256"] == S1_LONG_SHA256
+    assert entry["raw_s"] > 0 and entry["scaled_s"] > 0
+    assert len(entry["raw_runs_s"]) == 1
+    assert set(run["facts"]) == {"commit", "nproc", "python", "loadavg", "pycache"}
+    assert run["code_lines"] > 0

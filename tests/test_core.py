@@ -79,6 +79,21 @@ class TestCrc16Many:
         assert len({len(x) for x in batch}) > 200
         assert crc16_many(batch) == [crc16_arc_bitwise(x) for x in batch]
 
+    def test_one_long_item_among_short_ones(self):
+        # the long item pads every short one to 1,500 bytes
+        rng = random.Random(12)
+        batch = [rng.randbytes(rng.randrange(0, 23)) for _ in range(200)]
+        batch.insert(77, rng.randbytes(1500))
+        assert crc16_many(batch) == [crc16_arc_bitwise(x) for x in batch]
+
+    def test_narrow_batch_before_and_after_a_wide_one(self):
+        # the wide item is longer than any other test's, so it grows the
+        # per-distance tables; the narrow batch must hash alike before and after
+        narrow = [b"/a", b"", b"123456789", "/vidéo/ü.mp4".encode()]
+        wide = narrow + [bytes(range(256)) * 10]
+        for batch in (narrow, wide, narrow):
+            assert crc16_many(batch) == [crc16_arc_bitwise(x) for x in batch]
+
     @given(st.lists(st.binary(min_size=0, max_size=40), max_size=50))
     @settings(max_examples=200)
     def test_matches_per_item_crc16(self, batch):

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from balancedn import scenarios
 from balancedn import topology as topology_module
 from balancedn.core import parse_name
 from balancedn.engine import Simulation
 from balancedn.metrics import emit_csv
+from balancedn.resolution import Deployment
 from balancedn.scenarios import (ScenarioConfig, ScenarioError,
                                  _cross_subnet_pairs, _flooding_record,
                                  _with_extra_consumer, default_topology,
@@ -81,6 +83,27 @@ class TestSyntheticCorpus:
         assert len(set(names)) == 1000
         for key in names[:50]:
             assert parse_name(key).canonical_text == key
+
+
+class TestRoundRobinOwnership:
+    def test_corpus_name_i_is_owned_by_producer_i_mod_n(self, monkeypatch):
+        made = []
+
+        class Recorded(Deployment):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(scenarios, "Deployment", Recorded)
+        config = ScenarioConfig(scenario="s2", content_count=3000,
+                                schemes=("balancedn",))
+        run_scenario(config)
+        (deployment,) = made
+        producers = deployment.topology.nodes_with_role("producer")
+        corpus = synthetic_corpus(3000, config.seed)
+        assert len(deployment.zone) == len(corpus)
+        for i, key in enumerate(corpus):
+            assert deployment.zone[key] == producers[i % len(producers)]
 
 
 class TestSingleRequestScenarios:

@@ -1,0 +1,160 @@
+"""Write one point of the performance trajectory, ``BENCH_<pr>.json``.
+
+Usage: ``python tools/bench_trajectory.py BENCH_<pr>.json``
+from the root of a checkout; it measures the checkout it lives in.
+
+The program is measured twice, back to back (``one_run`` each time),
+and the file holds both runs and the spread between them: for each
+scaled number, ``|a - b|`` over the smaller of the two.  One run holds
+
+- end to end: the wall time of each CLI run in RUNS, each in a fresh
+  ``python -m balancedn.cli`` process, median of 3,
+  raw and scaled.  A ``benchmarks/run.py`` ``reference_pass()`` is taken
+  just before each process, and the scaled time is the raw one times
+  ``REFERENCE_NOMINAL_US`` over that pass's median, as
+  ``benchmarks/run.py`` scales set-up.  So a slower host reads the same;
+- the sha256 of each CSV.  s4 rows hold measured CPU times, so its
+  digest is recorded and never compared; the other runs are simulated,
+  and their digests must agree within a run and between the two runs,
+  or the script exits 1 and writes nothing;
+- per layer: the numbers of ``benchmarks/micro.py`` ``micro_loops``,
+  raw and scaled by a reference pass taken just before them (times
+  multiplied, rates divided, counts left alone, by their unit in
+  ``BENCHMARK.json``), and the ``tools/code_lines.py`` total of ``src``;
+- facts: the commit (``-dirty`` if the checkout differs from it),
+  nproc, the Python version, the load average and whether a
+  ``__pycache__`` was under ``src`` when the run began.
+
+Both benchmark functions are imported; nothing under ``benchmarks/`` is
+edited.  A run takes about 30 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for _path in (ROOT / "src", ROOT / "benchmarks", ROOT / "tools"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from code_lines import code_lines  # noqa: E402
+from micro import micro_loops  # noqa: E402
+from run import REFERENCE_NOMINAL_US, reference_pass  # noqa: E402
+
+# the README's s4 load map
+SKEW = "0:650000,1:50000,2:50000,3:50000,4:50000,5:50000,6:50000,7:50000"
+RUNS = {
+    "s1_long": ["--scenario", "s1_long"],
+    "s2": ["--scenario", "s2"],
+    "s3_flooding": ["--scenario", "s3", "--schemes", "flooding", "--content", "20000"],
+    "s3_balancedn": ["--scenario", "s3", "--schemes", "balancedn"],
+    "s4": ["--scenario", "s4", "--skew", SKEW],
+}
+UNCOMPARED = {"s4"}
+MICRO_SEED = 1
+TIME_UNITS = {"s", "us", "ns"}
+
+
+def host_scale() -> float:
+    """REFERENCE_NOMINAL_US over the median of a reference pass taken now."""
+    return REFERENCE_NOMINAL_US / statistics.median(reference_pass())
+
+
+def cli_time(name: str, repeats: int, out_dir: Path) -> dict:
+    """Median wall time of ``repeats`` fresh CLI processes of run ``name``."""
+    csv = out_dir / f"{name}.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    raw, scaled, digests = [], [], set()
+    for _ in range(repeats):
+        scale = host_scale()
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-m", "balancedn.cli", "run", *RUNS[name],
+                        "--seed", "42", "--out", str(csv)],
+                       env=env, check=True, capture_output=True)
+        elapsed = time.perf_counter() - start
+        raw.append(elapsed)
+        scaled.append(elapsed * scale)
+        digests.add(hashlib.sha256(csv.read_bytes()).hexdigest())
+    if len(digests) > 1 and name not in UNCOMPARED:
+        raise RuntimeError(f"{name}: {repeats} runs wrote {len(digests)} different CSVs")
+    return {"raw_s": statistics.median(raw), "scaled_s": statistics.median(scaled),
+            "raw_runs_s": raw, "sha256": digests.pop()}
+
+
+def micro_numbers() -> dict:
+    """``micro_loops``' numbers, raw and scaled by the host's speed now."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
+    units = {m["name"]: m["unit"] for m in spec["per_layer"]}
+    scale = host_scale()
+    result = micro_loops(MICRO_SEED)
+    if result["errors"]:
+        raise RuntimeError(f"micro_loops checks failed: {result['errors']}")
+    out = {}
+    for name, value in result["metrics"].items():
+        unit = units.get(name)
+        factor = scale if unit in TIME_UNITS else 1 / scale if unit == "1/s" else 1.0
+        out[name] = {"raw": value, "scaled": value * factor, "unit": unit}
+    return out
+
+
+def facts() -> dict:
+    # the commit's hash, with "-dirty" when the checkout differs from it
+    commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
+                             "--exclude=*"], cwd=ROOT, capture_output=True, text=True)
+    return {"commit": commit.stdout.strip() if commit.returncode == 0 else "unknown",
+            "nproc": os.cpu_count(), "python": platform.python_version(),
+            "loadavg": os.getloadavg(),
+            "pycache": any((ROOT / "src").rglob("__pycache__"))}
+
+
+def one_run(names=tuple(RUNS), repeats: int = 3, micro: bool = True) -> dict:
+    """One measurement of the checkout: facts, CLI runs, micro-loops, code lines."""
+    result = {"facts": facts()}
+    with tempfile.TemporaryDirectory() as tmp:
+        result["end_to_end"] = {name: cli_time(name, repeats, Path(tmp)) for name in names}
+    if micro:
+        result["per_layer"] = micro_numbers()
+    result["code_lines"] = sum(map(code_lines, (ROOT / "src").rglob("*.py")))
+    return result
+
+
+def spread(a: float, b: float) -> float:
+    return abs(a - b) / min(a, b)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", help="the file to write, e.g. BENCH_26.json")
+    args = parser.parse_args(argv)
+    first, second = one_run(), one_run()
+    digests = [{name: entry["sha256"] for name, entry in run["end_to_end"].items()
+                if name not in UNCOMPARED} for run in (first, second)]
+    if digests[0] != digests[1]:
+        sys.stderr.write(f"error: the two runs wrote different CSVs: {digests}\n")
+        return 1
+    spreads = {f"end_to_end.{name}": spread(entry["scaled_s"],
+                                             second["end_to_end"][name]["scaled_s"])
+               for name, entry in first["end_to_end"].items()}
+    spreads.update((f"per_layer.{name}", spread(entry["scaled"],
+                                                second["per_layer"][name]["scaled"]))
+                   for name, entry in first["per_layer"].items())
+    Path(args.out).write_text(json.dumps(
+        {"sha256": digests[0], "spread": spreads, "runs": [first, second]},
+        indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
