@@ -21,18 +21,18 @@ raise, the raising one included, in ``processed`` and in the budget,
 and re-raises, so a later ``run_until`` goes on from there.
 
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
-an answer, or ``FLOOD`` on its own ``flood_faces[in_face]``.  At wiring
-time the simulation turns those faces into one target table per (node,
-in-face): the face-table row of each flood face (its neighbour, the
-face there, the face's Interest and Data transit times and, if the
-neighbour is a leaf, its node), grouped by
-Interest transit time in face order, and each group's rows that are
-not leaves.  A flood hands each group to its fire time's bucket with
-one ``EventQueue.schedule_many`` call, not one ``schedule`` call per
-copy.  The copies of one flood step are appended
-together, so each bucket still receives them in face order after the
-events already in it, whatever the link delays; on equal-delay links
-each table entry is a single group.
+an answer, or ``FLOOD`` on every face but the one it came in on.  The
+flood plan is the only fan-out.  At wiring time the simulation reads
+each node's ``neighbors`` once and builds its face rows (per face: its
+neighbour, the face there, the Interest and Data transit times and, if
+the neighbour is a leaf, its node) and one plan per in-face: the rows
+of every other face, grouped by Interest transit time in face order,
+and each group's rows that are not leaves.  A flood hands each group to
+its fire time's bucket with one ``EventQueue.schedule_many`` call, not
+one ``schedule`` call per copy.  The copies of one flood step are
+appended together, so each bucket still receives them in face order
+after the events already in it, whatever the link delays; on
+equal-delay links each plan is a single group.
 
 The event contract: a flood counts every Interest copy it sends, in
 ``interest_traversals`` (and so in ``bits_moved``) and, when traced,
@@ -112,8 +112,9 @@ EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_inject
 # Data transit ns, the neighbour's NdnNode if it is a leaf (one neighbour)
 # else None).  Both transit times are computed once, at wiring.
 FaceRow = tuple[int, int, int, int, Optional[NdnNode]]
-# The flood faces that share one Interest transit time: (transit ns, their
-# rows in face order, the rows of those that are not leaves).
+# The faces of one flood plan that share an Interest transit time:
+# (transit ns, their rows in face order, the rows of those that are not
+# leaves).  A plan is a tuple of these, in order of first face.
 FloodGroup = tuple[int, tuple[FaceRow, ...], tuple[FaceRow, ...]]
 
 
@@ -274,31 +275,29 @@ class Simulation:
             node = NdnNode(nid, topology.adjacency[nid])
             node.pit_reclaim = self._reclaim
             self.nodes[nid] = node
-        # node -> face -> its FaceRow; the local face has no entry
+        # node -> face -> its FaceRow (the local face has none), and node ->
+        # in-face -> the plan of a flood that came in on that face: every
+        # other face's row, one FloodGroup per Interest transit time.  Rows
+        # are shared, not copied, and a group with no leaf row shares its
+        # tuple too, so the tables add few objects to set-up.
         self._face_table: dict[int, list[FaceRow | None]] = {}
-        for nid, node in self.nodes.items():
-            row: list[FaceRow | None] = [None]
-            for face in range(1, len(node.faces)):
-                nbr = node.faces[face]
-                link = topology.link_between(nid, nbr)
-                target = self.nodes[nbr]
-                row.append((nbr, target.face_of[nid], link_transit_ns(link, INTEREST_BITS),
-                            link_transit_ns(link, DEFAULT_PAYLOAD_BITS),
-                            target if len(target.face_of) == 1 else None))
-            self._face_table[nid] = row
-        # node -> in-face -> where a flood that came in on that face goes,
-        # from the node's own flood faces: one FloodGroup per Interest
-        # transit time, its rows in face order.  Rows are shared, not
-        # copied, and a group with no leaf row shares its tuple too, so
-        # the table adds few objects to set-up.
         self._flood_targets: dict[int, list[tuple[FloodGroup, ...]]] = {}
         for nid, node in self.nodes.items():
-            row = self._face_table[nid]
+            row: list[FaceRow | None] = [None]
+            for nbr in node.neighbors:
+                link = topology.link_between(nid, nbr)
+                target = self.nodes[nbr]
+                row.append((nbr, target.neighbors.index(nid) + 1,
+                            link_transit_ns(link, INTEREST_BITS),
+                            link_transit_ns(link, DEFAULT_PAYLOAD_BITS),
+                            target if len(target.neighbors) == 1 else None))
+            self._face_table[nid] = row
             plans = []
-            for in_face in range(len(node.faces)):
+            for in_face in range(len(row)):
                 groups: dict[int, list[FaceRow]] = {}
-                for face in node.flood_faces[in_face]:
-                    groups.setdefault(row[face][2], []).append(row[face])
+                for face in range(1, len(row)):
+                    if face != in_face:
+                        groups.setdefault(row[face][2], []).append(row[face])
                 plan = []
                 for transit, group in groups.items():
                     rows = tuple(group)
@@ -361,9 +360,8 @@ class Simulation:
             raise ValueError(f"cannot publish {name.canonical_text} while "
                              f"{len(self.queue)} event(s) are queued")
         node.publish(name)
-        if len(node.face_of) == 1:
-            (router,) = node.face_of
-            self._leaf_names[router].add(name.canonical_text)
+        if len(node.neighbors) == 1:
+            self._leaf_names[node.neighbors[0]].add(name.canonical_text)
 
     # -- scheduling --------------------------------------------------------
 
@@ -513,7 +511,7 @@ class Simulation:
 
     def _flood(self, node_id: int, in_face: int, interest: InterestPacket,
                now: int, hops: int) -> None:
-        """Send a copy of ``interest`` on each flood face of ``in_face``.
+        """Send a copy of ``interest`` on each face of ``node_id`` but ``in_face``.
 
         ``hops`` is the Interest's hop count at this node; each copy
         arrives one hop further.  Every copy is counted as sent, but a

@@ -1,10 +1,14 @@
 """Per-node forwarding state: PIT, dead-nonce list, and the flooding strategy.
 
-Face ids map to neighbors; face 0 is always the local application face.
-Nodes are mutated only by the single-threaded event loop that owns them.
-A node decides each Interest's fate and the event loop carries it out:
-``on_interest`` drops it, answers it with Data, or returns ``FLOOD``,
-and the loop sends the Interest on the node's ``flood_faces[in_face]``.
+A node's one face table is ``neighbors``, its neighbour ids in
+ascending order: face 0 is the local application face and face f > 0
+leads to ``neighbors[f - 1]``.  Nodes are mutated only by the
+single-threaded event loop that owns them.  A node decides each
+Interest's fate and the event loop carries it out: ``on_interest``
+drops it, answers it with Data, or returns ``FLOOD``, and the loop
+sends the Interest on every neighbour's face but the one it came in
+on, from the flood plans it builds out of ``neighbors`` (see
+``balancedn.engine``).
 
 A PIT entry is one object and the only one the cyclic garbage collector
 tracks for it: a flood leaves an entry on each non-leaf node it reaches
@@ -76,8 +80,8 @@ class UnknownFaceError(ValueError):
 class Verdict(Enum):
     """What ``on_interest`` tells the event loop besides drop or answer."""
 
-    # forward the Interest on every flood face of the face it came in on,
-    # ``flood_faces[in_face]``, in that order
+    # forward the Interest on every neighbour's face but the one it came
+    # in on, in ascending face order
     FLOOD = "flood"
 
 
@@ -96,24 +100,16 @@ class PitEntry:
     more_nonces: set[int] | None = None  # the nonces that joined after ``nonce``
 
 
-def face_layout(neighbors: Iterable[int]) -> dict[int, int | None]:
-    """Face map convention: 0 is local, neighbors get 1..k by ascending id."""
-    faces: dict[int, int | None] = {LOCAL_FACE: None}
-    for i, nbr in enumerate(sorted(neighbors), start=1):
-        faces[i] = nbr
-    return faces
-
-
 class NdnNode:
-    """One network node's forwarding engine."""
+    """One network node's forwarding engine.
+
+    ``neighbors`` is its face table: face f > 0 leads to
+    ``neighbors[f - 1]``, and face 0 (``LOCAL_FACE``) is local.
+    """
 
     def __init__(self, node_id: int, neighbors: Iterable[int]) -> None:
         self.id = node_id
-        self.faces = face_layout(neighbors)
-        self.face_of = {nbr: face for face, nbr in self.faces.items() if nbr is not None}
-        out = [face for face in sorted(self.faces) if face != LOCAL_FACE]
-        # incoming face -> the faces a flood leaves on, ascending
-        self.flood_faces = {face: tuple(f for f in out if f != face) for face in self.faces}
+        self.neighbors = tuple(sorted(neighbors))
         self.pit: dict[str, PitEntry] = {}
         self.published: set[str] = set()  # canonical names this node answers
         # (canonical name, nonce) -> expiry of the pairs this node has answered
@@ -139,15 +135,15 @@ class NdnNode:
 
         Returns None when it goes no further (a duplicate, joined to a
         live entry forwarded less than ``RETX_SUPPRESS_NS`` ago, or at a
-        dead end), the Data that answers it on ``in_face``, or
-        :data:`FLOOD` once it holds a new PIT entry, to forward it
-        unchanged on every face of ``flood_faces[in_face]``.
+        dead end: a node with no face but ``in_face``), the Data that
+        answers it on ``in_face``, or :data:`FLOOD` once it holds a new
+        PIT entry, to forward it unchanged on every other neighbour's face.
         """
-        # runs once per delivery: the out-faces of a flood in one lookup,
-        # and the name's text from its slot rather than through the property
-        out_faces = self.flood_faces.get(in_face)
-        if out_faces is None:
+        degree = len(self.neighbors)
+        if not 0 <= in_face <= degree:
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
+        # runs once per delivery: the name's text from its slot rather
+        # than through the property
         key = interest.name._text
         if self.dead_nonces and self.dead_nonces.get((key, interest.nonce), now) > now:
             self.duplicates_suppressed += 1
@@ -183,7 +179,7 @@ class NdnNode:
             if more is not None:
                 nonces |= more
 
-        if not out_faces:
+        if degree == (in_face != LOCAL_FACE):
             return None  # a dead end: no Data can come back to an entry here
         entry = pit[key] = PitEntry(key, pit, in_faces, interest.nonce,
                                     now + PIT_LIFETIME_NS, nonces)
@@ -198,7 +194,7 @@ class NdnNode:
         request is pending; the event loop sends ``data`` itself on each.
         Unsolicited or late Data goes nowhere: the list is empty.
         """
-        if in_face not in self.faces:
+        if not 0 <= in_face <= len(self.neighbors):
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
         key = data.name.canonical_text
         entry = self.pit.get(key)

@@ -39,8 +39,8 @@ from typing import IO, Iterable
 from .core import parse_name, parse_names
 from .engine import Simulation
 from .metrics import ProbeStat, RequestRecord, ScenarioReport, emit_csv
-from .resolution import (STAGE_DATA_RETURN, Deployment, build_skewed_shards,
-                         interleaved_timing_probe)
+from .node import PIT_LIFETIME_NS
+from .resolution import Deployment, build_skewed_shards, interleaved_timing_probe
 from .topology import (LinkDescriptor, NodeDescriptor, Topology, load_preset,
                        load_topology)
 
@@ -55,7 +55,7 @@ S1_DISTANCES = {"s1_near": 1, "s1_mid": 2}
 
 
 class ScenarioError(ValueError):
-    """Invalid scenario configuration."""
+    """Invalid scenario configuration, or a request its run left unanswered."""
 
 
 @dataclass(slots=True)
@@ -193,16 +193,14 @@ def _flooding_record(sim: Simulation, producer: int, distance: int,
     )
 
 
-def _balancedn_record(outcome, consumer: int, producer: int,
-                      distance: int) -> RequestRecord:
-    path_hops = dict(outcome.steps).get(STAGE_DATA_RETURN, 0)
+def _balancedn_record(outcome, consumer: int, distance: int) -> RequestRecord:
+    """The record of a satisfied outcome: its last step is the Data return."""
     return RequestRecord(
-        consumer=consumer,
-        producer=outcome.producer if outcome.producer is not None else -1,
+        consumer=consumer, producer=outcome.producer,
         distance=distance, scheme="balancedn",
         interest_traversals=outcome.interest_traversals,
         data_traversals=outcome.data_traversals,
-        path_hops=path_hops,
+        path_hops=outcome.steps[-1][1],
         latency_ns=outcome.latency_ns,
         satisfied=outcome.satisfied,
         bytes_moved=outcome.bits_moved // 8,
@@ -276,7 +274,10 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
     Flooding publishes every requested name at its producer, then
     injects the requests one at a time, each drained before the next.
     BalanceDN registers ``registrations`` (name, producer) in bulk, then
-    resolves and fetches each request.  Rows come flooding first.
+    resolves and fetches each request.  Rows come flooding first.  Both
+    schemes keep one rule: a request not answered within the Interest
+    lifetime, ``PIT_LIFETIME_NS``, fails, and the first failed request
+    raises :class:`ScenarioError`.
     """
     paths = topology.paths
     report = ScenarioReport(config.scenario)
@@ -289,6 +290,8 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
         for (consumer, producer, _), name in zip(requests, names):
             state = sim.inject_request(consumer, name, at=sim.now)
             sim.run_until(None)
+            if not state.satisfied:
+                raise _unanswered("flooding", consumer, producer, name)
             report.add(_flooding_record(sim, producer,
                                         paths.distance(consumer, producer), state))
     if "balancedn" in config.schemes:
@@ -297,10 +300,19 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
         names = parse_names(key for _, _, key in requests)
         for (consumer, producer, _), name in zip(requests, names):
             outcome = deployment.resolve_and_fetch(consumer, name)
-            report.add(_balancedn_record(outcome, consumer, producer,
+            if outcome.producer is None or outcome.latency_ns >= PIT_LIFETIME_NS:
+                raise _unanswered("balancedn", consumer, producer, name)
+            report.add(_balancedn_record(outcome, consumer,
                                          paths.distance(consumer, producer)))
         report.shard_loads = _shard_loads(deployment)
     return report
+
+
+def _unanswered(scheme: str, consumer: int, producer: int, name) -> ScenarioError:
+    return ScenarioError(
+        f"{scheme} request of consumer {consumer} to producer {producer} for "
+        f"{name.canonical_text} was not answered within the "
+        f"{PIT_LIFETIME_NS // 1_000_000_000}-s Interest lifetime")
 
 
 def _shard_loads(deployment: Deployment) -> dict[int, int]:

@@ -29,7 +29,7 @@ def test_one_run_records_the_s1_long_digest_and_its_times():
     entry = run["end_to_end"]["s1_long"]
     assert list(run["end_to_end"]) == ["s1_long"]
     assert entry["sha256"] == S1_LONG_SHA256
-    assert entry["raw_s"] > 0 and entry["scaled_s"] > 0
+    assert entry["raw_s"] > 0
     assert len(entry["raw_runs_s"]) == 1
     assert set(run["facts"]) == {"commit", "nproc", "python", "loadavg", "pycache"}
     assert run["code_lines"] > 0

@@ -19,6 +19,26 @@ link 0 1 1 1000
 link 0 2 1 1000
 """
 
+# A consumer and two producers, one on each side of a 2,500-ms link: every
+# cross-subnet round trip takes about 5 s, past the 4-s Interest lifetime.
+SLOW_LINK_TOPOLOGY = """\
+node 0 c consumer
+node 1 r router
+node 2 r router
+node 3 p producer
+node 4 s resolver
+node 5 t tld
+node 6 n nameserver
+node 7 p2 producer
+link 0 1 1 1000
+link 1 2 2500 1000
+link 2 3 1 1000
+link 1 4 1 1000
+link 4 5 1 1000
+link 5 6 1 1000
+link 1 7 1 1000
+"""
+
 # ``python -m`` puts its working directory first on sys.path, so a CLI
 # subprocess started there imports the package under test.
 SRC = Path(balancedn.__file__).resolve().parents[1]
@@ -230,3 +250,24 @@ class TestRunCommand:
             capture_output=True, text=True, timeout=60, cwd=SRC)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:") and "budget" in proc.stderr
+
+    @pytest.mark.parametrize("schemes, scheme", [
+        pytest.param((), "flooding", id="both-schemes"),
+        pytest.param(("--schemes", "balancedn"), "balancedn", id="balancedn"),
+    ])
+    def test_request_past_the_interest_lifetime_exits_one(self, tmp_path, capsys,
+                                                          schemes, scheme):
+        # validate accepts the graph; the run fails at its first request
+        # (consumer 0, producer 3), by whichever scheme runs first.  A
+        # balancedn request here takes 5,008,006.720 us
+        path = tmp_path / "slow.topo"
+        path.write_text(SLOW_LINK_TOPOLOGY)
+        assert main(["validate", "--topology", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "slow.csv"
+        code = main(["run", "--scenario", "s2", "--topology", str(path),
+                     "--resolvers", "1", "--content", "100", *schemes, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:")
+        assert f"{scheme} request of consumer 0 to producer 3 for /cat0/obj0-" in err
+        assert not out.exists()

@@ -925,6 +925,61 @@ class TestVariedDelayFloods:
             assert runs[0] == runs[1]
 
 
+def expected_plans(topology, sim, nid):
+    """The flood plan of each in-face of ``nid``, from the topology alone.
+
+    Face f > 0 leads to the f-th neighbour by ascending id.  A plan holds
+    every face but the in-face, ascending, grouped by Interest transit
+    time in order of each group's first face, with each group's rows
+    that are not leaves.
+    """
+    rows = []
+    for nbr in sorted(topology.adjacency[nid]):
+        link = topology.link_between(nid, nbr)
+        back = sorted(topology.adjacency[nbr])
+        rows.append((nbr, back.index(nid) + 1, link_transit_ns(link, INTEREST_BITS),
+                     link_transit_ns(link, 1024), sim.nodes[nbr] if len(back) == 1 else None))
+    plans = []
+    for in_face in range(len(rows) + 1):
+        groups = {}
+        for face, row in enumerate(rows, start=1):
+            if face != in_face:
+                groups.setdefault(row[2], []).append(row)
+        plans.append(tuple((transit, tuple(group), tuple(r for r in group if r[4] is None))
+                           for transit, group in groups.items()))
+    return rows, plans
+
+
+class TestFloodPlans:
+    """The engine's flood plans are the only fan-out: check every one."""
+
+    def assert_plans(self, topology):
+        sim = Simulation(topology)
+        for nid in topology.nodes:
+            rows, plans = expected_plans(topology, sim, nid)
+            assert sim._face_table[nid] == [None] + rows
+            assert sim._flood_targets[nid] == plans
+            degree = len(topology.adjacency[nid])
+            for in_face, plan in enumerate(plans):
+                if degree == (in_face != LOCAL_FACE):  # a dead end
+                    assert plan == ()
+        return sim
+
+    @pytest.mark.parametrize("preset", ["nsfnet", "oteglobe"])
+    def test_preset_plans(self, preset):
+        self.assert_plans(load_preset(preset))
+
+    def test_varied_delay_plans(self):
+        rng = random.Random(VARIED_SEED)
+        split = 0  # plans whose faces differ in transit time
+        for _ in range(200):
+            topology, _, _ = varied_delay_graph(rng)
+            sim = self.assert_plans(topology)
+            split += any(len(plan) > 1 for plans in sim._flood_targets.values()
+                         for plan in plans)
+        assert split
+
+
 def every_copy_an_event(sim):
     """Rewrite ``sim``'s flood table so that no row names a leaf.
 

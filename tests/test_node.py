@@ -48,11 +48,12 @@ class TestOnInterest:
         pytest.param((5, 6, 7), LOCAL_FACE, [1, 2, 3], id="from-local-face-uses-all"),
     ])
     def test_flooding_forwards_to_all_other_faces(self, neighbors, in_face, faces):
-        # FLOOD sends the Interest on flood_faces[in_face], in that order
+        # FLOOD sends the Interest on ``faces``, every face but in_face; the
+        # engine's flood plans hold them (TestFloodPlans)
         node = flooding_node(neighbors=neighbors)  # faces 1..len(neighbors)
         out = node.on_interest(InterestPacket(NAME, nonce=1), in_face=in_face, now=0)
         assert out is (FLOOD if faces else None)
-        assert list(node.flood_faces[in_face]) == faces
+        assert (NAME.canonical_text in node.pit) == bool(faces)
 
     def test_unknown_face_rejected(self):
         node = flooding_node()
@@ -72,6 +73,16 @@ class TestOnInterest:
             with pytest.raises(UnknownFaceError):
                 node.on_interest(InterestPacket(name, nonce), in_face=99, now=1)
         assert state() == before
+
+    @pytest.mark.parametrize("in_face", [-1, 4])
+    def test_faces_just_outside_the_table_rejected(self, in_face):
+        # faces 0..3 for three neighbours; both handlers check the range
+        node = flooding_node(neighbors=(2, 3, 4))
+        with pytest.raises(UnknownFaceError):
+            node.on_interest(InterestPacket(NAME, nonce=1), in_face=in_face, now=0)
+        with pytest.raises(UnknownFaceError):
+            node.on_data(DataPacket(NAME), in_face=in_face, now=0)
+        assert not node.pit and not node.pit_reclaim
 
 
 class TestRetransmission:
@@ -147,7 +158,6 @@ class TestDeadEnd:
         node.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0)
         request = InterestPacket(NAME, nonce=2)
         assert node.on_interest(request, in_face=LOCAL_FACE, now=5) is FLOOD
-        assert node.flood_faces[LOCAL_FACE] == (1,)
         entry = node.pit[NAME.canonical_text]
         assert entry.expiry == 5 + PIT_LIFETIME_NS
         assert entry.in_faces == 1 << LOCAL_FACE
@@ -286,7 +296,7 @@ class TestPitExpiry:
         assert node.on_data(DataPacket(NAME), in_face=2, now=PIT_LIFETIME_NS) == []
         out = node.on_interest(InterestPacket(NAME, nonce=2), in_face=1,
                                now=PIT_LIFETIME_NS)
-        assert out is FLOOD and node.flood_faces[1] == (2, 3)  # a fresh flood
+        assert out is FLOOD  # a fresh flood
         assert node.pit[NAME.canonical_text].expiry == 2 * PIT_LIFETIME_NS
 
     def test_reclaim_deletes_only_current_entries(self):

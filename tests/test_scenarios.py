@@ -6,7 +6,7 @@ import pytest
 from balancedn import scenarios
 from balancedn import topology as topology_module
 from balancedn.core import parse_name
-from balancedn.engine import Simulation
+from balancedn.engine import EventBudgetError, Simulation
 from balancedn.metrics import emit_csv
 from balancedn.resolution import Deployment
 from balancedn.scenarios import (ScenarioConfig, ScenarioError,
@@ -14,6 +14,7 @@ from balancedn.scenarios import (ScenarioConfig, ScenarioError,
                                  _with_extra_consumer, default_topology,
                                  run_scenario, synthetic_corpus)
 from balancedn.topology import load_preset
+from varied_delay import ROLE_SEED, role_complete_graph, topology_text
 
 
 class TestScenarioConfig:
@@ -235,6 +236,52 @@ class TestSweepRowsStandAlone:
         assert len(rows) == 14_520
         for record, request in random.Random(seed).sample(rows, 50):
             assert record == flooded_alone(topology, *request, seed)
+
+
+class TestRoleCompleteGraphs:
+    """s2 with both schemes on random role-complete graphs of unequal delays."""
+
+    GRAPHS = 200
+
+    def run(self, tmp_path, topology, rng):
+        path = tmp_path / "graph.topo"
+        path.write_text(topology_text(topology))
+        resolvers = rng.randint(1, len(topology.nodes_with_role("resolver")))
+        return run_scenario(ScenarioConfig("s2", topology=str(path),
+                                           resolver_count=resolvers, content_count=100))
+
+    def test_fast_graphs_answer_every_request(self, tmp_path):
+        rng = random.Random(ROLE_SEED)
+        for _ in range(self.GRAPHS):
+            topology = role_complete_graph(rng)
+            report = self.run(tmp_path, topology, rng)
+            links = len(topology.links) + 1  # s2 adds a consumer's link
+            assert report.records and all(r.satisfied for r in report.records)
+            for record in report.records:
+                if record.scheme == "flooding":
+                    assert record.data_traversals == record.path_hops
+                    assert record.interest_traversals <= 2 * links
+            assert sum(report.shard_loads.values()) == 100
+
+    def test_slow_graphs_answer_every_request_or_fail_loudly(self, tmp_path):
+        rng = random.Random(ROLE_SEED + 1)
+        # how the runs end: answered, a failed request of either scheme, or
+        # a flood that outlives the dead-nonce list
+        seen = {"answered": 0, "flooding": 0, "balancedn": 0, "budget": 0}
+        for _ in range(self.GRAPHS):
+            topology = role_complete_graph(rng, slow=True)
+            try:
+                report = self.run(tmp_path, topology, rng)
+            except ScenarioError as exc:
+                scheme, _, rest = str(exc).partition(" request of ")
+                assert "not answered within" in rest
+                seen[scheme] += 1
+            except EventBudgetError:
+                seen["budget"] += 1
+            else:
+                assert report.records and all(r.satisfied for r in report.records)
+                seen["answered"] += 1
+        assert all(seen.values()), seen
 
 
 class TestSkewScenario:

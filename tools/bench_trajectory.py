@@ -5,28 +5,26 @@ from the root of a checkout; it measures the checkout it lives in.
 
 The program is measured twice, back to back (``one_run`` each time),
 and the file holds both runs and the spread between them: for each
-scaled number, ``|a - b|`` over the smaller of the two.  One run holds
+number, ``|a - b|`` over the smaller of the two.  Every time is raw
+host time.  A reference pass taken beside a run to scale it lands in
+another host phase often enough that scaled times spread wider than
+raw ones, so compare files by raw times, digests and exact counts.
+One run holds
 
 - end to end: the wall time of each CLI run in RUNS, each in a fresh
-  ``python -m balancedn.cli`` process, median of 3,
-  raw and scaled.  A ``benchmarks/run.py`` ``reference_pass()`` is taken
-  just before each process, and the scaled time is the raw one times
-  ``REFERENCE_NOMINAL_US`` over that pass's median, as
-  ``benchmarks/run.py`` scales set-up.  So a slower host reads the same;
+  ``python -m balancedn.cli`` process, the median of 3 and all 3;
 - the sha256 of each CSV.  s4 rows hold measured CPU times, so its
   digest is recorded and never compared; the other runs are simulated,
   and their digests must agree within a run and between the two runs,
   or the script exits 1 and writes nothing;
 - per layer: the numbers of ``benchmarks/micro.py`` ``micro_loops``,
-  raw and scaled by a reference pass taken just before them (times
-  multiplied, rates divided, counts left alone, by their unit in
-  ``BENCHMARK.json``), and the ``tools/code_lines.py`` total of ``src``;
+  and the ``tools/code_lines.py`` total of ``src``;
 - facts: the commit (``-dirty`` if the checkout differs from it),
   nproc, the Python version, the load average and whether a
   ``__pycache__`` was under ``src`` when the run began.
 
-Both benchmark functions are imported; nothing under ``benchmarks/`` is
-edited.  A run takes about 30 s on a 2-core host.
+``micro_loops`` is imported; nothing under ``benchmarks/`` is edited.  A
+run takes about 30 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ for _path in (ROOT / "src", ROOT / "benchmarks", ROOT / "tools"):
 
 from code_lines import code_lines  # noqa: E402
 from micro import micro_loops  # noqa: E402
-from run import REFERENCE_NOMINAL_US, reference_pass  # noqa: E402
 
 # the README's s4 load map
 SKEW = "0:650000,1:50000,2:50000,3:50000,4:50000,5:50000,6:50000,7:50000"
@@ -63,12 +60,6 @@ RUNS = {
 }
 UNCOMPARED = {"s4"}
 MICRO_SEED = 1
-TIME_UNITS = {"s", "us", "ns"}
-
-
-def host_scale() -> float:
-    """REFERENCE_NOMINAL_US over the median of a reference pass taken now."""
-    return REFERENCE_NOMINAL_US / statistics.median(reference_pass())
 
 
 def cli_time(name: str, repeats: int, out_dir: Path) -> dict:
@@ -76,37 +67,26 @@ def cli_time(name: str, repeats: int, out_dir: Path) -> dict:
     csv = out_dir / f"{name}.csv"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    raw, scaled, digests = [], [], set()
+    raw, digests = [], set()
     for _ in range(repeats):
-        scale = host_scale()
         start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "balancedn.cli", "run", *RUNS[name],
                         "--seed", "42", "--out", str(csv)],
                        env=env, check=True, capture_output=True)
         elapsed = time.perf_counter() - start
         raw.append(elapsed)
-        scaled.append(elapsed * scale)
         digests.add(hashlib.sha256(csv.read_bytes()).hexdigest())
     if len(digests) > 1 and name not in UNCOMPARED:
         raise RuntimeError(f"{name}: {repeats} runs wrote {len(digests)} different CSVs")
-    return {"raw_s": statistics.median(raw), "scaled_s": statistics.median(scaled),
-            "raw_runs_s": raw, "sha256": digests.pop()}
+    return {"raw_s": statistics.median(raw), "raw_runs_s": raw, "sha256": digests.pop()}
 
 
 def micro_numbers() -> dict:
-    """``micro_loops``' numbers, raw and scaled by the host's speed now."""
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
-    units = {m["name"]: m["unit"] for m in spec["per_layer"]}
-    scale = host_scale()
+    """``micro_loops``' numbers, by metric name."""
     result = micro_loops(MICRO_SEED)
     if result["errors"]:
         raise RuntimeError(f"micro_loops checks failed: {result['errors']}")
-    out = {}
-    for name, value in result["metrics"].items():
-        unit = units.get(name)
-        factor = scale if unit in TIME_UNITS else 1 / scale if unit == "1/s" else 1.0
-        out[name] = {"raw": value, "scaled": value * factor, "unit": unit}
-    return out
+    return result["metrics"]
 
 
 def facts() -> dict:
@@ -144,12 +124,11 @@ def main(argv: list[str] | None = None) -> int:
     if digests[0] != digests[1]:
         sys.stderr.write(f"error: the two runs wrote different CSVs: {digests}\n")
         return 1
-    spreads = {f"end_to_end.{name}": spread(entry["scaled_s"],
-                                             second["end_to_end"][name]["scaled_s"])
+    spreads = {f"end_to_end.{name}": spread(entry["raw_s"],
+                                             second["end_to_end"][name]["raw_s"])
                for name, entry in first["end_to_end"].items()}
-    spreads.update((f"per_layer.{name}", spread(entry["scaled"],
-                                                second["per_layer"][name]["scaled"]))
-                   for name, entry in first["per_layer"].items())
+    spreads.update((f"per_layer.{name}", spread(value, second["per_layer"][name]))
+                   for name, value in first["per_layer"].items())
     Path(args.out).write_text(json.dumps(
         {"sha256": digests[0], "spread": spreads, "runs": [first, second]},
         indent=1) + "\n", encoding="utf-8")
