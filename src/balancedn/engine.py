@@ -3,22 +3,17 @@
 Simulation time is an integer nanosecond count so that link transit
 times (delay plus serialization) stay exact and event order never
 depends on float rounding.  An event is a plain tuple
-``(kind, node, face, packet, hops)``.  The queue keeps one list of
-events per fire time and a heap of the distinct times, and fires each
-time's events in scheduling order, so events are totally ordered by
-(fire_at, scheduling order).  An event scheduled for the current time
-while that time's events run (a link whose transit rounds to 0 ns)
-fires after them.  ``Simulation.run_until`` takes each bucket with one
-``EventQueue.take`` call and dispatches its events in place.  The queue
-keeps no count of its own: ``len(queue)`` adds up the queued buckets and
-the ``length_hint`` of the taken bucket's iterator, so a taken event is
-counted until the iteration passes it, and neither scheduling nor
-dispatch updates a counter.  An exception raised while an event is
-dispatched spends that event and loses no other: ``run_until`` puts the
-bucket's undispatched rest back at the front of the bucket at ``now``
-(``EventQueue.requeue_taken``), counts every event taken before the
-raise, the raising one included, in ``processed`` and in the budget,
-and re-raises, so a later ``run_until`` goes on from there.
+``(kind, node, face, packet, hops)``.  The queue is one heap of
+``(fire_at, seq, event)`` entries, where ``seq`` counts scheduling
+calls, so events are totally ordered by (fire_at, scheduling order).
+An event scheduled for the current time while events of that time run
+(a link whose transit rounds to 0 ns) fires after them.
+``Simulation.run_until`` pops one entry at a time straight off the heap
+and dispatches it.  An exception raised while an event is dispatched
+spends that event and loses no other: the rest never left the heap, and
+``run_until`` counts every event it popped, the raising one included,
+in ``processed`` and in the budget, and re-raises, so a later
+``run_until`` goes on from there.
 
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on every face but the one it came in on.  The
@@ -26,13 +21,11 @@ flood plan is the only fan-out.  At wiring time the simulation reads
 each node's ``neighbors`` once and builds its face rows (per face: its
 neighbour, the face there, the Interest and Data transit times and, if
 the neighbour is a leaf, its node) and one plan per in-face: the rows
-of every other face, grouped by Interest transit time in face order,
-and each group's rows that are not leaves.  A flood hands each group to
-its fire time's bucket with one ``EventQueue.schedule_many`` call, not
-one ``schedule`` call per copy.  The copies of one flood step are
-appended together, so each bucket still receives them in face order
-after the events already in it, whatever the link delays; on
-equal-delay links each plan is a single group.
+of every other face in face order, and those of them that are not
+leaves.  A flood schedules each copy it delivers with its own
+``EventQueue.schedule`` call, in face order, so copies that share a
+fire time fire in face order after the events already due then,
+whatever the link delays.
 
 The event contract: a flood counts every Interest copy it sends, in
 ``interest_traversals`` (and so in ``bits_moved``) and, when traced,
@@ -48,8 +41,8 @@ count, only ``processed``, the event log and leaf-level counters such
 as ``duplicates_suppressed``; an OTEGlobe flood sends 428 Interest
 copies and runs 83 events.  ``Simulation`` keeps, per node, the set of
 names that its leaves publish, filled by ``publish``.  A flood step at
-a node whose set lacks the name schedules each group's non-leaf rows
-and reads no leaf; otherwise, and for a traced packet, it tests each
+a node whose set lacks the name schedules the plan's non-leaf rows and
+reads no leaf; otherwise, and for a traced packet, it tests each
 leaf row.  In a sweep only the producer's router tests its leaves.
 ``publish`` is refused while events are queued, so the sets stay fixed
 while a flood is in flight.
@@ -79,11 +72,11 @@ from the topology's size and the requests injected meanwhile,
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from operator import length_hint
-from typing import IO, Iterator, Optional, Sequence
+from typing import IO, Optional, Sequence
 
 from .core import ContentName, DataPacket, InterestPacket
 from .node import FLOOD, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode, reclaim_expired
@@ -112,10 +105,9 @@ EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_inject
 # Data transit ns, the neighbour's NdnNode if it is a leaf (one neighbour)
 # else None).  Both transit times are computed once, at wiring.
 FaceRow = tuple[int, int, int, int, Optional[NdnNode]]
-# The faces of one flood plan that share an Interest transit time:
-# (transit ns, their rows in face order, the rows of those that are not
-# leaves).  A plan is a tuple of these, in order of first face.
-FloodGroup = tuple[int, tuple[FaceRow, ...], tuple[FaceRow, ...]]
+# The plan of a flood that came in on one face: the rows of every other face
+# in face order, and those of them that are not leaves.
+FloodPlan = tuple[tuple[FaceRow, ...], tuple[FaceRow, ...]]
 
 
 class SchedulingError(ValueError):
@@ -134,91 +126,30 @@ def link_transit_ns(link: LinkDescriptor, bits: int) -> int:
 
 
 class EventQueue:
-    """Events bucketed by fire time, each bucket in scheduling order.
+    """One heap of ``(fire_at, seq, event)`` entries.
 
-    A heap holds each distinct pending time once; on equal-delay links a
-    whole flood wave shares one time, so the heap stays small.  The
-    clock ``now`` is the time of the bucket last taken.  ``len`` counts
-    the events not yet dispatched: those queued and those of the last
-    take that its iterator has not reached.  It is computed from the
-    buckets and the iterator, not kept as a counter, so its readers (a
-    guard or a sample, never the run loop) pay for it, not each
-    scheduling call.  ``requeue_taken`` puts the undispatched rest of
-    the last take back, for a dispatch that raised.
+    ``seq`` counts scheduling calls, so entries of one time come out in
+    scheduling order and an event is never compared.  The clock ``now``
+    is the fire time of the entry last popped; ``Simulation.run_until``
+    pops the heap itself, and ``len`` counts the events not yet popped.
     """
 
     def __init__(self) -> None:
-        self._buckets: dict[int, list[tuple]] = {}
-        self._times: list[int] = []
+        self._heap: list[tuple[int, int, tuple]] = []
+        self._seq = itertools.count()
         self.now = 0
-        # the iterator over the events last taken, for dispatching them
-        self._taken: Iterator[tuple] = iter(())
 
     def __len__(self) -> int:
-        return sum(map(len, self._buckets.values())) + length_hint(self._taken)
+        return len(self._heap)
 
     def schedule(self, fire_at: int, event: tuple) -> None:
-        self.schedule_many(fire_at, [event])
-
-    def schedule_many(self, fire_at: int, events: list[tuple]) -> None:
-        """Schedule ``events`` for one time, in order, as one step.
-
-        They join ``fire_at``'s bucket together, after the events already
-        in it.  The queue may keep ``events`` itself as the bucket, so the
-        caller hands the list over.
-        """
         if fire_at < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={fire_at} ns; clock is {self.now} ns")
-        bucket = self._buckets.get(fire_at)
-        if bucket is not None:
-            bucket.extend(events)
-        elif events:
-            self._buckets[fire_at] = events
-            heapq.heappush(self._times, fire_at)
-
-    def requeue_taken(self) -> int:
-        """Put the last take's undispatched events back; returns how many.
-
-        They go to the front of the bucket at ``now``, ahead of any event
-        scheduled for that time since the take, in their own order.
-        """
-        rest = list(self._taken)
-        if rest:
-            bucket = self._buckets.get(self.now)
-            if bucket is None:
-                self._buckets[self.now] = rest
-                heapq.heappush(self._times, self.now)
-            else:
-                bucket[:0] = rest
-        return len(rest)
+        heapq.heappush(self._heap, (fire_at, next(self._seq), event))
 
     def peek_time(self) -> int | None:
-        return self._times[0] if self._times else None
-
-    def take(self, deadline: int | None, limit: int) -> Iterator[tuple] | None:
-        """Take the earliest bucket due by ``deadline`` and move the clock to it.
-
-        Returns an iterator over at most ``limit`` of its events, in
-        scheduling order, or None when no bucket is due (with ``deadline``
-        None, when the queue is empty).  The rest of the bucket stays
-        queued at its time, ahead of any event scheduled for that time
-        meanwhile.  Once a whole bucket is taken, an event scheduled for
-        its time opens a new bucket, which fires after it.  ``len`` counts
-        each taken event until the iterator passes it.
-        """
-        times = self._times
-        if not times or (deadline is not None and times[0] > deadline):
-            return None
-        fire_at = heapq.heappop(times)
-        self.now = fire_at
-        bucket = self._buckets.pop(fire_at)
-        if len(bucket) > limit:
-            self._buckets[fire_at] = bucket[limit:]
-            heapq.heappush(times, fire_at)
-            bucket = bucket[:limit]
-        self._taken = taken = iter(bucket)
-        return taken
+        return self._heap[0][0] if self._heap else None
 
 
 @dataclass(slots=True)
@@ -276,12 +207,11 @@ class Simulation:
             node.pit_reclaim = self._reclaim
             self.nodes[nid] = node
         # node -> face -> its FaceRow (the local face has none), and node ->
-        # in-face -> the plan of a flood that came in on that face: every
-        # other face's row, one FloodGroup per Interest transit time.  Rows
-        # are shared, not copied, and a group with no leaf row shares its
-        # tuple too, so the tables add few objects to set-up.
+        # in-face -> its FloodPlan.  Rows are shared, not copied, and a plan
+        # with no leaf row shares its tuple too, so the tables add few
+        # objects to set-up.
         self._face_table: dict[int, list[FaceRow | None]] = {}
-        self._flood_targets: dict[int, list[tuple[FloodGroup, ...]]] = {}
+        self._flood_targets: dict[int, list[FloodPlan]] = {}
         for nid, node in self.nodes.items():
             row: list[FaceRow | None] = [None]
             for nbr in node.neighbors:
@@ -294,16 +224,9 @@ class Simulation:
             self._face_table[nid] = row
             plans = []
             for in_face in range(len(row)):
-                groups: dict[int, list[FaceRow]] = {}
-                for face in range(1, len(row)):
-                    if face != in_face:
-                        groups.setdefault(row[face][2], []).append(row[face])
-                plan = []
-                for transit, group in groups.items():
-                    rows = tuple(group)
-                    inner = tuple(r for r in rows if r[4] is None)
-                    plan.append((transit, rows, rows if len(inner) == len(rows) else inner))
-                plans.append(tuple(plan))
+                rows = tuple(row[1:in_face] + row[in_face + 1:])
+                inner = tuple(r for r in rows if r[4] is None)
+                plans.append((rows, rows if len(inner) == len(rows) else inner))
             self._flood_targets[nid] = plans
         # node -> the names its leaf neighbours publish, filled by publish
         self._leaf_names: dict[int, set[str]] = {nid: set() for nid in self.nodes}
@@ -402,66 +325,64 @@ class Simulation:
     def run_until(self, deadline: int | None = None) -> int:
         """Process events in time order; returns how many were processed.
 
-        Drains the queue one time bucket at a time and stops when it is
-        empty or the next bucket would fire past ``deadline`` (which is
+        Pops one event at a time off the queue's heap and stops when it is
+        empty or the next event would fire past ``deadline`` (which is
         then left in the queue).  Raises EventBudgetError once the events
         processed since the queue was last empty outnumber what the
         requests injected meanwhile can cost on this topology, after
         running the events the budget allows; the rest stay queued.
         """
         queue = self.queue
-        take = queue.take
+        heap = queue._heap
+        pop = heapq.heappop
         nodes = self.nodes
         log = self.log
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
                   - self._events_since_drain)
         processed = 0
-        while (events := take(deadline, budget - processed)) is not None:
-            processed += length_hint(events)
-            now = queue.now
-            try:
-                for kind, node_id, face, packet, hops in events:
-                    if log is not None and kind != PIT_EXPIRY:
-                        log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
-                                  f"{packet.name.canonical_text} {hops}\n")
-                    if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
-                        verdict = nodes[node_id].on_interest(packet, face, now)
-                        if verdict is None:
-                            continue
-                        if verdict is FLOOD:
-                            self._flood(node_id, face, packet, now, hops)
-                        else:
-                            # answered from published content: the Data starts at 0 hops
-                            if packet.trace:
-                                self._record_answered(packet)
-                            self._send_data(node_id, verdict, (face,), now, 0)
-                    elif kind == DELIVER_DATA:
-                        faces = nodes[node_id].on_data(packet, face, now)
-                        if faces:
-                            self._send_data(node_id, packet, faces, now, hops)
-                    elif kind == PIT_EXPIRY:
-                        self._expire(node_id, packet, now)
+        try:
+            while heap and processed < budget:
+                if deadline is not None and heap[0][0] > deadline:
+                    break
+                now, _, (kind, node_id, face, packet, hops) = pop(heap)
+                queue.now = now
+                processed += 1
+                if log is not None and kind != PIT_EXPIRY:
+                    log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
+                              f"{packet.name.canonical_text} {hops}\n")
+                if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
+                    verdict = nodes[node_id].on_interest(packet, face, now)
+                    if verdict is None:
+                        continue
+                    if verdict is FLOOD:
+                        self._flood(node_id, face, packet, now, hops)
                     else:
-                        raise ValueError(f"unknown event kind {kind!r}")
-            except BaseException:
-                # the event that raised is spent; the bucket's rest goes back
-                processed -= queue.requeue_taken()
-                self.processed += processed
-                self._events_since_drain += processed
-                raise
-            if processed == budget:
-                due = queue.peek_time()
-                if due is not None and (deadline is None or due <= deadline):
-                    self.processed += budget
-                    self._events_since_drain += budget
-                    raise EventBudgetError(
-                        f"{self._events_since_drain} events without draining for "
-                        f"{self._requests_since_drain} request(s), past the budget of "
-                        f"{self._events_per_request} per request; the flood does not "
-                        f"converge on this topology")
-        self.processed += processed
-        if len(queue):
+                        # answered from published content: the Data starts at 0 hops
+                        if packet.trace:
+                            self._record_answered(packet)
+                        self._send_data(node_id, verdict, (face,), now, 0)
+                elif kind == DELIVER_DATA:
+                    faces = nodes[node_id].on_data(packet, face, now)
+                    if faces:
+                        self._send_data(node_id, packet, faces, now, hops)
+                elif kind == PIT_EXPIRY:
+                    self._expire(node_id, packet, now)
+                else:
+                    raise ValueError(f"unknown event kind {kind!r}")
+        except BaseException:
+            # the event that raised is spent; every other one is still queued
+            self.processed += processed
             self._events_since_drain += processed
+            raise
+        self.processed += processed
+        if heap:
+            self._events_since_drain += processed
+            if processed == budget and (deadline is None or heap[0][0] <= deadline):
+                raise EventBudgetError(
+                    f"{self._events_since_drain} events without draining for "
+                    f"{self._requests_since_drain} request(s), past the budget of "
+                    f"{self._events_per_request} per request; the flood does not "
+                    f"converge on this topology")
         else:
             self._events_since_drain = 0
             self._requests_since_drain = 0
@@ -518,41 +439,30 @@ class Simulation:
         copy to a leaf that does not publish the name is not scheduled:
         the leaf could only drop it.  Unless one of this node's leaves
         publishes the name, or the packet is traced, that is every leaf
-        row, so only the group's non-leaf rows are read.  The copies that
-        share a fire time go to its bucket in one call, in face order.
-        Only a traced packet is copied per hop.
+        row, so only the plan's non-leaf rows are read.  Each delivered
+        copy is one ``schedule`` call, in face order.  Only a traced
+        packet is copied per hop.
         """
         key = interest.name._text
-        schedule_many = self.queue.schedule_many
+        schedule = self.queue.schedule
         arrival_hops = hops + 1
-        copies = 0
-        plan = self._flood_targets[node_id][in_face]
+        rows, inner = self._flood_targets[node_id][in_face]
         if interest.trace or key in self._leaf_names[node_id]:
-            for transit, targets, _ in plan:
-                copies += len(targets)
+            counts = self.edge_interest_counts
+            for to_node, to_face, transit, _, leaf in rows:
                 if interest.trace:
-                    events = []
-                    for to_node, to_face, _, _, leaf in targets:
-                        edge = (node_id, to_node, key)
-                        self.edge_interest_counts[edge] = (
-                            self.edge_interest_counts.get(edge, 0) + 1)
-                        if leaf is None or key in leaf.published:
-                            events.append((DELIVER_INTEREST, to_node, to_face,
-                                           interest.delivered_to(to_node), arrival_hops))
-                else:
-                    events = [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
-                              for to_node, to_face, _, _, leaf in targets
-                              if leaf is None or key in leaf.published]
-                if events:
-                    schedule_many(now + transit, events)
+                    edge = (node_id, to_node, key)
+                    counts[edge] = counts.get(edge, 0) + 1
+                if leaf is None or key in leaf.published:
+                    schedule(now + transit, (DELIVER_INTEREST, to_node, to_face,
+                                             interest.delivered_to(to_node)
+                                             if interest.trace else interest,
+                                             arrival_hops))
         else:
-            for transit, targets, inner in plan:
-                copies += len(targets)
-                if inner:
-                    schedule_many(now + transit,
-                                  [(DELIVER_INTEREST, to_node, to_face, interest, arrival_hops)
-                                   for to_node, to_face, _, _, _ in inner])
-        self.flows[key].interest_traversals += copies
+            for to_node, to_face, transit, _, _ in inner:
+                schedule(now + transit,
+                         (DELIVER_INTEREST, to_node, to_face, interest, arrival_hops))
+        self.flows[key].interest_traversals += len(rows)
 
     def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
         state = self.requests.get((data.name.canonical_text, node_id))

@@ -42,6 +42,7 @@ from typing import Iterable, Sequence
 
 from .core import CRC_CHUNK, ContentName, crc16, crc16_many
 from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
+from .node import PIT_LIFETIME_NS
 from .topology import Topology
 
 # the nameserver's record reply is a small control Data packet
@@ -150,7 +151,8 @@ class ResolutionOutcome:
 
     @property
     def satisfied(self) -> bool:
-        return self.producer is not None
+        """Answered within the Interest lifetime, the engine's rule for a flood."""
+        return self.producer is not None and self.latency_ns < PIT_LIFETIME_NS
 
     @property
     def shortcut_taken(self) -> bool:

@@ -300,7 +300,7 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
         names = parse_names(key for _, _, key in requests)
         for (consumer, producer, _), name in zip(requests, names):
             outcome = deployment.resolve_and_fetch(consumer, name)
-            if outcome.producer is None or outcome.latency_ns >= PIT_LIFETIME_NS:
+            if not outcome.satisfied:
                 raise _unanswered("balancedn", consumer, producer, name)
             report.add(_balancedn_record(outcome, consumer,
                                          paths.distance(consumer, producer)))

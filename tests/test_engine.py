@@ -43,24 +43,33 @@ def event(node):
 
 
 def record_scheduled(queue, before_each=None):
-    """Wrap ``queue.schedule_many`` to record the events it schedules.
+    """Wrap ``queue.schedule`` to record the events it schedules.
 
-    Every event passes through it, ``schedule``'s single ones too.
-    Returns the list the events are appended to, in scheduling order.
-    ``before_each``, if given, is called before each scheduling step, of
-    one event or of a fan-out's copies.
+    Every event passes through it, each flood copy too.  Returns the
+    list the events are appended to, in scheduling order.
+    ``before_each``, if given, is called before each event is scheduled.
     """
     scheduled = []
-    schedule_many = queue.schedule_many
+    schedule = queue.schedule
 
-    def recording_schedule_many(fire_at, events):
+    def recording_schedule(fire_at, event):
         if before_each is not None:
             before_each()
-        scheduled.extend(events)
-        schedule_many(fire_at, events)
+        scheduled.append(event)
+        schedule(fire_at, event)
 
-    queue.schedule_many = recording_schedule_many
+    queue.schedule = recording_schedule
     return scheduled
+
+
+def pop(queue):
+    """Pop ``queue``'s next event as ``run_until`` does: (time, node)."""
+    queue.now, _, popped = heapq.heappop(queue._heap)
+    return queue.now, popped[1]
+
+
+def drain(queue):
+    return [pop(queue) for _ in range(len(queue))]
 
 
 class TestEventQueue:
@@ -71,19 +80,18 @@ class TestEventQueue:
         q.schedule(9, event(2))
         q.schedule(5, event(3))
         assert len(q) == 4
-        times = []
-        while (events := q.take(None, 10)) is not None:
-            times.append((q.now, [e[1] for e in events]))
-        assert times == [(3, [1]), (5, [0, 3]), (9, [2])]
-        assert len(q) == 0
+        assert drain(q) == [(3, 1), (5, 0), (5, 3), (9, 2)]
+        assert len(q) == 0 and q.peek_time() is None
 
-    def test_take_leaves_buckets_past_the_deadline(self):
-        q = EventQueue()
-        q.schedule(5, event(0))
-        q.schedule(9, event(1))
-        assert [e[1] for e in q.take(8, 10)] == [0] and q.now == 5
-        assert q.take(8, 10) is None and q.now == 5
-        assert len(q) == 1 and q.peek_time() == 9
+    def test_run_until_leaves_later_events_queued(self):
+        # the request's expiry fires at its lifetime, past the deadline
+        sim = Simulation(two_node_topology())
+        sim.publish(1, NAME)
+        state = sim.inject_request(0, NAME, at=0)
+        assert sim.run_until(PIT_LIFETIME_NS - 1) == 3 and state.satisfied
+        assert sim.now == state.completed_at
+        assert len(sim.queue) == 1 and sim.queue.peek_time() == PIT_LIFETIME_NS
+        assert sim.run_until(None) == 1 and len(sim.queue) == 0
 
     def test_simultaneous_events_fifo(self):
         q = EventQueue()
@@ -91,86 +99,42 @@ class TestEventQueue:
         q.schedule(7, first)
         q.schedule(7, second)
         q.schedule(7, third)
-        events = q.take(None, 10)
-        assert len(q) == 3  # counted until the iteration passes them
-        assert next(events) is first
-        assert len(q) == 2
-        assert next(events) is second and next(events) is third
-        assert len(q) == 0
+        popped = [heapq.heappop(q._heap)[2] for _ in range(len(q))]
+        assert len(popped) == 3
+        assert all(out is put for out, put in zip(popped, (first, second, third)))
 
     def test_same_time_event_scheduled_during_drain_fires_after_bucket(self):
         q = EventQueue()
         q.schedule(7, event(1))
         q.schedule(7, event(2))
-        events = q.take(None, 10)
-        next(events)
-        late = event(3)
-        q.schedule(7, late)
-        assert [e[1] for e in events] == [2]
-        assert q.peek_time() == 7 and list(q.take(None, 10)) == [late]
-
-    def test_partial_take_keeps_its_rest_ahead_of_later_events(self):
-        q = EventQueue()
-        q.schedule(7, event(1))
-        q.schedule(7, event(2))
-        events = q.take(None, 1)
-        assert len(q) == 2  # the taken one, not yet reached, and the rest
-        assert [e[1] for e in events] == [1] and q.now == 7
+        assert pop(q) == (7, 1)
         q.schedule(7, event(3))
-        assert len(q) == 2
-        events = q.take(None, 10)
-        assert len(q) == 2
-        assert [e[1] for e in events] == [2, 3]
-        assert len(q) == 0
-
-    def test_len_counts_only_taken_events_not_yet_reached(self):
-        q = EventQueue()
-        for node in range(3):
-            q.schedule(7, event(node))
-        depths = []
-        for _ in q.take(None, 10):
-            q.schedule(9, event(9))
-            depths.append(len(q))
-        assert depths == [3, 3, 3]  # one reached, one scheduled, each step
-        assert len(q) == 3 and q.peek_time() == 9
-
-    def test_requeued_rest_fires_ahead_of_later_events(self):
-        q = EventQueue()
-        for node in range(3):
-            q.schedule(7, event(node))
-        events = q.take(None, 10)
-        next(events)
-        late = event(9)
-        q.schedule(7, late)
-        assert q.requeue_taken() == 2 and len(q) == 3
-        assert q.requeue_taken() == 0  # the iterator is spent
-        assert [e[1] for e in q.take(None, 10)] == [1, 2, 9] and q.now == 7
+        assert drain(q) == [(7, 2), (7, 3)]
 
     def test_scheduling_into_the_past_rejected(self):
         q = EventQueue()
         q.schedule(10, event(0))
-        q.take(None, 10)
+        pop(q)
         with pytest.raises(SchedulingError):
             q.schedule(3, event(0))
-        with pytest.raises(SchedulingError):
-            q.schedule_many(3, [event(0)])
+        assert len(q) == 0 and q.now == 10
 
-    def test_schedule_many_joins_its_bucket_in_order(self):
+    def test_copies_join_their_fire_time_in_order(self):
+        # a fan-out over links of two delays: each copy joins its time
+        # after the events already there, in scheduling order
         q = EventQueue()
         q.schedule(7, event(1))
-        q.schedule_many(7, [event(2), event(3)])
-        q.schedule_many(5, [event(4)])
-        q.schedule_many(9, [])  # nothing to fire: no bucket opens
-        assert len(q) == 4
-        assert [e[1] for e in q.take(None, 10)] == [4] and q.now == 5
-        assert [e[1] for e in q.take(None, 10)] == [1, 2, 3] and q.now == 7
-        assert len(q) == 0 and q.peek_time() is None and q.take(None, 10) is None
+        q.schedule(7, event(2))
+        q.schedule(5, event(3))
+        q.schedule(7, event(4))
+        q.schedule(5, event(5))
+        assert drain(q) == [(5, 3), (5, 5), (7, 1), (7, 2), (7, 4)]
 
 
 class TestZeroTransit:
     def test_same_time_delivery_fires_after_its_bucket(self):
         # consumer 0 floods to 1 and 2, both 1 ms away, so both deliveries
-        # share one bucket; node 1 forwards to 3 over a link with no delay
+        # share one fire time; node 1 forwards to 3 over a link with no delay
         # whose serialization rounds to 0 ns, so that delivery has the same
         # time and must wait for node 2's, which was scheduled first
         nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(4)]
@@ -529,9 +493,9 @@ class TestFloodAccounting:
 
     def test_queue_depth_mid_bucket_counts_undispatched_events(self):
         # each event is a node call here but the final expiry, which
-        # schedules nothing; at every scheduling call, of one event or of a
-        # fan-out's copies, the queue holds what was scheduled and not yet
-        # taken for dispatch
+        # schedules nothing; at every scheduling call, each flood copy's
+        # too, the queue holds what was scheduled and not yet popped for
+        # dispatch
         sim = Simulation(load_preset("oteglobe"))
         queue = sim.queue
         taken, depths = [0], []
@@ -553,7 +517,7 @@ class TestFloodAccounting:
         assert max(depth for depth, _ in depths) > 1
 
     def test_stepped_drain_matches_one_drain(self):
-        # one time bucket per step; the queue counts what was scheduled and
+        # one fire time per step; the queue counts what was scheduled and
         # not yet run after every step
         whole = Simulation(load_preset("oteglobe"))
         whole.publish(379, NAME)
@@ -743,35 +707,24 @@ class TestRunBudget:
         assert len(sim.queue) > 0  # the storm was still going
 
     def test_raise_mid_bucket_leaves_unrun_events_queued(self):
-        # three storming floods, one answered: their events share buckets
-        # unevenly, and the budget runs out inside one
+        # three storming floods, one answered: the budget runs out between
+        # two events of one fire time, and every event not run stays queued
         topology, consumer, producer = storm_graph()
         sim = Simulation(topology)
         queue = sim.queue
-        scheduled, sizes = record_scheduled(queue), []
-        take = queue.take
-
-        def sizing_take(deadline, limit):
-            # the size of the whole bucket the take is from
-            if queue.peek_time() is not None:
-                sizes.append(len(queue._buckets[queue.peek_time()]))
-            return take(deadline, limit)
-
-        queue.take = sizing_take
+        scheduled = record_scheduled(queue)
         sim.publish(producer, parse_name("/a"))
         for name in ("/a", "/b", "/c"):
             sim.inject_request(consumer, parse_name(name), at=0)
         with pytest.raises(EventBudgetError):
             sim.run_until(None)
-        ran_of_last = sim.processed - sum(sizes[:-1])
-        assert 0 < ran_of_last < sizes[-1]
         assert len(queue) == len(scheduled) - sim.processed
         assert queue.peek_time() == queue.now
 
 
 class TestDispatchErrors:
     # an exception raised while an event is dispatched spends that event
-    # and puts the rest of its bucket back; a later run goes on from there
+    # and leaves every other one queued; a later run goes on from there
     class FailingLog:
         """An event log whose ``k``-th write raises ``OSError``."""
 
@@ -786,7 +739,7 @@ class TestDispatchErrors:
     @pytest.mark.parametrize("k", range(1, 11))
     def test_raise_while_dispatching_loses_no_event(self, k):
         # leaves 1 and 3 ask for two names leaf 2 publishes: ten events
-        # are logged, and the k-th write raises inside its bucket
+        # are logged, and the k-th write raises while its event runs
         sim = Simulation(star_topology(3), log=self.FailingLog(k))
         scheduled = record_scheduled(sim.queue)
         sim.publish(2, parse_name("/a"))
@@ -893,8 +846,8 @@ class TestVariedDelayFloods:
 
     def test_flood_event_logs_are_pinned(self):
         # unequal delays split one node's fan-out over several fire times;
-        # every bucket must still receive its copies in face order, after
-        # the events already in it
+        # the copies of each time must still fire in face order, after the
+        # events already due then
         rng = random.Random(VARIED_SEED)
         name = parse_name("/vd/x")
         digest = hashlib.sha256()
@@ -929,8 +882,7 @@ def expected_plans(topology, sim, nid):
     """The flood plan of each in-face of ``nid``, from the topology alone.
 
     Face f > 0 leads to the f-th neighbour by ascending id.  A plan holds
-    every face but the in-face, ascending, grouped by Interest transit
-    time in order of each group's first face, with each group's rows
+    the rows of every face but the in-face, ascending, and those of them
     that are not leaves.
     """
     rows = []
@@ -941,12 +893,8 @@ def expected_plans(topology, sim, nid):
                      link_transit_ns(link, 1024), sim.nodes[nbr] if len(back) == 1 else None))
     plans = []
     for in_face in range(len(rows) + 1):
-        groups = {}
-        for face, row in enumerate(rows, start=1):
-            if face != in_face:
-                groups.setdefault(row[2], []).append(row)
-        plans.append(tuple((transit, tuple(group), tuple(r for r in group if r[4] is None))
-                           for transit, group in groups.items()))
+        others = tuple(row for face, row in enumerate(rows, start=1) if face != in_face)
+        plans.append((others, tuple(row for row in others if row[4] is None)))
     return rows, plans
 
 
@@ -962,8 +910,7 @@ class TestFloodPlans:
             degree = len(topology.adjacency[nid])
             for in_face, plan in enumerate(plans):
                 if degree == (in_face != LOCAL_FACE):  # a dead end
-                    assert plan == ()
-        return sim
+                    assert plan == ((), ())
 
     @pytest.mark.parametrize("preset", ["nsfnet", "oteglobe"])
     def test_preset_plans(self, preset):
@@ -971,13 +918,9 @@ class TestFloodPlans:
 
     def test_varied_delay_plans(self):
         rng = random.Random(VARIED_SEED)
-        split = 0  # plans whose faces differ in transit time
         for _ in range(200):
             topology, _, _ = varied_delay_graph(rng)
-            sim = self.assert_plans(topology)
-            split += any(len(plan) > 1 for plans in sim._flood_targets.values()
-                         for plan in plans)
-        assert split
+            self.assert_plans(topology)
 
 
 def every_copy_an_event(sim):
@@ -986,10 +929,8 @@ def every_copy_an_event(sim):
     Every Interest copy is then an event, as if no leaf were skipped.
     """
     for plans in sim._flood_targets.values():
-        plans[:] = [tuple((transit, bare, bare) for transit, bare
-                          in ((transit, tuple(row[:4] + (None,) for row in rows))
-                              for transit, rows, _ in plan))
-                    for plan in plans]
+        plans[:] = [(bare, bare) for bare in (tuple(row[:4] + (None,) for row in rows)
+                                              for rows, _ in plans)]
 
 
 class TestConcurrentRequests:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from balancedn.core import (CRC_CHUNK, assign_resolver, crc16, parse_name,
                             parse_names)
 from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
+from balancedn.node import PIT_LIFETIME_NS
 from balancedn.resolution import (LOCATOR_REPLY_BITS,
                                   ConfigurationError, Deployment,
                                   RegistrationConflictError, ResolverShard,
@@ -428,6 +429,31 @@ class TestResolveAndFetch:
                 assert sum(forward) == outcome.interest_traversals
 
 
+def slow_link_topology():
+    """Eight nodes, one 2,500-ms link between the consumer's and the producer's routers."""
+    roles = ["consumer", "router", "router", "producer", "resolver", "tld",
+             "nameserver", "producer"]
+    nodes = [NodeDescriptor(i, f"n{i}", role) for i, role in enumerate(roles)]
+    links = [LinkDescriptor(a, b, delay, 1000.0) for a, b, delay in (
+        (0, 1, 1.0), (1, 2, 2500.0), (2, 3, 1.0), (1, 4, 1.0), (4, 5, 1.0),
+        (5, 6, 1.0), (1, 7, 1.0))]
+    return Topology.build(nodes, links)
+
+
+class TestInterestLifetime:
+    def test_answer_past_the_lifetime_is_unsatisfied(self):
+        # the fetch crosses the slow link twice: the Data is back after 5 s,
+        # past the 4-s lifetime a flood's timer applies
+        deployment = Deployment(slow_link_topology(), resolver_count=1)
+        register(deployment, 3, NAME)
+        outcome = deployment.resolve_and_fetch(0, NAME)
+        assert outcome.producer == 3 and outcome.latency_ns == 5_008_006_720
+        assert not outcome.satisfied
+        register(deployment, 7, parse_name("/near"))
+        near = deployment.resolve_and_fetch(0, parse_name("/near"))
+        assert near.producer == 7 and near.satisfied
+
+
 class TestSchemeComparison:
     @pytest.mark.parametrize("preset", ["nsfnet", "oteglobe"])
     def test_balancedn_beats_flooding_on_sampled_cold_pairs(self, preset):
@@ -605,7 +631,7 @@ def reference_outcome(topology, table, consumer, producer, shortcut, payload_bit
     if producer is not None:
         steps.append((STAGE_DATA_RETURN, sum(walked(topology, table, src, dst, bits)[0]
                                              for src, dst, bits in returns)))
-    return (producer, steps, shortcut, producer is not None,
+    return (producer, steps, shortcut, producer is not None and latency < PIT_LIFETIME_NS,
             interest, data, latency, bits_moved)
 
 

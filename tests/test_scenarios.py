@@ -13,7 +13,7 @@ from balancedn.scenarios import (ScenarioConfig, ScenarioError,
                                  _cross_subnet_pairs, _flooding_record,
                                  _with_extra_consumer, default_topology,
                                  run_scenario, synthetic_corpus)
-from balancedn.topology import load_preset
+from balancedn.topology import load_preset, load_topology
 from varied_delay import ROLE_SEED, role_complete_graph, topology_text
 
 
@@ -251,7 +251,11 @@ class TestRoleCompleteGraphs:
                                            resolver_count=resolvers, content_count=100))
 
     def test_fast_graphs_answer_every_request(self, tmp_path):
+        # each flooding row also equals its request run alone with another
+        # seed: fan-outs that split over several fire times must not make
+        # a row depend on the requests before it
         rng = random.Random(ROLE_SEED)
+        corpus = synthetic_corpus(100, 42)
         for _ in range(self.GRAPHS):
             topology = role_complete_graph(rng)
             report = self.run(tmp_path, topology, rng)
@@ -262,6 +266,12 @@ class TestRoleCompleteGraphs:
                     assert record.data_traversals == record.path_hops
                     assert record.interest_traversals <= 2 * links
             assert sum(report.shard_loads.values()) == 100
+            swept = _with_extra_consumer(load_topology((tmp_path / "graph.topo").read_text()))
+            pairs = _cross_subnet_pairs(swept)
+            floods = [r for r in report.records if r.scheme == "flooding"]
+            assert len(floods) == len(pairs)
+            for record, (consumer, producer, slot) in zip(floods, pairs):
+                assert record == flooded_alone(swept, consumer, producer, corpus[slot], 43)
 
     def test_slow_graphs_answer_every_request_or_fail_loudly(self, tmp_path):
         rng = random.Random(ROLE_SEED + 1)
