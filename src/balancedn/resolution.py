@@ -28,6 +28,12 @@ are the same both ways, so the record reply crosses the two TLD
 stages' hops again and the Data the fetch's plus the consumer's.  Only
 the transit times of the two directions can differ, when the shortest
 path back takes links of other delays.
+
+Each leg's cost depends on one key alone: the consumer's trip to its
+ingress on the consumer, the TLD trips on the ingress, and the fetch on
+the (ingress, producer) pair.  ``Deployment`` memoizes the legs by those
+int keys, step tuples ready-made, so a request builds only its own
+``steps`` list and its data_return step.
 """
 
 from __future__ import annotations
@@ -115,6 +121,14 @@ class ClusterSite:
     shards: list[ResolverShard]
 
 
+# route memo entries; a step is (stage, link traversals)
+_Step = tuple[str, int]
+# (fetch step, its hops, Interest ns out plus Data ns back)
+_FetchLeg = tuple[_Step, int, int]
+# (ingress site, consumer_to_cluster step, its hops, Interest ns to the
+# ingress, Data ns back, the ingress's fetch memo)
+_ConsumerLeg = tuple[ClusterSite, _Step, int, int, int, dict[int, _FetchLeg]]
+
 _TLD_STAGES = (STAGE_RESOLVER_TO_TLD, STAGE_TLD_TO_NAMESERVER)
 _REPLY_STAGES = (*_TLD_STAGES, STAGE_DATA_RETURN)
 
@@ -127,6 +141,12 @@ _HOP_BITS = {
     STAGE_FETCH: INTEREST_BITS,
     STAGE_DATA_RETURN: DEFAULT_PAYLOAD_BITS,
 }
+# what one hop of each stage adds to (Interest traversals, Data
+# traversals, bits moved), for ResolutionOutcome.traffic
+_HOP_TRAFFIC = {
+    stage: (int(stage != STAGE_DATA_RETURN), int(stage in _REPLY_STAGES), bits)
+    for stage, bits in _HOP_BITS.items()
+}
 
 
 @dataclass(slots=True)
@@ -135,14 +155,17 @@ class ResolutionOutcome:
 
     ``steps`` lists (stage, link traversals) in flow order and is the
     one record of the request's hops; every count below follows from
-    it.  The two TLD stages are present exactly when the shortcut was
-    not taken.  Interest traversals sum every stage but the Data
-    return.  Data traversals are the nameserver's record reply, which
-    retraces the two TLD stages, plus the content's return path: hop
-    distances are symmetric, so a reply crosses as many links as the
-    Interest it answers.  Bits moved price each Interest hop at
-    INTEREST_BITS, each record-reply hop at LOCATOR_REPLY_BITS and each
-    return hop at DEFAULT_PAYLOAD_BITS.
+    it.  The list is the outcome's own; its step tuples may be shared
+    with other outcomes through the route memo.  The two TLD stages are
+    present exactly when the shortcut was not taken.  Interest
+    traversals sum every stage but the Data return.  Data traversals
+    are the nameserver's record reply, which retraces the two TLD
+    stages, plus the content's return path: hop distances are
+    symmetric, so a reply crosses as many links as the Interest it
+    answers.  Bits moved price each Interest hop at INTEREST_BITS, each
+    record-reply hop at LOCATOR_REPLY_BITS and each return hop at
+    DEFAULT_PAYLOAD_BITS.  The properties are the definitions;
+    ``traffic`` gives the last three in one pass.
     """
 
     producer: int | None
@@ -170,6 +193,16 @@ class ResolutionOutcome:
     def bits_moved(self) -> int:
         return sum([hops * _HOP_BITS[stage] for stage, hops in self.steps])
 
+    def traffic(self) -> tuple[int, int, int]:
+        """(interest_traversals, data_traversals, bits_moved) in one pass over ``steps``."""
+        interest = data = bits = 0
+        for stage, hops in self.steps:
+            interest_hop, data_hop, hop_bits = _HOP_TRAFFIC[stage]
+            interest += interest_hop * hops
+            data += data_hop * hops
+            bits += hop_bits * hops
+        return interest, data, bits
+
 
 class Deployment:
     """Resolver sites plus the TLD and nameserver over one topology.
@@ -178,10 +211,18 @@ class Deployment:
     nameserver node; a further nameserver node holds nothing.  Each
     shard's record cache has ``ResolverShard``'s default capacity.
 
-    Lookups read their costs from a memo of round trips, filled as
-    requests first need them: ``(a, b, reply_bits)`` maps to (hops, out
-    transit ns, back transit ns) of an Interest a -> b and a reply of
-    ``reply_bits`` b -> a.  A request makes at most four lookups in it.
+    Lookups read their costs from three route memos, each keyed by the
+    one node its legs depend on and filled as requests first need them:
+
+    - ``_consumer_legs[consumer]``: the consumer's ingress site, its
+      ready-made consumer_to_cluster step, that step's hops, the
+      Interest's transit ns to the ingress, the Data's transit ns back,
+      and the ingress's fetch memo;
+    - ``_tld_legs[ingress]``: the two ready-made TLD steps and the
+      summed ns of the round trips ingress <-> TLD and TLD <->
+      nameserver, the second walked once per deployment;
+    - ``_fetch_legs[ingress][producer]``: the ready-made fetch step,
+      its hops and the summed ns of the Interest out and the Data back.
     """
 
     def __init__(self, topology: Topology, resolver_count: int = 8) -> None:
@@ -200,7 +241,6 @@ class Deployment:
         self.topology = topology
         self.resolver_count = resolver_count
         self.paths = topology.paths
-        self._trips: dict[tuple[int, int, int], tuple[int, int, int]] = {}
         self.sites: dict[int, ClusterSite] = {
             nid: ClusterSite(nid, [
                 ResolverShard(i) for i in range(resolver_count)
@@ -210,19 +250,19 @@ class Deployment:
         self.tld_node = tld_nodes[0]
         self.nameserver_node = ns_nodes[0]
         self.zone: dict[str, int] = {}  # canonical name -> producer
-        self._nearest_site: dict[int, ClusterSite] = {}
+        self._consumer_legs: dict[int, _ConsumerLeg] = {}
+        self._tld_legs: dict[int, tuple[_Step, _Step, int]] = {}
+        self._fetch_legs: dict[int, dict[int, _FetchLeg]] = {}
+        # (hops, round-trip ns) of TLD <-> nameserver, once walked
+        self._nameserver_trip: tuple[int, int] | None = None
 
     # -- placement ---------------------------------------------------------
 
     def nearest_site(self, node_id: int) -> ClusterSite:
         """The resolver site nearest ``node_id``, the lower id on a tie."""
-        site = self._nearest_site.get(node_id)
-        if site is None:
-            if node_id not in self.topology.nodes:
-                raise ConfigurationError(f"unknown node {node_id}")
-            site = self.sites[self.paths.nearest(node_id, self.sites)]
-            self._nearest_site[node_id] = site
-        return site
+        if node_id not in self.topology.nodes:
+            raise ConfigurationError(f"unknown node {node_id}")
+        return self.sites[self.paths.nearest(node_id, self.sites)]
 
     # -- registration ------------------------------------------------------
 
@@ -275,67 +315,87 @@ class Deployment:
     def resolve_and_fetch(self, consumer: int, name: ContentName) -> ResolutionOutcome:
         """Run the full numbered flow for one request; see module docstring.
 
-        The request is at most four round trips from the memo: consumer
-        <-> ingress, ingress <-> TLD and TLD <-> nameserver on a shard
-        miss, and ingress <-> producer.  A failed lookup stops at the
-        ingress, so it counts only the outbound half of the first trip.
+        The request reads at most three route memo entries: its
+        consumer's, its ingress's TLD legs on a shard miss, and its
+        ingress's fetch of the producer.  Only the ``steps`` list and
+        its data_return step are built anew.  A failed lookup stops at
+        the ingress, so it counts only the outbound half of the
+        consumer's trip.
         """
-        site = self._nearest_site.get(consumer) or self.nearest_site(consumer)
-        ingress = site.node
+        site, step, consumer_hops, latency, return_ns, fetches = (
+            self._consumer_legs.get(consumer) or self._consumer_leg(consumer))
         key = name.canonical_text
         shard = site.shards[name.crc % self.resolver_count]
-        trips = self._trips
-
-        # the back half, ingress -> consumer, is the Data's last leg and
-        # counts only once the fetch is made
-        consumer_hops, latency, return_ns = (
-            trips.get((consumer, ingress, DEFAULT_PAYLOAD_BITS))
-            or self._trip(consumer, ingress, DEFAULT_PAYLOAD_BITS))
-        steps = [(STAGE_CONSUMER_TO_CLUSTER, consumer_hops)]
 
         producer = shard.lookup(key)
         if producer is None:
-            tld_node = self.tld_node
-            # the record reply retraces nameserver -> tld -> ingress: the
-            # back halves of this trip and the next
-            hops, out_ns, back_ns = (
-                trips.get((ingress, tld_node, LOCATOR_REPLY_BITS))
-                or self._trip(ingress, tld_node, LOCATOR_REPLY_BITS))
-            steps.append((STAGE_RESOLVER_TO_TLD, hops))
-            latency += out_ns + back_ns
-            hops, out_ns, back_ns = (
-                trips.get((tld_node, self.nameserver_node, LOCATOR_REPLY_BITS))
-                or self._trip(tld_node, self.nameserver_node, LOCATOR_REPLY_BITS))
-            steps.append((STAGE_TLD_TO_NAMESERVER, hops))
-            latency += out_ns + back_ns
+            tld_step, nameserver_step, tld_ns = (
+                self._tld_legs.get(site.node) or self._tld_leg(site.node))
+            latency += tld_ns
             producer = self.zone.get(key)
             if producer is None:
-                return ResolutionOutcome(None, steps, latency)
+                return ResolutionOutcome(None, [step, tld_step, nameserver_step], latency)
             # the record reply caches the locator at the consumer-side site
             shard.store_cached(key, producer)
+            steps = [step, tld_step, nameserver_step]
+        else:
+            steps = [step]
 
-        hops, out_ns, back_ns = (
-            trips.get((ingress, producer, DEFAULT_PAYLOAD_BITS))
-            or self._trip(ingress, producer, DEFAULT_PAYLOAD_BITS))
-        steps.append((STAGE_FETCH, hops))
+        fetch_step, hops, fetch_ns = (
+            fetches.get(producer) or self._fetch_leg(site.node, producer))
+        steps.append(fetch_step)
         steps.append((STAGE_DATA_RETURN, consumer_hops + hops))
-        return ResolutionOutcome(producer, steps, latency + return_ns + out_ns + back_ns)
+        return ResolutionOutcome(producer, steps, latency + return_ns + fetch_ns)
+
+    def _consumer_leg(self, consumer: int) -> _ConsumerLeg:
+        """Fill and return the consumer's memo entry.
+
+        The back half of its trip, ingress -> consumer, is the Data's
+        last leg and counts only once the fetch is made.
+        """
+        site = self.nearest_site(consumer)
+        hops, out_ns, back_ns = self._trip(consumer, site.node, DEFAULT_PAYLOAD_BITS)
+        leg = self._consumer_legs[consumer] = (
+            site, (STAGE_CONSUMER_TO_CLUSTER, hops), hops, out_ns, back_ns,
+            self._fetch_legs.setdefault(site.node, {}))
+        return leg
+
+    def _tld_leg(self, ingress: int) -> tuple[_Step, _Step, int]:
+        """Fill and return the ingress's TLD memo entry.
+
+        The record reply retraces nameserver -> TLD -> ingress, the back
+        halves of the two round trips.
+        """
+        if self._nameserver_trip is None:
+            hops, out_ns, back_ns = self._trip(
+                self.tld_node, self.nameserver_node, LOCATOR_REPLY_BITS)
+            self._nameserver_trip = hops, out_ns + back_ns
+        nameserver_hops, nameserver_ns = self._nameserver_trip
+        hops, out_ns, back_ns = self._trip(ingress, self.tld_node, LOCATOR_REPLY_BITS)
+        leg = self._tld_legs[ingress] = (
+            (STAGE_RESOLVER_TO_TLD, hops), (STAGE_TLD_TO_NAMESERVER, nameserver_hops),
+            out_ns + back_ns + nameserver_ns)
+        return leg
+
+    def _fetch_leg(self, ingress: int, producer: int) -> _FetchLeg:
+        """Fill and return the ingress's memo entry for fetching from ``producer``."""
+        hops, out_ns, back_ns = self._trip(ingress, producer, DEFAULT_PAYLOAD_BITS)
+        leg = self._fetch_legs[ingress][producer] = (
+            (STAGE_FETCH, hops), hops, out_ns + back_ns)
+        return leg
 
     def _trip(self, a: int, b: int, reply_bits: int) -> tuple[int, int, int]:
-        """Fill the memo with the round trip a -> b -> a and return it.
+        """Hops, out transit ns and back transit ns of the round trip a -> b -> a.
 
-        The value is (hops, out transit ns, back transit ns) for an
-        Interest a -> b and a reply of ``reply_bits`` b -> a.  Each
-        direction is walked on its own: the shortest path b -> a need
-        not retrace a -> b, and with unequal link delays its transit
-        time then differs.  Its hop count cannot differ, because BFS
-        distances on an undirected graph are symmetric, so one count
+        The trip is an Interest a -> b and a reply of ``reply_bits``
+        b -> a.  Each direction is walked on its own: the shortest path
+        b -> a need not retrace a -> b, and with unequal link delays its
+        transit time then differs.  Its hop count cannot differ, because
+        BFS distances on an undirected graph are symmetric, so one count
         serves both halves.
         """
         hops, out_ns = self._leg(a, b, INTEREST_BITS)
-        back_ns = self._leg(b, a, reply_bits)[1]
-        trip = self._trips[(a, b, reply_bits)] = (hops, out_ns, back_ns)
-        return trip
+        return hops, out_ns, self._leg(b, a, reply_bits)[1]
 
     def _leg(self, src: int, dst: int, bits: int) -> tuple[int, int]:
         """Hop count and summed transit time of the shortest path src -> dst.

@@ -195,15 +195,16 @@ def _flooding_record(sim: Simulation, producer: int, distance: int,
 
 def _balancedn_record(outcome, consumer: int, distance: int) -> RequestRecord:
     """The record of a satisfied outcome: its last step is the Data return."""
+    interest, data, bits = outcome.traffic()
     return RequestRecord(
         consumer=consumer, producer=outcome.producer,
         distance=distance, scheme="balancedn",
-        interest_traversals=outcome.interest_traversals,
-        data_traversals=outcome.data_traversals,
+        interest_traversals=interest,
+        data_traversals=data,
         path_hops=outcome.steps[-1][1],
         latency_ns=outcome.latency_ns,
         satisfied=outcome.satisfied,
-        bytes_moved=outcome.bits_moved // 8,
+        bytes_moved=bits // 8,
     )
 
 

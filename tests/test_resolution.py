@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from balancedn.core import (CRC_CHUNK, assign_resolver, crc16, parse_name,
                             parse_names)
-from balancedn.engine import INTEREST_BITS, Simulation, link_transit_ns
+from balancedn.engine import (DEFAULT_PAYLOAD_BITS, INTEREST_BITS, Simulation,
+                              link_transit_ns)
 from balancedn.node import PIT_LIFETIME_NS
 from balancedn.resolution import (LOCATOR_REPLY_BITS,
                                   ConfigurationError, Deployment,
@@ -15,6 +16,7 @@ from balancedn.resolution import (LOCATOR_REPLY_BITS,
                                   STAGE_FETCH, STAGE_ORDER, STAGE_RESOLVER_TO_TLD,
                                   STAGE_TLD_TO_NAMESERVER, build_skewed_shards,
                                   interleaved_timing_probe)
+from balancedn.scenarios import ScenarioConfig, run_scenario
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, load_preset)
 from crc_reference import crc16_arc_bitwise
@@ -179,15 +181,37 @@ class TestSeveralNameservers:
         assert deployment.nameserver_node == 3
         assert deployment.zone == dict(self.PAIRS)
 
-    def test_cold_lookup_asks_node_3(self):
-        deployment = Deployment(line_topology(extra_nameserver=True), resolver_count=4)
+    def test_cold_lookup_asks_node_3(self, monkeypatch):
+        topo = line_topology(extra_nameserver=True)
+        deployment = Deployment(topo, resolver_count=4)
         # producer 5 to its site (node 4) is 1 hop, to node 3 2 hops; node 7 is 4
         assert register(deployment, 5, NAME) == 3
+        ns_trip = (walked(topo, topo.paths, 2, 3, INTEREST_BITS)[1]
+                   + walked(topo, topo.paths, 3, 2, LOCATOR_REPLY_BITS)[1])
+        tld_trip = (walked(topo, topo.paths, 1, 2, INTEREST_BITS)[1]
+                    + walked(topo, topo.paths, 2, 1, LOCATOR_REPLY_BITS)[1])
+        walks = []
+        real_path = PathTable.path
+
+        def path(table, a, b):
+            walks.append(real_path(table, a, b))
+            return walks[-1]
+
+        monkeypatch.setattr(PathTable, "path", path)
         cold = deployment.resolve_and_fetch(0, NAME)
         assert not cold.shortcut_taken
         assert dict(cold.steps)[STAGE_TLD_TO_NAMESERVER] == 1  # TLD 2 -> node 3
-        assert (2, 3, LOCATOR_REPLY_BITS) in deployment._trips
-        assert not any(7 in trip[:2] for trip in deployment._trips)
+        # ingress 1 memoizes the TLD 2 <-> node 3 leg beside its own
+        assert deployment._tld_legs == {1: ((STAGE_RESOLVER_TO_TLD, 1),
+                                            (STAGE_TLD_TO_NAMESERVER, 1),
+                                            tld_trip + ns_trip)}
+        assert [2, 3] in walks and [3, 2] in walks
+        # and nothing that touches node 7
+        assert not any(7 in walk for walk in walks)
+        memo_keys = {*deployment._consumer_legs, *deployment._tld_legs,
+                     *deployment._fetch_legs,
+                     *(p for legs in deployment._fetch_legs.values() for p in legs)}
+        assert memo_keys == {0, 1, 5}
 
     def test_same_result_as_without_node_7(self):
         with_7, with_7_total, with_7_outcomes = self.run(
@@ -566,35 +590,129 @@ def walked(topology, table, src, dst, bits):
     return len(path) - 1, transit
 
 
-class TestLegMemo:
-    BITS = (INTEREST_BITS, LOCATOR_REPLY_BITS, 1024)
+TLD, NAMESERVER, SITES, PRODUCER = 1, 2, (0, 3), 4
 
+
+class TestLegMemo:
     def test_memoized_legs_equal_hop_by_hop_sums_on_unequal_delays(self):
-        # every round trip (a, b, reply bits) holds the Interest's walk
-        # a -> b and the reply's walk b -> a, each on its own path; the
-        # memo keeps one hop count, which needs the two walks' to agree
+        # every consumer, ingress and fetch entry holds its Interest's
+        # walk out and its reply's walk back, each on its own path; an
+        # entry keeps one hop count, which needs the two walks' to agree
         rng = random.Random(11)
         for _ in range(4):
             topo = with_hierarchy_roles(varied_delay_graph(rng)[0])
             deployment = Deployment(topo, resolver_count=1)
             fresh = PathTable(topo)
-            for bits in self.BITS:
-                for a in topo.nodes:
-                    for b in topo.nodes:
-                        out_hops, out_ns = walked(topo, fresh, a, b, INTEREST_BITS)
-                        back_hops, back_ns = walked(topo, fresh, b, a, bits)
-                        assert back_hops == out_hops
-                        expected = (out_hops, out_ns, back_ns)
-                        assert deployment._trip(a, b, bits) == expected
-                        assert deployment._trips[(a, b, bits)] == expected
-            assert len(deployment._trips) == len(self.BITS) * len(topo.nodes) ** 2
+
+            def trip(a, b, reply_bits):
+                out_hops, out_ns = walked(topo, fresh, a, b, INTEREST_BITS)
+                back_hops, back_ns = walked(topo, fresh, b, a, reply_bits)
+                assert back_hops == out_hops
+                return out_hops, out_ns, back_ns
+
+            for consumer in topo.nodes:
+                ingress = min((fresh.distance(consumer, site), site) for site in SITES)[1]
+                hops, out_ns, back_ns = trip(consumer, ingress, DEFAULT_PAYLOAD_BITS)
+                leg = deployment._consumer_leg(consumer)
+                assert leg == (deployment.sites[ingress], (STAGE_CONSUMER_TO_CLUSTER, hops),
+                               hops, out_ns, back_ns, {})
+                assert leg[5] is deployment._fetch_legs[ingress]
+                assert deployment._consumer_legs[consumer] is leg
+            ns_hops, ns_out, ns_back = trip(TLD, NAMESERVER, LOCATOR_REPLY_BITS)
+            for ingress in SITES:
+                hops, out_ns, back_ns = trip(ingress, TLD, LOCATOR_REPLY_BITS)
+                expected = ((STAGE_RESOLVER_TO_TLD, hops), (STAGE_TLD_TO_NAMESERVER, ns_hops),
+                            out_ns + back_ns + ns_out + ns_back)
+                assert deployment._tld_leg(ingress) == expected
+                assert deployment._tld_legs[ingress] == expected
+                for producer in topo.nodes:
+                    hops, out_ns, back_ns = trip(ingress, producer, DEFAULT_PAYLOAD_BITS)
+                    expected = ((STAGE_FETCH, hops), hops, out_ns + back_ns)
+                    assert deployment._fetch_leg(ingress, producer) == expected
+                    assert deployment._fetch_legs[ingress][producer] == expected
+            assert len(deployment._consumer_legs) == len(topo.nodes)
+            assert set(deployment._tld_legs) == set(deployment._fetch_legs) == set(SITES)
+            assert all(len(fetches) == len(topo.nodes)
+                       for fetches in deployment._fetch_legs.values())
 
     def test_deployment_shares_the_topology_path_table(self):
         topo = line_topology()
         assert Deployment(topo).paths is topo.paths
 
 
-TLD, NAMESERVER, SITES, PRODUCER = 1, 2, (0, 3), 4
+class TestRouteMemo:
+    def test_mutating_an_outcomes_steps_leaves_the_next_unchanged(self):
+        # the memo hands out ready-made step tuples, never a shared list
+        names = [parse_name(f"/video/m{i}") for i in range(3)]
+        requests = names + names + [parse_name("/nope/x")] * 2
+
+        def outcomes(mutate):
+            deployment = Deployment(line_topology(), resolver_count=1)
+            deployment.register_bulk((name.canonical_text, 5) for name in names)
+            seen = []
+            for name in requests:
+                outcome = deployment.resolve_and_fetch(0, name)
+                seen.append((outcome.producer, list(outcome.steps), outcome.latency_ns))
+                if mutate:
+                    outcome.steps[0] = ("mutated", -1)
+                    outcome.steps.append(("mutated", -2))
+                    del outcome.steps[1]
+            return seen
+
+        seen = outcomes(mutate=True)
+        assert [steps[1][0] for _, steps, _ in seen] == (
+            [STAGE_RESOLVER_TO_TLD] * 3 + [STAGE_FETCH] * 3 + [STAGE_RESOLVER_TO_TLD] * 2)
+        assert seen == outcomes(mutate=False)
+
+    def test_oteglobe_s3_sweep_memo_sizes_and_path_walks(self, monkeypatch):
+        deployments = []
+        register_bulk = Deployment.register_bulk
+
+        def register(deployment, pairs):
+            deployments.append(deployment)
+            return register_bulk(deployment, pairs)
+
+        walks = []
+        real_path = PathTable.path
+
+        def path(table, a, b):
+            walks.append((a, b))
+            return real_path(table, a, b)
+
+        monkeypatch.setattr(Deployment, "register_bulk", register)
+        monkeypatch.setattr(PathTable, "path", path)
+        report = run_scenario(ScenarioConfig(scenario="s3", content_count=20_000,
+                                             schemes=("balancedn",)))
+        assert len(report.records) == 14_520
+        [deployment] = deployments
+        assert len(deployment._consumer_legs) == 242
+        assert len(deployment._tld_legs) == 61
+        # the round-trip memo this one replaced held 3,964 entries and
+        # walked 7,928 paths
+        fetches = sum(len(legs) for legs in deployment._fetch_legs.values())
+        assert fetches <= 3_660
+        assert 242 + 61 + 1 + fetches <= 3_964
+        assert len(walks) <= 7_928
+
+
+class TestTraffic:
+    def test_one_pass_counts_equal_the_properties(self):
+        rng = random.Random(29)
+        cases = {"cold": 0, "shortcut": 0, "unregistered": 0}
+        for _ in range(4):
+            topo = with_hierarchy_roles(varied_delay_graph(rng)[0])
+            deployment = Deployment(topo, resolver_count=2)
+            deployment.register_bulk((f"/video/c{consumer}", PRODUCER)
+                                     for consumer in topo.nodes)
+            for consumer in topo.nodes:
+                for name in (f"/video/c{consumer}", f"/video/c{consumer}", "/nope/x"):
+                    outcome = deployment.resolve_and_fetch(consumer, parse_name(name))
+                    assert outcome.traffic() == (outcome.interest_traversals,
+                                                 outcome.data_traversals,
+                                                 outcome.bits_moved)
+                    cases["unregistered" if outcome.producer is None else
+                          "shortcut" if outcome.shortcut_taken else "cold"] += 1
+        assert min(cases.values()) >= 10, cases
 
 
 def reference_outcome(topology, table, consumer, producer, shortcut, payload_bits=1024):
