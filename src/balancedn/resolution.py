@@ -105,12 +105,21 @@ class ResolverShard:
         return record
 
     def store_cached(self, key: str, producer: int) -> None:
+        """Cache a record unless it is authoritative here; a cached key turns most recent."""
         if key in self.authoritative:
             return
-        self.cache[key] = producer
-        self.cache.move_to_end(key)
-        if len(self.cache) > self.cache_capacity:
-            self.cache.popitem(last=False)
+        self.cache.pop(key, None)
+        self.cache_new(key, producer)
+
+    def cache_new(self, key: str, producer: int) -> None:
+        """Cache a record for a key in neither table, as the most recent entry.
+
+        The least recent entry is evicted once the cache is over capacity.
+        """
+        cache = self.cache
+        cache[key] = producer
+        if len(cache) > self.cache_capacity:
+            cache.popitem(last=False)
 
 
 @dataclass(slots=True)
@@ -223,6 +232,10 @@ class Deployment:
       nameserver, the second walked once per deployment;
     - ``_fetch_legs[ingress][producer]``: the ready-made fetch step,
       its hops and the summed ns of the Interest out and the Data back.
+
+    A leg's transit times come from ``_transit``, built once from
+    ``link_transit_ns``: packet bits -> link key -> transit ns, for the
+    three packet sizes a leg carries.
     """
 
     def __init__(self, topology: Topology, resolver_count: int = 8) -> None:
@@ -255,6 +268,10 @@ class Deployment:
         self._fetch_legs: dict[int, dict[int, _FetchLeg]] = {}
         # (hops, round-trip ns) of TLD <-> nameserver, once walked
         self._nameserver_trip: tuple[int, int] | None = None
+        self._transit: dict[int, dict[tuple[int, int], int]] = {
+            bits: {key: link_transit_ns(link, bits) for key, link in topology.links.items()}
+            for bits in (INTEREST_BITS, LOCATOR_REPLY_BITS, DEFAULT_PAYLOAD_BITS)
+        }
 
     # -- placement ---------------------------------------------------------
 
@@ -320,32 +337,36 @@ class Deployment:
         ingress's fetch of the producer.  Only the ``steps`` list and
         its data_return step are built anew.  A failed lookup stops at
         the ingress, so it counts only the outbound half of the
-        consumer's trip.
+        consumer's trip.  A name from ``parse_names`` carries its CRC; one
+        from ``parse_name`` is hashed here, on its first request.
         """
         site, step, consumer_hops, latency, return_ns, fetches = (
             self._consumer_legs.get(consumer) or self._consumer_leg(consumer))
-        key = name.canonical_text
-        shard = site.shards[name.crc % self.resolver_count]
+        key = name._text
+        crc = name._crc
+        shard = site.shards[(crc if crc >= 0 else name.crc) % self.resolver_count]
 
         producer = shard.lookup(key)
+        if producer is not None:
+            fetch_step, hops, fetch_ns = (
+                fetches.get(producer) or self._fetch_leg(site.node, producer))
+            return ResolutionOutcome(
+                producer, [step, fetch_step, (STAGE_DATA_RETURN, consumer_hops + hops)],
+                latency + fetch_ns + return_ns)
+        tld_step, nameserver_step, tld_ns = (
+            self._tld_legs.get(site.node) or self._tld_leg(site.node))
+        producer = self.zone.get(key)
         if producer is None:
-            tld_step, nameserver_step, tld_ns = (
-                self._tld_legs.get(site.node) or self._tld_leg(site.node))
-            latency += tld_ns
-            producer = self.zone.get(key)
-            if producer is None:
-                return ResolutionOutcome(None, [step, tld_step, nameserver_step], latency)
-            # the record reply caches the locator at the consumer-side site
-            shard.store_cached(key, producer)
-            steps = [step, tld_step, nameserver_step]
-        else:
-            steps = [step]
-
+            return ResolutionOutcome(None, [step, tld_step, nameserver_step], latency + tld_ns)
+        # the key missed both of the shard's tables; the record reply
+        # caches the locator at the consumer-side site
+        shard.cache_new(key, producer)
         fetch_step, hops, fetch_ns = (
             fetches.get(producer) or self._fetch_leg(site.node, producer))
-        steps.append(fetch_step)
-        steps.append((STAGE_DATA_RETURN, consumer_hops + hops))
-        return ResolutionOutcome(producer, steps, latency + return_ns + fetch_ns)
+        return ResolutionOutcome(
+            producer, [step, tld_step, nameserver_step, fetch_step,
+                       (STAGE_DATA_RETURN, consumer_hops + hops)],
+            latency + tld_ns + fetch_ns + return_ns)
 
     def _consumer_leg(self, consumer: int) -> _ConsumerLeg:
         """Fill and return the consumer's memo entry.
@@ -400,16 +421,17 @@ class Deployment:
     def _leg(self, src: int, dst: int, bits: int) -> tuple[int, int]:
         """Hop count and summed transit time of the shortest path src -> dst.
 
-        Walks the path and rounds each link's transit time as the event
-        engine does.
+        Walks the path and sums each link's transit time from
+        ``_transit``, rounded as the event engine rounds it.
         """
         if src == dst:
             return 0, 0
         path = self.paths.path(src, dst)
-        transit = 0
+        transit = self._transit[bits]
+        ns = 0
         for a, b in zip(path, path[1:]):
-            transit += link_transit_ns(self.topology.link_between(a, b), bits)
-        return len(path) - 1, transit
+            ns += transit[(a, b) if a < b else (b, a)]
+        return len(path) - 1, ns
 
 
 def interleaved_timing_probe(probe_sets: Sequence[tuple[ResolverShard, Sequence[ContentName]]],

@@ -153,6 +153,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     elif config.scenario.startswith("s1"):
         report = _run_single_request(topology, config)
     else:
+        # subnets are the routers' and s2's extra consumer hangs off one
+        if not topology.nodes_with_role("router"):
+            raise ScenarioError(
+                f"scenario {config.scenario} needs a node with the router role; "
+                "the topology has none")
         if config.scenario == "s2":
             topology = _with_extra_consumer(topology)
         report = _run_pair_sweep(topology, config)

@@ -33,3 +33,27 @@ def test_one_run_records_the_s1_long_digest_and_its_times():
     assert len(entry["raw_runs_s"]) == 1
     assert set(run["facts"]) == {"commit", "nproc", "python", "loadavg", "pycache"}
     assert run["code_lines"] > 0
+
+
+READ_PATH = """\
+import json, sys
+sys.path.insert(0, {tools!r})
+import bench_trajectory
+print(json.dumps(bench_trajectory.read_path()))
+"""
+
+
+def test_read_path_times_both_passes_and_counts_the_route_memo():
+    code = READ_PATH.format(tools=str(ROOT / "tools"))
+    result = subprocess.run([sys.executable, "-B", "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    block = json.loads(result.stdout.splitlines()[-1])
+    assert set(block) == {"requests", "cold_us_per_request", "warm_us_per_request",
+                          "warm_runs_us_per_request", "memo_entries"}
+    assert block["requests"] == 14_520
+    warm = block["warm_runs_us_per_request"]
+    assert len(warm) == 5 and sorted(warm)[2] == block["warm_us_per_request"]
+    assert block["cold_us_per_request"] > 0 and min(warm) > 0
+    # the warm passes read the cold pass's legs and add none
+    assert block["memo_entries"] == {"consumer": 242, "tld": 61, "fetch": 3_660}

@@ -39,6 +39,19 @@ link 5 6 1 1000
 link 1 7 1 1000
 """
 
+# Every role but the router: s2 and s3 draw their subnets from routers.
+NO_ROUTER_TOPOLOGY = """\
+node 0 c consumer
+node 1 p producer
+node 2 s resolver
+node 3 t tld
+node 4 n nameserver
+link 0 2 1 1000
+link 1 2 1 1000
+link 2 3 1 1000
+link 3 4 1 1000
+"""
+
 # ``python -m`` puts its working directory first on sys.path, so a CLI
 # subprocess started there imports the package under test.
 SRC = Path(balancedn.__file__).resolve().parents[1]
@@ -183,6 +196,19 @@ class TestRunCommand:
                      "--out", str(out)])
         assert code == 1
         assert "too small" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario", ["s2", "s3"])
+    def test_topology_without_a_router_exits_one(self, tmp_path, capsys, scenario):
+        path = tmp_path / "no_router.topo"
+        path.write_text(NO_ROUTER_TOPOLOGY)
+        out = tmp_path / "r.csv"
+        code = main(["run", "--scenario", scenario, "--topology", str(path),
+                     "--resolvers", "1", "--content", "100", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario {scenario} needs a node with the router role; "
+            "the topology has none\n")
+        assert not out.exists()
 
     def test_scheme_subset_run(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -20,7 +20,7 @@ from balancedn.scenarios import ScenarioConfig, run_scenario
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, load_preset)
 from crc_reference import crc16_arc_bitwise
-from varied_delay import varied_delay_graph
+from varied_delay import role_complete_graph, varied_delay_graph
 
 NAME = parse_name("/video/a.mp4")
 
@@ -573,6 +573,68 @@ class TestShardLookup:
         assert list(shard.cache) == reference  # same recency order
 
 
+class TestCacheNew:
+    def test_new_key_becomes_most_recent_and_evicts_the_least_recent(self):
+        shard = ResolverShard(0, cache_capacity=2)
+        shard.cache_new("/c/0", 9)
+        shard.cache_new("/c/1", 0)
+        assert list(shard.cache.items()) == [("/c/0", 9), ("/c/1", 0)]
+        assert shard.lookup("/c/0") == 9  # a hit turns /c/0 most recent
+        shard.cache_new("/c/2", 7)
+        assert list(shard.cache.items()) == [("/c/0", 9), ("/c/2", 7)]
+        shard.cache_new("/c/3", 7)
+        assert list(shard.cache) == ["/c/2", "/c/3"]
+
+    def test_zero_capacity_keeps_nothing(self):
+        shard = ResolverShard(0, cache_capacity=0)
+        shard.cache_new("/c/0", 9)
+        assert not shard.cache and shard.lookup("/c/0") is None
+
+
+class TestRecordCacheThroughRequests:
+    def deployment(self, capacity, keys):
+        """Line topology with every shard's cache shrunk after construction."""
+        deployment = Deployment(line_topology(), resolver_count=1)
+        for site in deployment.sites.values():
+            for shard in site.shards:
+                shard.cache_capacity = capacity
+        deployment.register_bulk((key, 5) for key in keys)
+        return deployment
+
+    def shortcuts(self, deployment, keys):
+        """Whether each request of consumer 0 for ``keys`` skipped the TLD."""
+        return [deployment.resolve_and_fetch(0, parse_name(key)).shortcut_taken
+                for key in keys]
+
+    def test_capacity_one_evicts_the_previous_name(self):
+        deployment = self.deployment(1, ["/a", "/b"])
+        cache = deployment.sites[1].shards[0].cache
+        assert self.shortcuts(deployment, ["/a", "/a"]) == [False, True]
+        assert list(cache) == ["/a"]
+        assert self.shortcuts(deployment, ["/b"]) == [False]
+        assert list(cache) == ["/b"]
+        # /a was evicted, so its next request takes the TLD stages again
+        a = deployment.resolve_and_fetch(0, parse_name("/a"))
+        assert [stage for stage, _ in a.steps] == [
+            STAGE_CONSUMER_TO_CLUSTER, STAGE_RESOLVER_TO_TLD, STAGE_TLD_TO_NAMESERVER,
+            STAGE_FETCH, STAGE_DATA_RETURN]
+        assert list(cache) == ["/a"]
+        # a cached hit, then a new name: the hit key is the one evicted
+        assert self.shortcuts(deployment, ["/a", "/b", "/a"]) == [True, False, False]
+        assert list(cache) == ["/a"]
+        assert deployment.sites[4].shards[0].cache == {}  # the home site's records are authoritative
+
+    def test_cached_hit_survives_the_next_new_name_in_lru_order(self):
+        deployment = self.deployment(2, ["/a", "/b", "/c"])
+        cache = deployment.sites[1].shards[0].cache
+        # the hit on /a makes /b the least recent entry, so /c evicts /b
+        assert self.shortcuts(deployment, ["/a", "/b", "/a", "/c"]) == [
+            False, False, True, False]
+        assert list(cache) == ["/a", "/c"]
+        assert self.shortcuts(deployment, ["/a", "/b", "/c"]) == [True, False, False]
+        assert list(cache) == ["/b", "/c"]
+
+
 def with_hierarchy_roles(topology):
     """The graph with nodes 0 to 4 as resolver, tld, nameserver, a second
     resolver and a producer; the rest keep their roles."""
@@ -638,6 +700,25 @@ class TestLegMemo:
     def test_deployment_shares_the_topology_path_table(self):
         topo = line_topology()
         assert Deployment(topo).paths is topo.paths
+
+
+class TestTransitTable:
+    def test_entries_equal_link_transit_ns_on_unequal_delays(self):
+        rng = random.Random(31)
+        graphs = [with_hierarchy_roles(varied_delay_graph(rng)[0]) for _ in range(4)]
+        graphs += [role_complete_graph(rng, slow=True) for _ in range(4)]
+        sizes = (INTEREST_BITS, LOCATOR_REPLY_BITS, DEFAULT_PAYLOAD_BITS)
+        for topo in graphs:
+            deployment = Deployment(topo, resolver_count=1)
+            assert sorted(deployment._transit) == sorted(sizes)
+            for bits in sizes:
+                assert set(deployment._transit[bits]) == set(topo.links)
+                for link in topo.links.values():
+                    a, b = link.endpoint_a, link.endpoint_b
+                    ns = link_transit_ns(topo.link_between(a, b), bits)
+                    assert deployment._transit[bits][link.key] == ns
+                    # a one-hop leg reads the entry in either direction
+                    assert deployment._leg(a, b, bits) == deployment._leg(b, a, bits) == (1, ns)
 
 
 class TestRouteMemo:
@@ -759,14 +840,24 @@ def observed(outcome):
             outcome.latency_ns, outcome.bits_moved)
 
 
+def one_at_a_time(texts):
+    """Names as ``parse_name`` makes them, each hashed on its first CRC read."""
+    return [parse_name(text) for text in texts]
+
+
 class TestResolveAgainstReference:
-    def test_outcomes_equal_stage_by_stage_walks_on_unequal_delays(self):
-        # each consumer asks twice for a name of its own and once for an
-        # unregistered one; a name is in the shard of the producer's site
-        # and, after its first lookup, cached in the ingress's shard
+    def resolve_against_reference(self, make_names):
+        """Every outcome of the request stream, each checked against its walk.
+
+        Each consumer asks twice for a name of its own and once for an
+        unregistered one; a name is in the shard of the producer's site
+        and, after its first lookup, cached in the ingress's shard.
+        ``make_names`` turns the stream's texts into its names.
+        """
         rng = random.Random(23)
         cases = {"cold": 0, "shortcut": 0, "unregistered": 0,
                  "own_ingress_cold": 0, "unregistered_off_site": 0}
+        seen = []
         for _ in range(12):
             topo = with_hierarchy_roles(varied_delay_graph(rng)[0])
             table = PathTable(topo)
@@ -774,24 +865,54 @@ class TestResolveAgainstReference:
             deployment.register_bulk((f"/video/c{consumer}", PRODUCER)
                                      for consumer in topo.nodes)
             home = min((table.distance(PRODUCER, site), site) for site in SITES)[1]
+            requests = []  # (consumer, name text, the reference outcome)
             for consumer in topo.nodes:
                 ingress = min((table.distance(consumer, site), site) for site in SITES)[1]
-                name = parse_name(f"/video/c{consumer}")
                 for repeat in (False, True):
                     shortcut = repeat or ingress == home
-                    outcome = deployment.resolve_and_fetch(consumer, name)
-                    assert observed(outcome) == reference_outcome(
-                        topo, table, consumer, PRODUCER, shortcut)
+                    requests.append((consumer, f"/video/c{consumer}", reference_outcome(
+                        topo, table, consumer, PRODUCER, shortcut)))
                     cases["shortcut" if shortcut else "cold"] += 1
                     if consumer == ingress and not shortcut:
                         cases["own_ingress_cold"] += 1
-                outcome = deployment.resolve_and_fetch(consumer, parse_name("/nope/x"))
-                assert observed(outcome) == reference_outcome(
-                    topo, table, consumer, None, False)
+                requests.append((consumer, "/nope/x", reference_outcome(
+                    topo, table, consumer, None, False)))
                 cases["unregistered"] += 1
                 if consumer != ingress:
                     cases["unregistered_off_site"] += 1
+            names = make_names(text for _, text, _ in requests)
+            for (consumer, _, expected), name in zip(requests, names):
+                outcome = observed(deployment.resolve_and_fetch(consumer, name))
+                assert outcome == expected
+                seen.append(outcome)
         assert min(cases.values()) >= 10, cases
+        return seen
+
+    def test_outcomes_equal_stage_by_stage_walks_on_unequal_delays(self):
+        self.resolve_against_reference(one_at_a_time)
+
+    def test_batch_hashed_names_resolve_as_lazily_hashed_ones(self):
+        # parse_names fills each CRC from crc16_many before the request;
+        # parse_name leaves it unset, and the request hashes the name
+        lazy, batch = [], []
+
+        def lazily(texts):
+            names = one_at_a_time(texts)
+            assert all(name._crc == -1 for name in names)
+            lazy.extend(names)
+            return names
+
+        def batched(texts):
+            names = list(parse_names(texts))
+            assert all(name._crc >= 0 for name in names)
+            batch.extend(names)
+            return names
+
+        assert (self.resolve_against_reference(batched)
+                == self.resolve_against_reference(lazily))
+        assert [name._crc for name in lazy] == [name._crc for name in batch]
+        assert [name._crc for name in lazy] == [
+            crc16(name.canonical_text.encode()) for name in lazy]
 
 
 class TestTimingProbe:

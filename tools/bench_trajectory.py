@@ -19,12 +19,17 @@ One run holds
   or the script exits 1 and writes nothing;
 - per layer: the numbers of ``benchmarks/micro.py`` ``micro_loops``,
   and the ``tools/code_lines.py`` total of ``src``;
+- the resolver read path on its own (``read_path``): the s3 OTEGlobe
+  requests timed once cold and then, for new names, with every route
+  memo leg warm, and the memo's exact entry counts;
 - facts: the commit (``-dirty`` if the checkout differs from it),
   nproc, the Python version, the load average and whether a
   ``__pycache__`` was under ``src`` when the run began.
 
 ``micro_loops`` is imported; nothing under ``benchmarks/`` is edited.  A
-run takes about 30 s on a 2-core host.
+run takes about 30 s on a 2-core host.  ``micro_loops``' own
+``resolution.resolve_us_per_request`` mostly times cold trips, so the
+read path's warm cost shows only in ``read_path``.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from itertools import cycle
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +52,10 @@ for _path in (ROOT / "src", ROOT / "benchmarks", ROOT / "tools"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
+from balancedn.core import parse_names  # noqa: E402
+from balancedn.resolution import Deployment  # noqa: E402
+from balancedn.scenarios import _cross_subnet_pairs, synthetic_corpus  # noqa: E402
+from balancedn.topology import load_preset  # noqa: E402
 from code_lines import code_lines  # noqa: E402
 from micro import micro_loops  # noqa: E402
 
@@ -60,6 +70,10 @@ RUNS = {
 }
 UNCOMPARED = {"s4"}
 MICRO_SEED = 1
+# the balancedn-ote workload's corpus size, named with the CLI runs' seed
+READ_PATH_CONTENT = 150_000
+READ_PATH_SEED = 42
+WARM_PASSES = 5
 
 
 def cli_time(name: str, repeats: int, out_dir: Path) -> dict:
@@ -89,6 +103,47 @@ def micro_numbers() -> dict:
     return result["metrics"]
 
 
+def read_path() -> dict:
+    """The s3 OTEGlobe requests on a fresh ``Deployment``: a cold pass, then warm ones.
+
+    The corpus (READ_PATH_CONTENT names, owned round-robin by the
+    producers) is registered as s3 registers it.  The cold pass makes
+    every cross-subnet request once, filling the route memo as it goes.
+    Warm pass m makes the same (consumer, producer) requests for names
+    no request has used: pair (j, k)'s slot ``k + j * producers`` becomes
+    ``k + (j + m * consumers) * producers``, a name the same producer
+    owns.  So every leg a warm pass reads is memoized, and every name
+    still misses its shard as in the cold pass.  Names are parsed, CRCs
+    included, before each timed pass.  Times are µs per request: the
+    cold pass, and the median of WARM_PASSES warm passes with each pass.
+    """
+    topology = load_preset("oteglobe")
+    consumers = len(topology.nodes_with_role("consumer"))
+    producers = topology.nodes_with_role("producer")
+    corpus = synthetic_corpus(READ_PATH_CONTENT, READ_PATH_SEED)
+    deployment = Deployment(topology)
+    deployment.register_bulk(zip(corpus, cycle(producers)))
+    pairs = _cross_subnet_pairs(topology)
+    resolve = deployment.resolve_and_fetch
+
+    def timed_pass(m: int) -> float:
+        shift = m * consumers * len(producers)
+        names = list(parse_names(corpus[slot + shift] for _, _, slot in pairs))
+        start = time.perf_counter()
+        for (consumer, _, _), name in zip(pairs, names):
+            resolve(consumer, name)
+        return (time.perf_counter() - start) * 1e6 / len(pairs)
+
+    cold = timed_pass(0)
+    warm = [timed_pass(m) for m in range(1, WARM_PASSES + 1)]
+    return {"requests": len(pairs), "cold_us_per_request": cold,
+            "warm_us_per_request": statistics.median(warm),
+            "warm_runs_us_per_request": warm, "memo_entries": {
+                "consumer": len(deployment._consumer_legs),
+                "tld": len(deployment._tld_legs),
+                "fetch": sum(map(len, deployment._fetch_legs.values()))}}
+
+
 def facts() -> dict:
     # the commit's hash, with "-dirty" when the checkout differs from it
     commit = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40",
@@ -100,12 +155,17 @@ def facts() -> dict:
 
 
 def one_run(names=tuple(RUNS), repeats: int = 3, micro: bool = True) -> dict:
-    """One measurement of the checkout: facts, CLI runs, micro-loops, code lines."""
+    """One measurement of the checkout: facts, CLI runs, per-layer numbers, code lines.
+
+    ``micro`` False leaves out the per-layer numbers, the micro-loops
+    and the read path alike.
+    """
     result = {"facts": facts()}
     with tempfile.TemporaryDirectory() as tmp:
         result["end_to_end"] = {name: cli_time(name, repeats, Path(tmp)) for name in names}
     if micro:
         result["per_layer"] = micro_numbers()
+        result["read_path"] = read_path()
     result["code_lines"] = sum(map(code_lines, (ROOT / "src").rglob("*.py")))
     return result
 
@@ -129,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
                for name, entry in first["end_to_end"].items()}
     spreads.update((f"per_layer.{name}", spread(value, second["per_layer"][name]))
                    for name, value in first["per_layer"].items())
+    spreads.update((f"read_path.{name}", spread(first["read_path"][name],
+                                                 second["read_path"][name]))
+                   for name in ("cold_us_per_request", "warm_us_per_request"))
     Path(args.out).write_text(json.dumps(
         {"sha256": digests[0], "spread": spreads, "runs": [first, second]},
         indent=1) + "\n", encoding="utf-8")
