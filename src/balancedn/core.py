@@ -219,7 +219,7 @@ class InterestPacket:
 class DataPacket:
     """Named content flowing back toward requesters.
 
-    Every Data packet is the same size, ``engine.DEFAULT_PAYLOAD_BITS``,
+    Every Data packet is the same size, ``topology.DEFAULT_PAYLOAD_BITS``,
     so it carries no size of its own.  ``trace`` mirrors InterestPacket's
     and exists for metrics only.
     """

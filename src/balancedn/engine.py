@@ -19,13 +19,13 @@ A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on every face but the one it came in on.  The
 flood plan is the only fan-out.  At wiring time the simulation reads
 each node's ``neighbors`` once and builds its face rows (per face: its
-neighbour, the face there, the Interest and Data transit times and, if
-the neighbour is a leaf, its node) and one plan per in-face: the rows
-of every other face in face order, and those of them that are not
-leaves.  A flood schedules each copy it delivers with its own
-``EventQueue.schedule`` call, in face order, so copies that share a
-fire time fire in face order after the events already due then,
-whatever the link delays.
+neighbour, the face there, the Interest and Data transit times from
+the topology's ``transit`` table and, if the neighbour is a leaf, its
+node) and one plan per in-face: the rows of every other face in face
+order, and those of them that are not leaves.  A flood schedules each
+copy it delivers with its own ``EventQueue.schedule`` call, in face
+order, so copies that share a fire time fire in face order after the
+events already due then, whatever the link delays.
 
 The event contract: a flood counts every Interest copy it sends, in
 ``interest_traversals`` (and so in ``bits_moved``) and, when traced,
@@ -80,15 +80,7 @@ from typing import IO, Optional, Sequence
 
 from .core import ContentName, DataPacket, InterestPacket
 from .node import FLOOD, LOCAL_FACE, PIT_LIFETIME_NS, NdnNode, reclaim_expired
-from .topology import LinkDescriptor, Topology
-
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
-
-# Every packet of a kind has one size: Interests are small, and
-# DEFAULT_PAYLOAD_BITS is the one Data size, that of every content item.
-INTEREST_BITS = 320
-DEFAULT_PAYLOAD_BITS = 1024
+from .topology import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, Topology
 
 # Event kinds.  An event is a plain tuple (kind, node, face, packet, hops):
 # the packet delivered to ``node`` on ``face`` and the links it has crossed
@@ -103,7 +95,7 @@ EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_inject
 
 # One face of a node: (neighbour, face at the neighbour, Interest transit ns,
 # Data transit ns, the neighbour's NdnNode if it is a leaf (one neighbour)
-# else None).  Both transit times are computed once, at wiring.
+# else None).  Both transit times are read from the topology's table.
 FaceRow = tuple[int, int, int, int, Optional[NdnNode]]
 # The plan of a flood that came in on one face: the rows of every other face
 # in face order, and those of them that are not leaves.
@@ -116,13 +108,6 @@ class SchedulingError(ValueError):
 
 class EventBudgetError(RuntimeError):
     """Raised when a run outgrows the events any drained flood can need."""
-
-
-def link_transit_ns(link: LinkDescriptor, bits: int) -> int:
-    """Nanoseconds to push ``bits`` across ``link``: delay + serialization."""
-    delay = round(link.delay_ms * NS_PER_MS)
-    serialization = round(bits * NS_PER_US / link.bandwidth_mbps)
-    return delay + serialization
 
 
 class EventQueue:
@@ -212,14 +197,15 @@ class Simulation:
         # objects to set-up.
         self._face_table: dict[int, list[FaceRow | None]] = {}
         self._flood_targets: dict[int, list[FloodPlan]] = {}
+        interest_ns = topology.transit[INTEREST_BITS]
+        data_ns = topology.transit[DEFAULT_PAYLOAD_BITS]
         for nid, node in self.nodes.items():
             row: list[FaceRow | None] = [None]
             for nbr in node.neighbors:
-                link = topology.link_between(nid, nbr)
+                key = (nid, nbr) if nid < nbr else (nbr, nid)
                 target = self.nodes[nbr]
                 row.append((nbr, target.neighbors.index(nid) + 1,
-                            link_transit_ns(link, INTEREST_BITS),
-                            link_transit_ns(link, DEFAULT_PAYLOAD_BITS),
+                            interest_ns[key], data_ns[key],
                             target if len(target.neighbors) == 1 else None))
             self._face_table[nid] = row
             plans = []

@@ -19,15 +19,16 @@ the shard tables map canonical name text to an int, so a registered
 corpus holds no object per name for the garbage collector to track.
 
 Stage traversal counts are shortest-path hop distances; latency sums
-the same per-link transit times the event engine charges, so the two
-schemes' accounting is directly comparable.  An outcome stores only its
-producer, its stages' hop counts and its latency.  Every other count
-follows from the stages: each reply crosses as many links as the
-Interest it answers, because BFS hop distances on an undirected graph
-are the same both ways, so the record reply crosses the two TLD
-stages' hops again and the Data the fetch's plus the consumer's.  Only
-the transit times of the two directions can differ, when the shortest
-path back takes links of other delays.
+per-link transit times from the topology's ``transit`` table, the one
+the event engine's face rows read, so the two schemes' accounting is
+directly comparable.  An outcome stores only its producer, its stages'
+hop counts and its latency.  Every other count follows from the
+stages: each reply crosses as many links as the Interest it answers,
+because BFS hop distances on an undirected graph are the same both
+ways, so the record reply crosses the two TLD stages' hops again and
+the Data the fetch's plus the consumer's.  Only the transit times of
+the two directions can differ, when the shortest path back takes
+links of other delays.
 
 Each leg's cost depends on one key alone: the consumer's trip to its
 ingress on the consumer, the TLD trips on the ingress, and the fetch on
@@ -47,12 +48,8 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 from .core import CRC_CHUNK, ContentName, crc16, crc16_many
-from .engine import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, link_transit_ns
 from .node import PIT_LIFETIME_NS
-from .topology import Topology
-
-# the nameserver's record reply is a small control Data packet
-LOCATOR_REPLY_BITS = 512
+from .topology import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, LOCATOR_REPLY_BITS, Topology
 
 STAGE_CONSUMER_TO_CLUSTER = "consumer_to_cluster"
 STAGE_RESOLVER_TO_TLD = "resolver_to_tld"
@@ -233,9 +230,10 @@ class Deployment:
     - ``_fetch_legs[ingress][producer]``: the ready-made fetch step,
       its hops and the summed ns of the Interest out and the Data back.
 
-    A leg's transit times come from ``_transit``, built once from
-    ``link_transit_ns``: packet bits -> link key -> transit ns, for the
-    three packet sizes a leg carries.
+    A leg's transit times come from the topology's ``transit`` table,
+    built once per topology: packet bits -> link key -> transit ns, for
+    the three packet sizes a leg carries.  The engine's face rows read
+    the same table.
     """
 
     def __init__(self, topology: Topology, resolver_count: int = 8) -> None:
@@ -268,10 +266,6 @@ class Deployment:
         self._fetch_legs: dict[int, dict[int, _FetchLeg]] = {}
         # (hops, round-trip ns) of TLD <-> nameserver, once walked
         self._nameserver_trip: tuple[int, int] | None = None
-        self._transit: dict[int, dict[tuple[int, int], int]] = {
-            bits: {key: link_transit_ns(link, bits) for key, link in topology.links.items()}
-            for bits in (INTEREST_BITS, LOCATOR_REPLY_BITS, DEFAULT_PAYLOAD_BITS)
-        }
 
     # -- placement ---------------------------------------------------------
 
@@ -421,13 +415,13 @@ class Deployment:
     def _leg(self, src: int, dst: int, bits: int) -> tuple[int, int]:
         """Hop count and summed transit time of the shortest path src -> dst.
 
-        Walks the path and sums each link's transit time from
-        ``_transit``, rounded as the event engine rounds it.
+        Walks the path and sums each link's transit time from the
+        topology's ``transit`` table, the engine's own.
         """
         if src == dst:
             return 0, 0
         path = self.paths.path(src, dst)
-        transit = self._transit[bits]
+        transit = self.topology.transit[bits]
         ns = 0
         for a, b in zip(path, path[1:]):
             ns += transit[(a, b) if a < b else (b, a)]

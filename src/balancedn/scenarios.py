@@ -17,9 +17,11 @@ Scenario ids:
 against it once, for every scenario.  s1 and s2/s3 then only select
 their requests: ``_run_single_request`` picks one (consumer, producer,
 name) and registers that one name; ``_run_pair_sweep`` picks every
-cross-subnet pair and registers the whole corpus.  Both hand their
-selection to ``_run_requests``, which holds the one measurement loop of
-each scheme: a flooding simulation, then a BalanceDN deployment.
+cross-subnet pair and registers the whole corpus, which it builds in
+full only when BalanceDN runs (flooding alone reads the requested
+prefix).  Both hand their selection to ``_run_requests``, which holds
+the one measurement loop of each scheme: a flooding simulation, then a
+BalanceDN deployment.
 
 The synthetic corpus names look like ``/cat<k>/obj<i>-<tag>`` with k
 cycling over 16 prefixes, i sequential, and a short seeded-random tag.
@@ -129,6 +131,10 @@ def synthetic_corpus(count: int, seed: int) -> list[str]:
     ``getrandbits(16)`` is the top half of one output.  So in the draw's
     little-endian bytes, bytes 3 and 2 of word i are tag i: interleaved
     into one buffer, they give every tag's hex digits in one ``hex`` call.
+
+    Name i therefore depends on i and the seed alone, not on ``count``:
+    ``synthetic_corpus(m, seed) == synthetic_corpus(n, seed)[:m]`` for
+    every m <= n, so a caller may build only the prefix it reads.
     """
     rng = random.Random(seed)
     words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
@@ -256,17 +262,25 @@ def _cross_subnet_pairs(topology: Topology) -> list[tuple[int, int, int]]:
 
 
 def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioReport:
-    """Scenario 2/3 protocol: every consumer fetches foreign unique content."""
-    producers = topology.nodes_with_role("producer")
-    corpus = synthetic_corpus(config.content_count, config.seed)
+    """Scenario 2/3 protocol: every consumer fetches foreign unique content.
 
+    The corpus is built once, as large as the run reads: all
+    ``content_count`` names when BalanceDN registers them, otherwise
+    only up to the last requested slot, since flooding publishes the
+    requested names alone.  By ``synthetic_corpus``'s prefix property
+    the requested names are the same either way.
+    """
+    producers = topology.nodes_with_role("producer")
     pairs = _cross_subnet_pairs(topology)
     if not pairs:
         raise ScenarioError("no cross-subnet consumer/producer pairs")
-    if max(slot for _, _, slot in pairs) >= len(corpus):
+    last_slot = max(slot for _, _, slot in pairs)
+    if last_slot >= config.content_count:
         raise ScenarioError(
             f"content_count {config.content_count} is too small for "
             f"{len(pairs)} unique cross-subnet requests")
+    count = config.content_count if "balancedn" in config.schemes else last_slot + 1
+    corpus = synthetic_corpus(count, config.seed)
     requests = [(c, p, corpus[slot]) for c, p, slot in pairs]
     # the whole corpus, owned round-robin by the producers
     return _run_requests(topology, config, requests, zip(corpus, cycle(producers)))

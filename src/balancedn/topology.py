@@ -8,7 +8,8 @@ File format (UTF-8, one record per line, ``#`` starts a comment):
 Roles: consumer, router, producer, resolver, tld, nameserver.
 Fields are single-space separated; every record ends with a newline.
 Graphs must be connected, node ids unique, and at most one link may
-join any unordered node pair.
+join any unordered node pair, and every link's transit time for each
+packet size must round to a finite integer number of nanoseconds.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ from typing import Iterable, Mapping, Sequence
 ROLES = frozenset({"consumer", "router", "producer", "resolver", "tld", "nameserver"})
 
 PRESETS = ("nsfnet", "oteglobe")
+
+NS_PER_US = 1_000
+NS_PER_MS = 1_000_000
+
+# Every packet of a kind has one size: Interests are small,
+# DEFAULT_PAYLOAD_BITS is the one Data size, that of every content item,
+# and the nameserver's record reply is a small control Data packet.
+INTEREST_BITS = 320
+DEFAULT_PAYLOAD_BITS = 1024
+LOCATOR_REPLY_BITS = 512
+PACKET_BITS = (INTEREST_BITS, LOCATOR_REPLY_BITS, DEFAULT_PAYLOAD_BITS)
 
 
 class TopologyError(ValueError):
@@ -47,6 +59,13 @@ class LinkDescriptor:
         return (a, b) if a < b else (b, a)
 
 
+def link_transit_ns(link: LinkDescriptor, bits: int) -> int:
+    """Nanoseconds to push ``bits`` across ``link``: delay + serialization."""
+    delay = round(link.delay_ms * NS_PER_MS)
+    serialization = round(bits * NS_PER_US / link.bandwidth_mbps)
+    return delay + serialization
+
+
 class Topology:
     """Validated, immutable-after-build network graph.
 
@@ -55,6 +74,16 @@ class Topology:
     ``ids`` lists the node ids in ascending order, ``position`` maps an
     id to its index there, and ``neighbours`` is the adjacency by
     position, each entry ascending; BFS rows are indexed the same way.
+    ``leaf_neighbours`` and ``inner_neighbours`` split each position's
+    neighbours, in the same order, into leaves (nodes with one
+    neighbour) and the rest, for ``shortest_paths``.
+
+    ``transit`` is the graph's one link-timing table: packet bits ->
+    link key -> the integer transit ns ``link_transit_ns`` gives, for
+    each size in ``PACKET_BITS``.  The engine's face rows and the
+    resolver's legs read it, so both schemes charge a link the same
+    nanoseconds.  A link whose transit does not round to a finite
+    integer raises ``TopologyError`` naming it.
     """
 
     def __init__(self, nodes: Mapping[int, NodeDescriptor],
@@ -73,6 +102,22 @@ class Topology:
         position = self.position
         self.neighbours: tuple[tuple[int, ...], ...] = tuple(
             tuple(position[v] for v in self.adjacency[nid]) for nid in self.ids)
+        leaf = [len(nbrs) == 1 for nbrs in self.neighbours]
+        self.leaf_neighbours: tuple[tuple[int, ...], ...] = tuple(
+            tuple([v for v in nbrs if leaf[v]]) for nbrs in self.neighbours)
+        self.inner_neighbours: tuple[tuple[int, ...], ...] = tuple(
+            tuple([v for v in nbrs if not leaf[v]]) for nbrs in self.neighbours)
+        self.transit: dict[int, dict[tuple[int, int], int]] = {
+            bits: {} for bits in PACKET_BITS}
+        for key, link in self.links.items():
+            try:
+                for bits, row in self.transit.items():
+                    row[key] = link_transit_ns(link, bits)
+            except (OverflowError, ValueError):  # an infinite or nan float
+                raise TopologyError(
+                    f"transit time on link {key} is not a finite integer "
+                    f"(delay {link.delay_ms} ms, bandwidth {link.bandwidth_mbps} Mb/s)"
+                ) from None
         self.paths = PathTable(self)
 
     @classmethod
@@ -181,13 +226,22 @@ def shortest_paths(topology: Topology, source: int) -> list[int]:
     Entry ``i`` of the returned row is the distance from ``source`` to
     ``topology.ids[i]``, the ``i``-th node in ascending id order; the
     source's own entry is 0 and a node the BFS did not reach reads -1.
+
+    A leaf is labelled but never expanded: its one neighbour is the
+    node that reached it, already labelled, so expanding it could label
+    nothing.  Most preset nodes are leaves (366 of OTEGlobe's 427), so
+    most of the frontier is skipped.  A leaf is reached only through its
+    one neighbour, which is expanded once, so it is labelled without a
+    test; only the source can be labelled twice that way, and its 0 is
+    restored at the end.  The source starts on the frontier even when it
+    is a leaf.
     """
     try:
         start = topology.position[source]
     except KeyError:
         raise TopologyError(f"unknown source node {source}") from None
-    neighbours = topology.neighbours
-    row = [-1] * len(neighbours)
+    leaves, inner = topology.leaf_neighbours, topology.inner_neighbours
+    row = [-1] * len(inner)
     row[start] = 0
     frontier = [start]
     depth = 0
@@ -195,18 +249,23 @@ def shortest_paths(topology: Topology, source: int) -> list[int]:
         depth += 1
         upcoming: list[int] = []
         for u in frontier:
-            for v in neighbours[u]:
+            for v in leaves[u]:
+                row[v] = depth
+            for v in inner[u]:
                 if row[v] < 0:
                     row[v] = depth
                     upcoming.append(v)
         frontier = upcoming
+    row[start] = 0
     return row
 
 
 class PathTable:
     """All-pairs shortest paths as lazily built BFS distance rows.
 
-    A row is the list ``shortest_paths`` returns, one per source node.
+    A row is the list ``shortest_paths`` returns, one per source node;
+    its BFS labels leaves without expanding them, since a leaf's one
+    neighbour is always labelled before it.
     Distances are symmetric, so ``path(a, b)`` reads ``b``'s row alone:
     from ``a`` it steps each time to the lowest-id neighbour one hop
     closer to ``b``.  That neighbour is the first hop of the lowest-id

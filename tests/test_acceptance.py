@@ -16,12 +16,12 @@ import pytest
 
 import balancedn
 from balancedn.core import crc16, parse_name
-from balancedn.engine import (DEFAULT_PAYLOAD_BITS, INTEREST_BITS, Simulation,
-                              link_transit_ns)
+from balancedn.engine import Simulation
 from balancedn.resolution import Deployment, ResolverShard
 from balancedn.scenarios import ScenarioConfig, run_scenario, synthetic_corpus
-from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
-                                Topology, load_preset)
+from balancedn.topology import (DEFAULT_PAYLOAD_BITS, INTEREST_BITS, LinkDescriptor,
+                                NodeDescriptor, PathTable, Topology, link_transit_ns,
+                                load_preset)
 from crc_reference import crc16_arc_bitwise
 
 CHI_SQUARE_999_7DF = 24.32

@@ -12,10 +12,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 S1_LONG_SHA256 = "7fc947cb1111ce7ab4ad02d6e8c4f33e1db73dd843bcbf9de00c7f708f45091e"
 
+# The ballast raises this process's resident peak by 64 MB; the child's
+# peak must not carry it.
 ONE_RUN = """\
 import json, sys
 sys.path.insert(0, {tools!r})
 import bench_trajectory
+ballast = b"x" * (64 << 20)
 print(json.dumps(bench_trajectory.one_run(["s1_long"], repeats=1, micro=False)))
 """
 
@@ -31,6 +34,10 @@ def test_one_run_records_the_s1_long_digest_and_its_times():
     assert entry["sha256"] == S1_LONG_SHA256
     assert entry["raw_s"] > 0
     assert len(entry["raw_runs_s"]) == 1
+    # the CLI child's own peak RSS (an interpreter with the package loaded,
+    # about 17 MB), not the ballast-laden caller's
+    assert entry["peak_rss_runs_mb"] == [entry["peak_rss_mb"]]
+    assert 5 < entry["peak_rss_mb"] < 50
     assert set(run["facts"]) == {"commit", "nproc", "python", "loadavg", "pycache"}
     assert run["code_lines"] > 0
 

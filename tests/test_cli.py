@@ -11,6 +11,11 @@ from balancedn.core import assign_resolver, parse_name
 from balancedn.metrics import CSV_COLUMNS, parse_csv
 from varied_delay import storm_graph, topology_text
 
+NSFNET_TEXT = (Path(balancedn.__file__).parent / "presets" / "nsfnet.topo").read_text("utf-8")
+# (delay ms, bandwidth Mb/s): each field is finite, but the transit of one
+# packet across the link rounds to infinity
+OVERFLOWING_LINKS = [("1e308", "1000"), ("1", "1e-310")]
+
 NSFNET_SNIPPET = """\
 node 0 r0 router
 node 1 c0 consumer
@@ -167,6 +172,26 @@ class TestValidateCommand:
 
     def test_missing_file_exits_one(self):
         assert main(["validate", "--topology", "/no/such/file.topo"]) == 1
+
+    @pytest.mark.parametrize("delay, bandwidth", OVERFLOWING_LINKS)
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_link_exits_one_naming_it(self, tmp_path, capsys, command,
+                                                   delay, bandwidth):
+        # finite fields whose transit rounds to infinity used to validate,
+        # then fail every s2 run with a message that named no link
+        path = tmp_path / "overflow.topo"
+        path.write_text(NSFNET_TEXT.replace("link 0 2 1 1000\n",
+                                            f"link 0 2 {delay} {bandwidth}\n", 1))
+        out = tmp_path / "r.csv"
+        argv = (["validate", "--topology", str(path)] if command == "validate" else
+                ["run", "--scenario", "s2", "--topology", str(path),
+                 "--content", "1000", "--out", str(out)])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: transit time on link (0, 2) ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
 
 
 class TestRunCommand:

@@ -8,12 +8,11 @@ import pytest
 
 from balancedn.core import InterestPacket, parse_name
 from balancedn.engine import (DELIVER_INTEREST, EventBudgetError, EventQueue,
-                              INTEREST_BITS, SchedulingError, Simulation,
-                              link_transit_ns)
+                              SchedulingError, Simulation)
 from balancedn.node import LOCAL_FACE, PIT_LIFETIME_NS
 from balancedn.scenarios import _cross_subnet_pairs
-from balancedn.topology import (LinkDescriptor, NodeDescriptor, Topology,
-                                load_preset)
+from balancedn.topology import (INTEREST_BITS, LinkDescriptor, NodeDescriptor,
+                                Topology, link_transit_ns, load_preset)
 from varied_delay import VARIED_SEED, storm_graph, varied_delay_graph
 
 NAME = parse_name("/video/a.mp4")

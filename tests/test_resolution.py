@@ -6,19 +6,18 @@ from hypothesis import strategies as st
 
 from balancedn.core import (CRC_CHUNK, assign_resolver, crc16, parse_name,
                             parse_names)
-from balancedn.engine import (DEFAULT_PAYLOAD_BITS, INTEREST_BITS, Simulation,
-                              link_transit_ns)
+from balancedn.engine import Simulation
 from balancedn.node import PIT_LIFETIME_NS
-from balancedn.resolution import (LOCATOR_REPLY_BITS,
-                                  ConfigurationError, Deployment,
+from balancedn.resolution import (ConfigurationError, Deployment,
                                   RegistrationConflictError, ResolverShard,
                                   STAGE_CONSUMER_TO_CLUSTER, STAGE_DATA_RETURN,
                                   STAGE_FETCH, STAGE_ORDER, STAGE_RESOLVER_TO_TLD,
                                   STAGE_TLD_TO_NAMESERVER, build_skewed_shards,
                                   interleaved_timing_probe)
 from balancedn.scenarios import ScenarioConfig, run_scenario
-from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
-                                Topology, load_preset)
+from balancedn.topology import (DEFAULT_PAYLOAD_BITS, INTEREST_BITS, LOCATOR_REPLY_BITS,
+                                LinkDescriptor, NodeDescriptor, PathTable, Topology,
+                                link_transit_ns, load_preset)
 from crc_reference import crc16_arc_bitwise
 from varied_delay import role_complete_graph, varied_delay_graph
 
@@ -710,13 +709,13 @@ class TestTransitTable:
         sizes = (INTEREST_BITS, LOCATOR_REPLY_BITS, DEFAULT_PAYLOAD_BITS)
         for topo in graphs:
             deployment = Deployment(topo, resolver_count=1)
-            assert sorted(deployment._transit) == sorted(sizes)
+            assert sorted(topo.transit) == sorted(sizes)
             for bits in sizes:
-                assert set(deployment._transit[bits]) == set(topo.links)
+                assert set(topo.transit[bits]) == set(topo.links)
                 for link in topo.links.values():
                     a, b = link.endpoint_a, link.endpoint_b
                     ns = link_transit_ns(topo.link_between(a, b), bits)
-                    assert deployment._transit[bits][link.key] == ns
+                    assert topo.transit[bits][link.key] == ns
                     # a one-hop leg reads the entry in either direction
                     assert deployment._leg(a, b, bits) == deployment._leg(b, a, bits) == (1, ns)
 

@@ -85,6 +85,51 @@ class TestSyntheticCorpus:
         for key in names[:50]:
             assert parse_name(key).canonical_text == key
 
+    @pytest.mark.parametrize("m, n, seed", [
+        (1, 1, 0), (1, 50, 42), (17, 17, 7), (183, 20_000, 42), (366, 20_000, 3001),
+        (5_000, 65_537, 2024)])
+    def test_a_shorter_corpus_is_a_prefix(self, m, n, seed):
+        # the sweep builds only the prefix it reads; it must name the same items
+        assert synthetic_corpus(m, seed) == synthetic_corpus(n, seed)[:m]
+
+
+class TestCorpusSizedToUse:
+    # s2's last requested slot is 182: 167 requests, 23 consumers x 8 producers
+    LAST_SLOT = 182
+
+    def test_flooding_alone_builds_the_requested_prefix_and_the_same_rows(self, monkeypatch):
+        counts = []
+        real = scenarios.synthetic_corpus
+
+        def recorded(count, seed):
+            counts.append(count)
+            return real(count, seed)
+
+        monkeypatch.setattr(scenarios, "synthetic_corpus", recorded)
+        alone = run_scenario(ScenarioConfig(scenario="s2", content_count=20_000,
+                                            schemes=("flooding",)))
+        both = run_scenario(ScenarioConfig(scenario="s2", content_count=20_000))
+        balancedn = run_scenario(ScenarioConfig(scenario="s2", content_count=20_000,
+                                                schemes=("balancedn",)))
+        assert counts == [self.LAST_SLOT + 1, 20_000, 20_000]
+        assert len(alone.records) == 167
+        assert alone.records == [r for r in both.records if r.scheme == "flooding"]
+        assert balancedn.records == [r for r in both.records if r.scheme == "balancedn"]
+
+    def test_too_small_content_fails_alike_for_every_scheme_set(self):
+        messages = set()
+        for schemes in (("flooding",), ("balancedn",), ("flooding", "balancedn")):
+            with pytest.raises(ScenarioError, match="too small") as err:
+                run_scenario(ScenarioConfig(scenario="s2", content_count=self.LAST_SLOT,
+                                            schemes=schemes))
+            messages.add(str(err.value))
+            report = run_scenario(ScenarioConfig(scenario="s2",
+                                                 content_count=self.LAST_SLOT + 1,
+                                                 schemes=schemes))
+            assert len(report.records) == 167 * len(schemes)
+        assert messages == {f"content_count {self.LAST_SLOT} is too small for "
+                            "167 unique cross-subnet requests"}
+
 
 class TestRoundRobinOwnership:
     def test_corpus_name_i_is_owned_by_producer_i_mod_n(self, monkeypatch):

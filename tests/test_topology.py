@@ -6,6 +6,7 @@ from balancedn import topology as topology_module
 from balancedn.topology import (LinkDescriptor, NodeDescriptor, PathTable,
                                 Topology, TopologyError, load_preset,
                                 load_topology, shortest_paths)
+from varied_delay import VARIED_SEED, varied_delay_graph
 
 
 def make_line(n, role="router"):
@@ -127,6 +128,16 @@ class TestLoadTopology:
             with pytest.raises(TopologyError, match=r"non-finite .* link \(0, 1\)"):
                 load_topology(f"node 0 a router\nnode 1 b router\n"
                               f"link 1 0 {delay} {bandwidth}\n")
+
+
+class TestTransitTable:
+    @pytest.mark.parametrize("delay, bandwidth", [(1e308, 1000.0), (1.0, 1e-310)])
+    def test_overflowing_transit_is_rejected_by_link(self, delay, bandwidth):
+        # each field is finite, but a packet's transit rounds to infinity
+        nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(3)]
+        links = [LinkDescriptor(0, 1, 1.0, 1000.0), LinkDescriptor(2, 1, delay, bandwidth)]
+        with pytest.raises(TopologyError, match=r"^transit time on link \(1, 2\) "):
+            Topology.build(nodes, links)
 
 
 class TestPresets:
@@ -295,3 +306,62 @@ class TestPathWalk:
         walk = PathTable(topo).path(a, b)
         assert calls == [b]
         assert len(walk) == 31 and walk[0] == a and walk[-1] == b
+
+
+def plain_bfs_row(topology, source):
+    """``bfs_distances`` as a row by position, -1 where it did not reach."""
+    dist = bfs_distances(topology, source)
+    return [dist.get(nid, -1) for nid in topology.ids]
+
+
+def shape(edges, n):
+    nodes = [NodeDescriptor(i, f"n{i}", "router") for i in range(n)]
+    return Topology.build(nodes, [LinkDescriptor(a, b, 1.0, 1000.0) for a, b in edges])
+
+
+class TestLeafSkippingBfs:
+    """``shortest_paths`` never expands a leaf; a BFS that expands every
+    node it reaches must give the same rows."""
+
+    def assert_rows_match(self, topology):
+        for source in topology.ids:
+            assert shortest_paths(topology, source) == plain_bfs_row(topology, source), source
+
+    @pytest.mark.parametrize("preset", ["nsfnet", "oteglobe"])
+    def test_every_preset_source(self, preset):
+        self.assert_rows_match(load_preset(preset))
+
+    def test_varied_delay_graphs(self):
+        rng = random.Random(VARIED_SEED)
+        for _ in range(200):
+            self.assert_rows_match(varied_delay_graph(rng)[0])
+
+    @pytest.mark.parametrize("edges, n", [
+        ([], 1),                                   # one node, no neighbour
+        ([(0, 1)], 2),                             # two leaves, each the other's neighbour
+        ([(0, i) for i in range(1, 6)], 6),        # star: a leaf source reaches four leaves
+        ([(i, i + 1) for i in range(5)], 6),       # line: leaves at both ends
+    ])
+    def test_small_shapes(self, edges, n):
+        self.assert_rows_match(shape(edges, n))
+
+    def test_disconnected_topology_built_directly(self):
+        # built without ``build``'s connectivity check: a path 0-1-2, a
+        # pair of leaves 3-4 and an isolated node 5
+        nodes = {i: NodeDescriptor(i, f"n{i}", "router") for i in range(6)}
+        links = {(a, b): LinkDescriptor(a, b, 1.0, 1000.0) for a, b in ((0, 1), (1, 2), (3, 4))}
+        topo = Topology(nodes, links)
+        self.assert_rows_match(topo)
+        assert shortest_paths(topo, 0) == [0, 1, 2, -1, -1, -1]
+        assert shortest_paths(topo, 4) == [-1, -1, -1, 1, 0, -1]
+        assert shortest_paths(topo, 5) == [-1, -1, -1, -1, -1, 0]
+
+    @pytest.mark.parametrize("preset, leaves", [("nsfnet", 41), ("oteglobe", 366)])
+    def test_neighbours_split_into_leaves_and_the_rest(self, preset, leaves):
+        topo = load_preset(preset)
+        degree = [len(nbrs) for nbrs in topo.neighbours]
+        assert degree.count(1) == leaves
+        for nbrs, leaf, inner in zip(topo.neighbours, topo.leaf_neighbours,
+                                     topo.inner_neighbours):
+            assert leaf == tuple(v for v in nbrs if degree[v] == 1)
+            assert inner == tuple(v for v in nbrs if degree[v] != 1)

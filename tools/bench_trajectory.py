@@ -11,8 +11,12 @@ another host phase often enough that scaled times spread wider than
 raw ones, so compare files by raw times, digests and exact counts.
 One run holds
 
-- end to end: the wall time of each CLI run in RUNS, each in a fresh
-  ``python -m balancedn.cli`` process, the median of 3 and all 3;
+- end to end: the wall time and the peak resident set of each CLI run
+  in RUNS, each in a fresh ``python -m balancedn.cli`` process, the
+  median of 3 and all 3.  The peak RSS is the child's own, read with
+  ``os.wait4`` on its pid by a small launcher process (see
+  ``run_child``); its output goes to files, so no pipe reader waits on
+  it and nothing else reaps it;
 - the sha256 of each CSV.  s4 rows hold measured CPU times, so its
   digest is recorded and never compared; the other runs are simulated,
   and their digests must agree within a run and between the two runs,
@@ -76,23 +80,60 @@ READ_PATH_SEED = 42
 WARM_PASSES = 5
 
 
+# Spawns argv with its output in two files, reaps it with wait4 and prints
+# [wall s, exit code, peak RSS in KB].  Linux carries the resident peak of
+# the memory a process had before exec into its own peak, so the child must
+# come from a process as small as this one, not from the measuring process,
+# which holds a registered corpus after ``read_path``.
+LAUNCHER = """\
+import json, os, sys, time
+argv, out, err = json.loads(sys.argv[1])
+flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+start = time.perf_counter()
+pid = os.posix_spawn(argv[0], argv, os.environ, file_actions=[
+    (os.POSIX_SPAWN_OPEN, 1, out, flags, 0o644), (os.POSIX_SPAWN_OPEN, 2, err, flags, 0o644)])
+_, status, usage = os.wait4(pid, 0)
+print(json.dumps([time.perf_counter() - start, os.waitstatus_to_exitcode(status),
+                  usage.ru_maxrss]))
+"""
+
+
+def run_child(argv: list[str], env: dict, out_dir: Path) -> tuple[float, float]:
+    """Wall seconds and peak RSS in MB of one child process running ``argv``.
+
+    ``LAUNCHER`` starts the child and times it.  The child's standard
+    output and error go to files in ``out_dir``, and the launcher reaps
+    it with ``os.wait4``, so its resource usage is its own.
+    """
+    stdout, stderr = out_dir / "child.out", out_dir / "child.err"
+    launched = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", LAUNCHER,
+         json.dumps([argv, str(stdout), str(stderr)])],
+        env=env, check=True, capture_output=True, text=True)
+    elapsed, code, peak_kb = json.loads(launched.stdout)
+    if code != 0:
+        raise RuntimeError(f"{argv} exited {code}: {stderr.read_text()}")
+    return elapsed, peak_kb / 1024  # Linux reports kilobytes
+
+
 def cli_time(name: str, repeats: int, out_dir: Path) -> dict:
-    """Median wall time of ``repeats`` fresh CLI processes of run ``name``."""
+    """Median wall time and peak RSS of ``repeats`` fresh CLI processes of run ``name``."""
     csv = out_dir / f"{name}.csv"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    raw, digests = [], set()
+    argv = [sys.executable, "-m", "balancedn.cli", "run", *RUNS[name],
+            "--seed", "42", "--out", str(csv)]
+    raw, rss, digests = [], [], set()
     for _ in range(repeats):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "balancedn.cli", "run", *RUNS[name],
-                        "--seed", "42", "--out", str(csv)],
-                       env=env, check=True, capture_output=True)
-        elapsed = time.perf_counter() - start
+        elapsed, peak_mb = run_child(argv, env, out_dir)
         raw.append(elapsed)
+        rss.append(peak_mb)
         digests.add(hashlib.sha256(csv.read_bytes()).hexdigest())
     if len(digests) > 1 and name not in UNCOMPARED:
         raise RuntimeError(f"{name}: {repeats} runs wrote {len(digests)} different CSVs")
-    return {"raw_s": statistics.median(raw), "raw_runs_s": raw, "sha256": digests.pop()}
+    return {"raw_s": statistics.median(raw), "raw_runs_s": raw,
+            "peak_rss_mb": statistics.median(rss), "peak_rss_runs_mb": rss,
+            "sha256": digests.pop()}
 
 
 def micro_numbers() -> dict:
