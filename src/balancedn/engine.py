@@ -42,8 +42,10 @@ as ``duplicates_suppressed``; an OTEGlobe flood sends 428 Interest
 copies and runs 83 events.  ``Simulation`` keeps, per node, the set of
 names that its leaves publish, filled by ``publish``.  A flood step at
 a node whose set lacks the name schedules the plan's non-leaf rows and
-reads no leaf; otherwise, and for a traced packet, it tests each
-leaf row.  In a sweep only the producer's router tests its leaves.
+reads no leaf, and ``run_until`` runs it inline, so such a step costs
+one call, ``on_interest``.  Otherwise, and for a traced packet, the
+step tests each leaf row, in ``Simulation._flood``.  In a sweep only
+the producer's router tests its leaves.
 ``publish`` is refused while events are queued, so the sets stay fixed
 while a flood is in flight.
 
@@ -313,15 +315,22 @@ class Simulation:
 
         Pops one event at a time off the queue's heap and stops when it is
         empty or the next event would fire past ``deadline`` (which is
-        then left in the queue).  Raises EventBudgetError once the events
-        processed since the queue was last empty outnumber what the
-        requests injected meanwhile can cost on this topology, after
-        running the events the budget allows; the rest stay queued.
+        then left in the queue).  A ``FLOOD`` verdict for an untraced
+        packet at a node none of whose leaves publishes the name is
+        carried out here; every other goes to ``_flood``.  Raises
+        EventBudgetError once the events processed since the queue was
+        last empty outnumber what the requests injected meanwhile can
+        cost on this topology, after running the events the budget
+        allows; the rest stay queued.
         """
         queue = self.queue
         heap = queue._heap
         pop = heapq.heappop
+        schedule = queue.schedule
         nodes = self.nodes
+        flood_targets = self._flood_targets
+        leaf_names = self._leaf_names
+        flows = self.flows
         log = self.log
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
                   - self._events_since_drain)
@@ -341,7 +350,18 @@ class Simulation:
                     if verdict is None:
                         continue
                     if verdict is FLOOD:
-                        self._flood(node_id, face, packet, now, hops)
+                        key = packet.name._text
+                        if packet.trace or key in leaf_names[node_id]:
+                            self._flood(node_id, face, packet, now, hops)
+                            continue
+                        # no leaf here publishes the name: only the plan's
+                        # non-leaf rows are delivered, but every row is sent
+                        rows, inner = flood_targets[node_id][face]
+                        hops += 1
+                        for to_node, to_face, transit, _, _ in inner:
+                            schedule(now + transit,
+                                     (DELIVER_INTEREST, to_node, to_face, packet, hops))
+                        flows[key].interest_traversals += len(rows)
                     else:
                         # answered from published content: the Data starts at 0 hops
                         if packet.trace:
@@ -401,7 +421,7 @@ class Simulation:
         one hop further, after its face row's Data transit time.  Only a
         traced packet is copied per hop.
         """
-        flow = self.flows[data.name.canonical_text]
+        flow = self.flows[data.name._text]
         row = self._face_table[node_id]
         schedule = self.queue.schedule
         sent = 0
@@ -420,38 +440,34 @@ class Simulation:
                now: int, hops: int) -> None:
         """Send a copy of ``interest`` on each face of ``node_id`` but ``in_face``.
 
+        The per-row flood step: ``run_until`` calls it only for a traced
+        packet or at a node one of whose leaves publishes the name, and
+        runs every other flood step inline from the plan's non-leaf rows.
         ``hops`` is the Interest's hop count at this node; each copy
-        arrives one hop further.  Every copy is counted as sent, but a
-        copy to a leaf that does not publish the name is not scheduled:
-        the leaf could only drop it.  Unless one of this node's leaves
-        publishes the name, or the packet is traced, that is every leaf
-        row, so only the plan's non-leaf rows are read.  Each delivered
-        copy is one ``schedule`` call, in face order.  Only a traced
-        packet is copied per hop.
+        arrives one hop further.  Every copy is counted as sent (and, when
+        traced, per edge), but a copy to a leaf that does not publish the
+        name is not scheduled: the leaf could only drop it.  Each
+        delivered copy is one ``schedule`` call, in face order.  Only a
+        traced packet is copied per hop.
         """
         key = interest.name._text
         schedule = self.queue.schedule
         arrival_hops = hops + 1
-        rows, inner = self._flood_targets[node_id][in_face]
-        if interest.trace or key in self._leaf_names[node_id]:
-            counts = self.edge_interest_counts
-            for to_node, to_face, transit, _, leaf in rows:
-                if interest.trace:
-                    edge = (node_id, to_node, key)
-                    counts[edge] = counts.get(edge, 0) + 1
-                if leaf is None or key in leaf.published:
-                    schedule(now + transit, (DELIVER_INTEREST, to_node, to_face,
-                                             interest.delivered_to(to_node)
-                                             if interest.trace else interest,
-                                             arrival_hops))
-        else:
-            for to_node, to_face, transit, _, _ in inner:
-                schedule(now + transit,
-                         (DELIVER_INTEREST, to_node, to_face, interest, arrival_hops))
+        rows = self._flood_targets[node_id][in_face][0]
+        counts = self.edge_interest_counts
+        for to_node, to_face, transit, _, leaf in rows:
+            if interest.trace:
+                edge = (node_id, to_node, key)
+                counts[edge] = counts.get(edge, 0) + 1
+            if leaf is None or key in leaf.published:
+                schedule(now + transit, (DELIVER_INTEREST, to_node, to_face,
+                                         interest.delivered_to(to_node)
+                                         if interest.trace else interest,
+                                         arrival_hops))
         self.flows[key].interest_traversals += len(rows)
 
     def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
-        state = self.requests.get((data.name.canonical_text, node_id))
+        state = self.requests.get((data.name._text, node_id))
         if state is None or state.satisfied or state.failed:
             return
         state.satisfied = True

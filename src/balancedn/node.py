@@ -87,6 +87,9 @@ class Verdict(Enum):
 
 FLOOD = Verdict.FLOOD
 
+# the ``published`` set of every node that publishes nothing
+NO_NAMES: frozenset[str] = frozenset()
+
 
 @dataclass(slots=True, eq=False)
 class PitEntry:
@@ -111,7 +114,9 @@ class NdnNode:
         self.id = node_id
         self.neighbors = tuple(sorted(neighbors))
         self.pit: dict[str, PitEntry] = {}
-        self.published: set[str] = set()  # canonical names this node answers
+        # the canonical names this node answers; a node that publishes none
+        # shares NO_NAMES, and ``publish`` gives it its own set on first use
+        self.published: set[str] | frozenset[str] = NO_NAMES
         # (canonical name, nonce) -> expiry of the pairs this node has answered
         # or whose PIT entry Data consumed
         self.dead_nonces: dict[tuple[str, int], int] = {}
@@ -125,6 +130,8 @@ class NdnNode:
 
     def publish(self, name: ContentName) -> None:
         """Answer Interests for ``name`` with its Data."""
+        if self.published is NO_NAMES:
+            self.published = set()
         self.published.add(name.canonical_text)
 
     # -- packet handling ---------------------------------------------------
@@ -196,7 +203,7 @@ class NdnNode:
         """
         if not 0 <= in_face <= len(self.neighbors):
             raise UnknownFaceError(f"node {self.id} has no face {in_face}")
-        key = data.name.canonical_text
+        key = data.name._text
         entry = self.pit.get(key)
         if entry is None or entry.expiry <= now:
             return []  # unsolicited or late data is dropped

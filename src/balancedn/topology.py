@@ -109,15 +109,24 @@ class Topology:
             tuple([v for v in nbrs if not leaf[v]]) for nbrs in self.neighbours)
         self.transit: dict[int, dict[tuple[int, int], int]] = {
             bits: {} for bits in PACKET_BITS}
+        rows = tuple(self.transit.values())
+        # (delay, bandwidth) -> the link kind's transit ns per size: links of
+        # one kind are converted once (every preset link is of one kind)
+        kinds: dict[tuple[float, float], tuple[int, ...]] = {}
         for key, link in self.links.items():
-            try:
-                for bits, row in self.transit.items():
-                    row[key] = link_transit_ns(link, bits)
-            except (OverflowError, ValueError):  # an infinite or nan float
-                raise TopologyError(
-                    f"transit time on link {key} is not a finite integer "
-                    f"(delay {link.delay_ms} ms, bandwidth {link.bandwidth_mbps} Mb/s)"
-                ) from None
+            kind = (link.delay_ms, link.bandwidth_mbps)
+            times = kinds.get(kind)
+            if times is None:
+                try:
+                    times = kinds[kind] = tuple(link_transit_ns(link, bits)
+                                                for bits in PACKET_BITS)
+                except (OverflowError, ValueError):  # an infinite or nan float
+                    raise TopologyError(
+                        f"transit time on link {key} is not a finite integer "
+                        f"(delay {link.delay_ms} ms, bandwidth {link.bandwidth_mbps} Mb/s)"
+                    ) from None
+            for row, ns in zip(rows, times):
+                row[key] = ns
         self.paths = PathTable(self)
 
     @classmethod

@@ -1,6 +1,7 @@
-"""The trajectory script's per-run function, on s1_long alone.
+"""The trajectory script's per-run function on s1_long alone, its
+read-path and flood-path blocks, and its pairing against a commit.
 
-It runs in a subprocess, because importing the script puts
+Each runs in a subprocess, because importing the script puts
 ``benchmarks/`` and ``tools/`` on the import path.
 """
 
@@ -8,6 +9,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 S1_LONG_SHA256 = "7fc947cb1111ce7ab4ad02d6e8c4f33e1db73dd843bcbf9de00c7f708f45091e"
@@ -64,3 +67,65 @@ def test_read_path_times_both_passes_and_counts_the_route_memo():
     assert block["cold_us_per_request"] > 0 and min(warm) > 0
     # the warm passes read the cold pass's legs and add none
     assert block["memo_entries"] == {"consumer": 242, "tld": 61, "fetch": 3_660}
+
+
+FLOOD_PATH = """\
+import json, sys
+sys.path.insert(0, {tools!r})
+import bench_trajectory
+print(json.dumps(bench_trajectory.flood_path()))
+"""
+
+
+def test_flood_path_times_floods_and_counts_each_one():
+    code = FLOOD_PATH.format(tools=str(ROOT / "tools"))
+    result = subprocess.run([sys.executable, "-B", "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    block = json.loads(result.stdout.splitlines()[-1])
+    assert set(block) == {"floods", "us_per_flood", "runs_us_per_flood", "per_flood",
+                          "sha256"}
+    # 6 consumers, each asking the 60 producers outside its subnet
+    assert block["floods"] == 360
+    runs = block["runs_us_per_flood"]
+    assert len(runs) == 10 and min(runs) == block["us_per_flood"] > 0
+    # every event is one schedule call; each flood sends OTEGlobe's 428
+    # Interest copies, 365 of them to leaves that schedule nothing
+    assert block["per_flood"] == {"events": 83.5, "schedule_calls": 83.5,
+                                  "interest_copies": 428.0}
+    assert block["sha256"] == (
+        "72db4535557e802e44facead77bf748cba48afeda835d7db80f2236e3fecf388")
+
+
+AGAINST = """\
+import json, sys
+sys.path.insert(0, {tools!r})
+import bench_trajectory
+print(json.dumps(bench_trajectory.against("HEAD", ["s1_long"], 3, ["flood_path"])))
+"""
+
+
+def in_git_checkout() -> bool:
+    return subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                          capture_output=True).returncode == 0
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs the git history of the checkout")
+def test_against_head_pairs_equal_digests_with_ratios_near_one():
+    code = AGAINST.format(tools=str(ROOT / "tools"))
+    result = subprocess.run([sys.executable, "-B", "-c", code],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    block = json.loads(result.stdout.splitlines()[-1])
+    assert block["rev"] == "HEAD" and len(block["commit"]) == 40
+    assert block["digest_changes"] == []
+    s1_long = block["end_to_end"]["s1_long"]
+    assert s1_long["digests"] == {"parent": [S1_LONG_SHA256], "change": [S1_LONG_SHA256]}
+    for entry in (s1_long, block["flood_path"]):
+        assert len(entry["parent_raw"]) == len(entry["change_raw"]) == 3
+        assert entry["ratios"] == [c / p for p, c in zip(entry["parent_raw"],
+                                                         entry["change_raw"])]
+        assert entry["median_ratio"] == sorted(entry["ratios"])[1]
+        assert entry["change_won"] == sum(r < 1 for r in entry["ratios"])
+        # the same simulation on both sides: any gap is the host's
+        assert 0.5 < entry["median_ratio"] < 2

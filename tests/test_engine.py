@@ -862,19 +862,53 @@ class TestVariedDelayFloods:
                 == "e5c99080a78eb4ac0226dae374182931b9b5be60acaf5074325f93ce865b2fc2")
 
     def test_traced_and_untraced_floods_agree(self):
-        # tracing copies packets per hop; it must not change what happens
+        # tracing copies packets per hop and floods row by row at every node;
+        # it must not change what happens, nor the logged events
         rng = random.Random(VARIED_SEED)
         for _ in range(200):
             topology, consumer, producer = varied_delay_graph(rng)
-            runs = []
-            for track_edges in (True, False):
-                sim = Simulation(topology, track_edges=track_edges)
-                sim.publish(producer, NAME)
-                state = sim.inject_request(consumer, NAME, at=0)
-                runs.append((sim.run_until(None), sim.processed, sim.flow_stats(NAME),
-                             sim.duplicates_suppressed, state.satisfied, state.failed,
-                             state.completed_at, state.path_hops))
-            assert runs[0] == runs[1]
+            traced, untraced = (flood_run(topology, [(consumer, producer, NAME)], track)
+                                for track in (True, False))
+            assert traced[0] == untraced[0]
+
+    def test_traced_and_untraced_oteglobe_s3_floods_agree(self):
+        # untraced, only the producer's router floods row by row and every
+        # other node runs the inline step; traced, every node floods row by row
+        topology = load_preset("oteglobe")
+        pairs = [(consumer, producer, parse_name(f"/s3/obj{slot}")) for consumer, producer, slot
+                 in random.Random(VARIED_SEED).sample(_cross_subnet_pairs(topology), 4)]
+        (traced, traced_rows), (untraced, untraced_rows) = (
+            flood_run(topology, pairs, track) for track in (True, False))
+        assert traced == untraced
+        routers = {topology.adjacency[producer][0] for _, producer, _ in pairs}
+        assert set(untraced_rows) == routers and len(untraced_rows) == len(pairs)
+        # each flood steps once at its consumer and once at each router
+        assert len(traced_rows) == len(pairs) * (1 + len(topology.nodes_with_role("router")))
+
+
+def flood_run(topology, pairs, track_edges):
+    """Flood each (consumer, producer, name) of ``pairs`` in turn on one simulation.
+
+    Returns what the run did, its event log included, and the node of
+    each flood step that took the per-row path, ``Simulation._flood``.
+    """
+    out = io.StringIO()
+    sim = Simulation(topology, log=out, track_edges=track_edges)
+    per_row = []
+    flood = sim._flood
+
+    def recording_flood(node_id, *args):
+        per_row.append(node_id)
+        flood(node_id, *args)
+
+    sim._flood = recording_flood
+    outcomes = []
+    for consumer, producer, name in pairs:
+        sim.publish(producer, name)
+        state = sim.inject_request(consumer, name, at=sim.now)
+        outcomes.append((sim.run_until(None), sim.flow_stats(name), state.satisfied,
+                         state.failed, state.completed_at, state.path_hops))
+    return (outcomes, sim.processed, sim.duplicates_suppressed, out.getvalue()), per_row
 
 
 def expected_plans(topology, sim, nid):

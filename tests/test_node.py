@@ -1,7 +1,7 @@
 import pytest
 
 from balancedn.core import DataPacket, InterestPacket, parse_name
-from balancedn.node import (FLOOD, LOCAL_FACE, PIT_LIFETIME_NS,
+from balancedn.node import (FLOOD, LOCAL_FACE, NO_NAMES, PIT_LIFETIME_NS,
                             RETX_SUPPRESS_NS, NdnNode, UnknownFaceError,
                             reclaim_expired)
 
@@ -21,6 +21,15 @@ class TestOnInterest:
         assert isinstance(packet, DataPacket)
         assert packet.name == NAME
         assert not node.pit  # no PIT change on an answer
+
+    def test_only_a_node_that_publishes_has_a_set_of_its_own(self):
+        producer, other = flooding_node(1), flooding_node(2, (1, 3))
+        assert producer.published is other.published is NO_NAMES
+        producer.publish(NAME)
+        producer.publish(parse_name("/video/b.mp4"))
+        assert producer.published == {"/video/a.mp4", "/video/b.mp4"}
+        assert other.published is NO_NAMES and not NO_NAMES
+        assert other.on_interest(InterestPacket(NAME, nonce=1), in_face=1, now=0) is FLOOD
 
     def test_aggregation_grows_in_faces_without_forwarding(self):
         node = flooding_node()

@@ -139,6 +139,27 @@ class TestTransitTable:
         with pytest.raises(TopologyError, match=r"^transit time on link \(1, 2\) "):
             Topology.build(nodes, links)
 
+    def test_each_link_kind_is_converted_once(self, monkeypatch):
+        # every OTEGlobe link has the same delay and bandwidth
+        calls = []
+        real = topology_module.link_transit_ns
+
+        def counted(link, bits):
+            calls.append(bits)
+            return real(link, bits)
+
+        monkeypatch.setattr(topology_module, "link_transit_ns", counted)
+        topo = load_preset("oteglobe")
+        assert len(topo.links) == 427
+        assert sorted(calls) == sorted(topology_module.PACKET_BITS)
+        rng = random.Random(VARIED_SEED)
+        for _ in range(20):
+            topo = varied_delay_graph(rng)[0]
+            kinds = {(link.delay_ms, link.bandwidth_mbps) for link in topo.links.values()}
+            calls.clear()
+            Topology(topo.nodes, topo.links)
+            assert len(calls) == len(kinds) * len(topology_module.PACKET_BITS)
+
 
 class TestPresets:
     def test_nsfnet_role_counts(self):
