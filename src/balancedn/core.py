@@ -155,9 +155,6 @@ class ContentName:
             object.__setattr__(self, "_crc", crc)
         return crc
 
-    def __str__(self) -> str:
-        return self.canonical_text
-
 
 def parse_name(text: str) -> ContentName:
     """Parse ``/seg1/seg2/...`` into a ContentName.

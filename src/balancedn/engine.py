@@ -40,12 +40,13 @@ Data anywhere new.  Skipping the copy changes no request and no flow
 count, only ``processed``, the event log and leaf-level counters such
 as ``duplicates_suppressed``; an OTEGlobe flood sends 428 Interest
 copies and runs 83 events.  ``Simulation`` keeps, per node, the set of
-names that its leaves publish, filled by ``publish``.  A flood step at
-a node whose set lacks the name schedules the plan's non-leaf rows and
-reads no leaf, and ``run_until`` runs it inline, so such a step costs
-one call, ``on_interest``.  Otherwise, and for a traced packet, the
-step tests each leaf row, in ``Simulation._flood``.  In a sweep only
-the producer's router tests its leaves.
+names that its leaves publish, filled by ``publish``.  ``run_until``
+carries out each flood step itself, in one loop over the plan, so a
+step costs one call, ``on_interest``.  For an untraced packet at a node
+whose set lacks the name the loop walks the plan's non-leaf rows and
+reads no leaf; otherwise it walks every row and schedules a leaf's copy
+only if the leaf publishes the name.  In a sweep only the producer's
+router reads its leaves.
 ``publish`` is refused while events are queued, so the sets stay fixed
 while a flood is in flight.
 
@@ -134,9 +135,6 @@ class EventQueue:
             raise SchedulingError(
                 f"cannot schedule at t={fire_at} ns; clock is {self.now} ns")
         heapq.heappush(self._heap, (fire_at, next(self._seq), event))
-
-    def peek_time(self) -> int | None:
-        return self._heap[0][0] if self._heap else None
 
 
 @dataclass(slots=True)
@@ -230,7 +228,6 @@ class Simulation:
         self._events_since_drain = 0
         # (name key, consumer) -> that consumer's latest request for the name
         self.requests: dict[tuple[str, int], RequestState] = {}
-        self._injected: list[RequestState] = []  # every request, in injection order
         self.flows: dict[str, FlowStats] = {}
         self.satisfied = 0
         self.failed = 0
@@ -244,10 +241,6 @@ class Simulation:
     @property
     def now(self) -> int:
         return self.queue.now
-
-    @property
-    def injections(self) -> int:
-        return len(self._injected)
 
     @property
     def duplicates_suppressed(self) -> int:
@@ -301,7 +294,6 @@ class Simulation:
         interest = InterestPacket(name, nonce, trace)
         state = RequestState(name, consumer, at)
         self.requests[key, consumer] = state
-        self._injected.append(state)
         self.flows.setdefault(key, FlowStats())
         self._requests_since_drain += 1
         self.queue.schedule(at, (REQUEST_INJECTION, consumer, LOCAL_FACE, interest, 0))
@@ -315,13 +307,17 @@ class Simulation:
 
         Pops one event at a time off the queue's heap and stops when it is
         empty or the next event would fire past ``deadline`` (which is
-        then left in the queue).  A ``FLOOD`` verdict for an untraced
-        packet at a node none of whose leaves publishes the name is
-        carried out here; every other goes to ``_flood``.  Raises
-        EventBudgetError once the events processed since the queue was
-        last empty outnumber what the requests injected meanwhile can
-        cost on this topology, after running the events the budget
-        allows; the rest stay queued.
+        then left in the queue).  A ``FLOOD`` verdict is carried out here,
+        in one loop over the plan of the Interest's in-face: each copy
+        arrives one hop further, after its row's Interest transit, and
+        every row counts as sent, but a copy to a leaf that does not
+        publish the name is not scheduled.  The loop reads the leaf rows
+        only at a node one of whose leaves publishes the name, or for a
+        traced packet, which alone is copied per hop and counted per
+        edge.  Raises EventBudgetError once the events processed since
+        the queue was last empty outnumber what the requests injected
+        meanwhile can cost on this topology, after running the events the
+        budget allows; the rest stay queued.
         """
         queue = self.queue
         heap = queue._heap
@@ -331,6 +327,7 @@ class Simulation:
         flood_targets = self._flood_targets
         leaf_names = self._leaf_names
         flows = self.flows
+        edge_counts = self.edge_interest_counts
         log = self.log
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
                   - self._events_since_drain)
@@ -351,16 +348,19 @@ class Simulation:
                         continue
                     if verdict is FLOOD:
                         key = packet.name._text
-                        if packet.trace or key in leaf_names[node_id]:
-                            self._flood(node_id, face, packet, now, hops)
-                            continue
-                        # no leaf here publishes the name: only the plan's
-                        # non-leaf rows are delivered, but every row is sent
+                        trace = packet.trace
                         rows, inner = flood_targets[node_id][face]
                         hops += 1
-                        for to_node, to_face, transit, _, _ in inner:
-                            schedule(now + transit,
-                                     (DELIVER_INTEREST, to_node, to_face, packet, hops))
+                        for to_node, to_face, transit, _, leaf in (
+                                rows if trace or key in leaf_names[node_id] else inner):
+                            if trace:
+                                edge = (node_id, to_node, key)
+                                edge_counts[edge] = edge_counts.get(edge, 0) + 1
+                            if leaf is None or key in leaf.published:
+                                schedule(now + transit,
+                                         (DELIVER_INTEREST, to_node, to_face,
+                                          packet.delivered_to(to_node) if trace else packet,
+                                          hops))
                         flows[key].interest_traversals += len(rows)
                     else:
                         # answered from published content: the Data starts at 0 hops
@@ -436,36 +436,6 @@ class Simulation:
             sent += 1
         flow.data_traversals += sent
 
-    def _flood(self, node_id: int, in_face: int, interest: InterestPacket,
-               now: int, hops: int) -> None:
-        """Send a copy of ``interest`` on each face of ``node_id`` but ``in_face``.
-
-        The per-row flood step: ``run_until`` calls it only for a traced
-        packet or at a node one of whose leaves publishes the name, and
-        runs every other flood step inline from the plan's non-leaf rows.
-        ``hops`` is the Interest's hop count at this node; each copy
-        arrives one hop further.  Every copy is counted as sent (and, when
-        traced, per edge), but a copy to a leaf that does not publish the
-        name is not scheduled: the leaf could only drop it.  Each
-        delivered copy is one ``schedule`` call, in face order.  Only a
-        traced packet is copied per hop.
-        """
-        key = interest.name._text
-        schedule = self.queue.schedule
-        arrival_hops = hops + 1
-        rows = self._flood_targets[node_id][in_face][0]
-        counts = self.edge_interest_counts
-        for to_node, to_face, transit, _, leaf in rows:
-            if interest.trace:
-                edge = (node_id, to_node, key)
-                counts[edge] = counts.get(edge, 0) + 1
-            if leaf is None or key in leaf.published:
-                schedule(now + transit, (DELIVER_INTEREST, to_node, to_face,
-                                         interest.delivered_to(to_node)
-                                         if interest.trace else interest,
-                                         arrival_hops))
-        self.flows[key].interest_traversals += len(rows)
-
     def _satisfy(self, node_id: int, data: DataPacket, now: int, hops: int) -> None:
         state = self.requests.get((data.name._text, node_id))
         if state is None or state.satisfied or state.failed:
@@ -480,7 +450,3 @@ class Simulation:
 
     def flow_stats(self, name: ContentName) -> FlowStats:
         return self.flows[name.canonical_text]
-
-    def conservation_holds(self) -> bool:
-        """Every injected request ended exactly one of satisfied or failed."""
-        return all(state.satisfied != state.failed for state in self._injected)

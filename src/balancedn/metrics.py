@@ -14,7 +14,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable
 
-NS_PER_US = 1_000
+from .topology import NS_PER_US
 
 CSV_COLUMNS = (
     "scenario", "case", "distance", "scheme", "requests",
@@ -166,11 +166,3 @@ def emit_csv(report: ScenarioReport) -> str:
     for row in report.rows():
         writer.writerow(row)
     return buf.getvalue()
-
-
-def parse_csv(text: str) -> list[dict[str, str]]:
-    """Read emitted CSV back into row dicts (schema check included)."""
-    reader = csv.DictReader(io.StringIO(text))
-    if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-    return list(reader)

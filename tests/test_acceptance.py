@@ -234,7 +234,7 @@ def test_criterion_7_forwarding_invariants():
             assert any(s.satisfied for s in group_states)
             assert all(s.satisfied or s.failed for s in group_states)
             assert all(count == 1 for count in sim2.edge_interest_counts.values())
-            assert sim2.conservation_holds()
+            assert all(s.satisfied != s.failed for s in group_states)
 
         # LRU equivalence of the shard record cache against a reference
         # replay, randomized programs

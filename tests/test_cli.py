@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 import balancedn
 from balancedn.cli import main, parse_args
 from balancedn.core import assign_resolver, parse_name
-from balancedn.metrics import CSV_COLUMNS, parse_csv
+from balancedn.metrics import CSV_COLUMNS
 from varied_delay import storm_graph, topology_text
 
 NSFNET_TEXT = (Path(balancedn.__file__).parent / "presets" / "nsfnet.topo").read_text("utf-8")
@@ -60,6 +62,13 @@ link 3 4 1 1000
 # ``python -m`` puts its working directory first on sys.path, so a CLI
 # subprocess started there imports the package under test.
 SRC = Path(balancedn.__file__).resolve().parents[1]
+
+
+def read_rows(text):
+    """The rows of emitted CSV ``text``, after checking its header."""
+    reader = csv.DictReader(io.StringIO(text))
+    assert tuple(reader.fieldnames) == CSV_COLUMNS
+    return list(reader)
 
 
 class TestParseArgs:
@@ -200,7 +209,7 @@ class TestRunCommand:
         assert main(["run", "--scenario", "s1_near", "--topology", "nsfnet",
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote 2 report rows to {out}\n"
-        rows = parse_csv(out.read_text())
+        rows = read_rows(out.read_text())
         assert len(rows) == 2
         assert {r["scheme"] for r in rows} == {"flooding", "balancedn"}
         for row in rows:
@@ -239,7 +248,7 @@ class TestRunCommand:
         out = tmp_path / "r.csv"
         assert main(["run", "--scenario", "s1_mid", "--schemes", "balancedn",
                      "--out", str(out)]) == 0
-        rows = parse_csv(out.read_text())
+        rows = read_rows(out.read_text())
         assert {r["scheme"] for r in rows} == {"balancedn"}
 
     @pytest.mark.parametrize("scenario, digest", [

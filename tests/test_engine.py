@@ -71,6 +71,11 @@ def drain(queue):
     return [pop(queue) for _ in range(len(queue))]
 
 
+def conserved(states):
+    """Every request of ``states`` ended exactly one of satisfied or failed."""
+    return all(state.satisfied != state.failed for state in states)
+
+
 class TestEventQueue:
     def test_pops_in_time_order(self):
         q = EventQueue()
@@ -80,7 +85,7 @@ class TestEventQueue:
         q.schedule(5, event(3))
         assert len(q) == 4
         assert drain(q) == [(3, 1), (5, 0), (5, 3), (9, 2)]
-        assert len(q) == 0 and q.peek_time() is None
+        assert len(q) == 0
 
     def test_run_until_leaves_later_events_queued(self):
         # the request's expiry fires at its lifetime, past the deadline
@@ -89,7 +94,7 @@ class TestEventQueue:
         state = sim.inject_request(0, NAME, at=0)
         assert sim.run_until(PIT_LIFETIME_NS - 1) == 3 and state.satisfied
         assert sim.now == state.completed_at
-        assert len(sim.queue) == 1 and sim.queue.peek_time() == PIT_LIFETIME_NS
+        assert len(sim.queue) == 1 and sim.queue._heap[0][0] == PIT_LIFETIME_NS
         assert sim.run_until(None) == 1 and len(sim.queue) == 0
 
     def test_simultaneous_events_fifo(self):
@@ -204,7 +209,7 @@ class TestRunUntil:
         assert sim.run_until(None) == 2  # the injection and its timer
         assert state.satisfied and not state.failed
         assert state.path_hops == 0 and state.completed_at == 0
-        assert sim.failed == 0 and sim.conservation_holds()
+        assert sim.failed == 0 and conserved([state])
 
     def test_deadline_leaves_future_events_queued(self):
         sim = Simulation(two_node_topology())
@@ -259,20 +264,20 @@ class TestConservation:
         sim = Simulation(topo)
         served = parse_name("/served/x")
         sim.publish(11, served)
-        sim.inject_request(0, served, at=0)
-        sim.inject_request(2, parse_name("/missing/x"), at=0)
+        states = [sim.inject_request(0, served, at=0),
+                  sim.inject_request(2, parse_name("/missing/x"), at=0)]
         sim.run_until(None)
-        assert sim.injections == 2
+        assert [(s.satisfied, s.failed) for s in states] == [(True, False), (False, True)]
         assert sim.satisfied == 1 and sim.failed == 1
-        assert sim.conservation_holds()
+        assert conserved(states)
 
     def test_pending_request_breaks_conservation(self):
         sim = Simulation(two_node_topology())  # nothing published
-        sim.inject_request(0, NAME, at=0)
+        state = sim.inject_request(0, NAME, at=0)
         sim.run_until(500_000)
-        assert not sim.conservation_holds()
+        assert not conserved([state])
         sim.run_until(None)
-        assert sim.failed == 1 and sim.conservation_holds()
+        assert sim.failed == 1 and conserved([state])
 
     def test_repeat_while_pending_is_rejected(self):
         sim = Simulation(two_node_topology())
@@ -281,8 +286,8 @@ class TestConservation:
         with pytest.raises(ValueError, match=r"consumer 0 .*/video/a\.mp4"):
             sim.inject_request(0, NAME, at=0)
         sim.run_until(None)
-        assert first.satisfied and sim.injections == 1
-        assert sim.conservation_holds()
+        assert first.satisfied and sim.requests == {(NAME.canonical_text, 0): first}
+        assert conserved([first])
 
     def test_repeat_after_satisfied_keeps_conservation(self):
         sim = Simulation(two_node_topology())
@@ -290,11 +295,11 @@ class TestConservation:
         first = sim.inject_request(0, NAME, at=0)
         sim.run_until(None)
         second = sim.inject_request(0, NAME, at=sim.now)
-        assert not sim.conservation_holds()
+        assert not conserved([first, second])
         sim.run_until(None)
         assert first.satisfied and second.satisfied
-        assert sim.injections == 2 and sim.satisfied == 2
-        assert sim.conservation_holds()
+        assert second is not first and sim.satisfied == 2
+        assert conserved([first, second])
 
 
 class TestRejectedInjection:
@@ -311,15 +316,17 @@ class TestRejectedInjection:
 
     def assert_retry_matches_clean_run(self, sim, bad_call, exc):
         clean = self.served_nsfnet()
+        first = sim.requests[NAME.canonical_text, 11]
         with pytest.raises(exc):
             bad_call()
-        assert sim.injections == 1 and sim.conservation_holds()
+        assert sim.requests == {(NAME.canonical_text, 11): first} and conserved([first])
         assert sim.rng.getstate() == clean.rng.getstate()
         retried = sim.inject_request(12, self.OTHER, at=sim.now)
         clean.inject_request(12, self.OTHER, at=clean.now)
         assert sim.rng.getstate() == clean.rng.getstate()
         assert sim.run_until(None) == clean.run_until(None)
-        assert retried.satisfied and sim.injections == 2 and sim.conservation_holds()
+        assert retried.satisfied and conserved([first, retried])
+        assert list(sim.requests.values()) == [first, retried]
 
     def test_unknown_consumer_is_rejected_before_recording(self):
         sim = self.served_nsfnet()
@@ -362,7 +369,7 @@ class TestAggregatedRequests:
         sim.run_until(None)
         assert first.satisfied and first.completed_at == 2_001_344
         assert second.failed and second.completed_at == PIT_LIFETIME_NS
-        assert sim.failed == 1 and sim.conservation_holds()
+        assert sim.failed == 1 and conserved([first, second])
 
     def test_traces_are_opt_in(self):
         sim = Simulation(line_topology(4))
@@ -384,7 +391,7 @@ def assert_repeats_are_served(topology, first, second, producer):
         states.append(sim.inject_request(consumer, NAME, at=sim.now))
         assert sim.run_until(None) <= per_request and len(sim.queue) == 0
     assert [state.satisfied for state in states] == [True, True, True]
-    assert sim.satisfied == 3 and sim.conservation_holds()
+    assert sim.satisfied == 3 and conserved(states)
 
 
 class TestRepeatedRequests:
@@ -425,7 +432,7 @@ class TestLazyPitExpiry:
         assert first.failed and joined.failed
         # the joined request fails at its own lifetime, not at the entry's
         assert joined.completed_at == 2_000_000 + PIT_LIFETIME_NS
-        assert sim.failed == 2 and sim.conservation_holds()
+        assert sim.failed == 2 and conserved([first, joined])
 
     def test_lone_consumer_request_fails_at_its_expiry(self):
         # a one-node topology: the local face has no flood faces, so no
@@ -436,8 +443,8 @@ class TestLazyPitExpiry:
         assert sim.run_until(None) == 2  # the injection and the expiry
         assert state.failed and not state.satisfied
         assert state.completed_at == PIT_LIFETIME_NS
-        assert sim.failed == 1 and sim.satisfied + sim.failed == sim.injections
-        assert sim.conservation_holds()
+        assert sim.failed == 1 and sim.satisfied == 0
+        assert conserved([state])
 
     def test_each_request_gets_one_expiry_event(self):
         sim = Simulation(line_topology(5))
@@ -530,7 +537,7 @@ class TestFloodAccounting:
         state = sim.inject_request(122, NAME, at=0)
         steps = 0
         while len(queue):
-            assert sim.run_until(queue.peek_time()) > 0
+            assert sim.run_until(queue._heap[0][0]) > 0
             steps += 1
             assert len(queue) == len(scheduled) - sim.processed
         assert steps > 1 and len(scheduled) == sim.processed == whole.processed == 83
@@ -618,7 +625,7 @@ class TestLeafDeliveries:
         assert sim.run_until(None) == 6
         assert sorted(self.delivered(out)) == [("0", "/video/a.mp4"), ("0", "/video/b.mp4")]
         assert sim.flow_stats(NAME).interest_traversals == 3
-        assert first.failed and second.failed and sim.conservation_holds()
+        assert first.failed and second.failed and conserved([first, second])
 
     def test_leaf_asking_for_the_same_name_gets_no_copy(self):
         # leaf 2 publishes the name and leaves 1 and 3 ask for it at once:
@@ -638,7 +645,7 @@ class TestLeafDeliveries:
         assert (flow.interest_traversals, flow.data_traversals) == (4, 3)
         assert first.satisfied and second.satisfied
         assert first.completed_at == second.completed_at == 4_002_688
-        assert sim.conservation_holds()
+        assert conserved([first, second])
 
     def test_leaf_off_another_router_is_found_by_name(self):
         # consumer 0 and leaf 4 hang off router 1; producer 3 and leaf 5,
@@ -683,7 +690,7 @@ class TestPublish:
         # the injection, the hub and the expiry: leaf 2 gets no copy
         assert sim.run_until(None) == 3
         assert state.failed and len(sim.queue) == 0
-        assert sim.run_until(None) == 0 and sim.conservation_holds()
+        assert sim.run_until(None) == 0 and conserved([state])
 
     def test_unknown_producer_is_rejected(self):
         sim = Simulation(star_topology(2))
@@ -718,7 +725,7 @@ class TestRunBudget:
         with pytest.raises(EventBudgetError):
             sim.run_until(None)
         assert len(queue) == len(scheduled) - sim.processed
-        assert queue.peek_time() == queue.now
+        assert queue._heap[0][0] == queue.now
 
 
 class TestDispatchErrors:
@@ -743,8 +750,8 @@ class TestDispatchErrors:
         scheduled = record_scheduled(sim.queue)
         sim.publish(2, parse_name("/a"))
         sim.publish(2, parse_name("/b"))
-        sim.inject_request(1, parse_name("/a"), at=0)
-        sim.inject_request(3, parse_name("/b"), at=0)
+        states = [sim.inject_request(1, parse_name("/a"), at=0),
+                  sim.inject_request(3, parse_name("/b"), at=0)]
         with pytest.raises(OSError):
             sim.run_until(None)
         assert len(sim.queue) == len(scheduled) - sim.processed
@@ -752,7 +759,7 @@ class TestDispatchErrors:
         sim.log = None
         sim.run_until(None)
         assert len(sim.queue) == 0 and sim.processed == len(scheduled)
-        assert sim.conservation_holds()
+        assert conserved(states)
 
 
 def flood_model(topology, consumer, producer):
@@ -824,6 +831,8 @@ class TestVariedDelayFloods:
             assert len(sim.queue) == 0 and state.satisfied
             assert flow.data_traversals == state.path_hops
             assert flow.interest_traversals <= 2 * len(topology.links)
+            # every copy sent is counted on its edge, those to inert leaves too
+            assert sum(sim.edge_interest_counts.values()) == flow.interest_traversals
             assert all(count == 1 for count in sim.edge_interest_counts.values())
 
     def test_floods_match_the_exact_model(self):
@@ -862,53 +871,40 @@ class TestVariedDelayFloods:
                 == "e5c99080a78eb4ac0226dae374182931b9b5be60acaf5074325f93ce865b2fc2")
 
     def test_traced_and_untraced_floods_agree(self):
-        # tracing copies packets per hop and floods row by row at every node;
-        # it must not change what happens, nor the logged events
+        # tracing copies packets per hop and makes every flood step read
+        # its leaf rows; it must not change what happens, nor the logged
+        # events
         rng = random.Random(VARIED_SEED)
         for _ in range(200):
             topology, consumer, producer = varied_delay_graph(rng)
             traced, untraced = (flood_run(topology, [(consumer, producer, NAME)], track)
                                 for track in (True, False))
-            assert traced[0] == untraced[0]
+            assert traced == untraced
 
     def test_traced_and_untraced_oteglobe_s3_floods_agree(self):
-        # untraced, only the producer's router floods row by row and every
-        # other node runs the inline step; traced, every node floods row by row
+        # untraced, only the producer's router reads its leaf rows; traced,
+        # every node does
         topology = load_preset("oteglobe")
         pairs = [(consumer, producer, parse_name(f"/s3/obj{slot}")) for consumer, producer, slot
                  in random.Random(VARIED_SEED).sample(_cross_subnet_pairs(topology), 4)]
-        (traced, traced_rows), (untraced, untraced_rows) = (
-            flood_run(topology, pairs, track) for track in (True, False))
+        traced, untraced = (flood_run(topology, pairs, track) for track in (True, False))
         assert traced == untraced
-        routers = {topology.adjacency[producer][0] for _, producer, _ in pairs}
-        assert set(untraced_rows) == routers and len(untraced_rows) == len(pairs)
-        # each flood steps once at its consumer and once at each router
-        assert len(traced_rows) == len(pairs) * (1 + len(topology.nodes_with_role("router")))
 
 
 def flood_run(topology, pairs, track_edges):
     """Flood each (consumer, producer, name) of ``pairs`` in turn on one simulation.
 
-    Returns what the run did, its event log included, and the node of
-    each flood step that took the per-row path, ``Simulation._flood``.
+    Returns what the run did, its event log included.
     """
     out = io.StringIO()
     sim = Simulation(topology, log=out, track_edges=track_edges)
-    per_row = []
-    flood = sim._flood
-
-    def recording_flood(node_id, *args):
-        per_row.append(node_id)
-        flood(node_id, *args)
-
-    sim._flood = recording_flood
     outcomes = []
     for consumer, producer, name in pairs:
         sim.publish(producer, name)
         state = sim.inject_request(consumer, name, at=sim.now)
         outcomes.append((sim.run_until(None), sim.flow_stats(name), state.satisfied,
                          state.failed, state.completed_at, state.path_hops))
-    return (outcomes, sim.processed, sim.duplicates_suppressed, out.getvalue()), per_row
+    return outcomes, sim.processed, sim.duplicates_suppressed, out.getvalue()
 
 
 def expected_plans(topology, sim, nid):
@@ -980,9 +976,9 @@ class TestConcurrentRequests:
         states = [sim.inject_request(consumer, self.NAMES[name], at=at)
                   for at, consumer, name in requests]
         sim.run_until(None)
-        assert len(sim.queue) == 0 and sim.conservation_holds()
+        assert len(sim.queue) == 0 and conserved(states)
         outcome = ([(s.satisfied, s.failed, s.completed_at, s.path_hops) for s in states],
-                   sim.flows, (sim.injections, sim.satisfied, sim.failed))
+                   sim.flows, (len(states), sim.satisfied, sim.failed))
         return outcome, sim.processed
 
     def test_overlapping_floods_match_every_copy_delivered(self):

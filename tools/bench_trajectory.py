@@ -47,7 +47,7 @@ bug fix should use.
 
 ``micro_loops`` is imported; nothing under ``benchmarks/`` is edited.  A
 run takes about 30 s on a 2-core host, and ``--against`` adds about
-two minutes.  ``micro_loops``' own
+three minutes.  ``micro_loops``' own
 ``resolution.resolve_us_per_request`` mostly times cold trips, so the
 read path's warm cost shows only in ``read_path``.
 """
@@ -102,8 +102,9 @@ WARM_PASSES = 5
 FLOOD_PATH_CONSUMERS = 6
 FLOOD_PATH_SEED = 1
 FLOOD_PASSES = 10
-# --against: parent and change processes per CLI run and per block
-PAIRS = 5
+# --against: parent and change processes per CLI run and per block, as
+# many pairs as the benchmark's gate runs
+PAIRS = 10
 # the time each block is paired on
 PAIRED_TIMES = {"read_path": "warm_us_per_request", "flood_path": "us_per_flood"}
 
