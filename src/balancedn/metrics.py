@@ -51,7 +51,6 @@ class ProbeStat:
     """Measured lookup timing (thread CPU ms) for one shard (skew experiments)."""
 
     shard_index: int
-    record_count: int
     lookups: int
     mean_lookup_ms: float
 

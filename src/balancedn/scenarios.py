@@ -361,8 +361,7 @@ def _run_skew_probe(config: ScenarioConfig) -> ScenarioReport:
     timings = interleaved_timing_probe(probe_sets, PROBE_REPETITIONS)
     report = ScenarioReport(config.scenario)
     for shard, names in probe_sets:
-        report.probes.append(ProbeStat(shard.index, len(shard.authoritative),
-                                       PROBE_REPETITIONS * len(names),
+        report.probes.append(ProbeStat(shard.index, PROBE_REPETITIONS * len(names),
                                        timings[shard.index]))
     # every shard, empty ones included, as _shard_loads gives for s2/s3
     report.shard_loads = {shard.index: len(shard.authoritative) for shard in shards}

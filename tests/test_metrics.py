@@ -159,8 +159,8 @@ class TestEmitCsv:
 
     def test_probe_rows_follow_schema(self):
         report = ScenarioReport("s4")
-        report.probes.append(ProbeStat(0, 650_000, 20_000, 0.00017))
-        report.probes.append(ProbeStat(1, 50_000, 20_000, 0.00013))
+        report.probes.append(ProbeStat(0, 20_000, 0.00017))
+        report.probes.append(ProbeStat(1, 20_000, 0.00013))
         rows = read_rows(emit_csv(report))
         assert [r["case"] for r in rows] == ["1", "2"]
         assert float(rows[0]["latency_mean_us"]) == pytest.approx(0.17)

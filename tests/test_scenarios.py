@@ -344,7 +344,6 @@ class TestSkewScenario:
         report = run_scenario(ScenarioConfig(
             scenario="s4", resolver_count=3, skew={0: 400, 1: 200, 2: 200}))
         assert [p.shard_index for p in report.probes] == [0, 1, 2]
-        assert [p.record_count for p in report.probes] == [400, 200, 200]
         assert all(p.mean_lookup_ms > 0 for p in report.probes)
         assert report.shard_loads == {0: 400, 1: 200, 2: 200}
 
@@ -362,4 +361,3 @@ class TestSkewScenario:
             scenario="s4", topology="oteglobe", resolver_count=16, skew=skew))
         assert report.shard_loads == {**skew, 7: 0}
         assert [p.shard_index for p in report.probes] == sorted(skew)
-        assert [p.record_count for p in report.probes] == [skew[i] for i in sorted(skew)]
