@@ -9,11 +9,20 @@ calls, so events are totally ordered by (fire_at, scheduling order).
 An event scheduled for the current time while events of that time run
 (a link whose transit rounds to 0 ns) fires after them.
 ``Simulation.run_until`` pops one entry at a time straight off the heap
-and dispatches it.  An exception raised while an event is dispatched
-spends that event and loses no other: the rest never left the heap, and
-``run_until`` counts every event it popped, the raising one included,
-in ``processed`` and in the budget, and re-raises, so a later
-``run_until`` goes on from there.
+and dispatches it.
+
+There are three event kinds: ``DELIVER_INTEREST``, ``DELIVER_DATA`` and
+``PIT_EXPIRY``.  A request has no kind of its own: ``inject_request``
+schedules its consumer's Interest as ``DELIVER_INTEREST`` on
+``LOCAL_FACE``, the application's face, which ``NdnNode.on_interest``
+already tells apart.  Only the ``--verbose`` log names it, as
+``request_injection``; no other logged event arrives on face 0 (flood
+copies and Data go to faces 1 and up, and timers are not logged).
+
+``processed`` is the one event count.  ``run_until`` adds the events it
+popped in a ``finally``, so an exception raised while an event is
+dispatched spends that event, counts it, and loses no other: the rest
+never left the heap, and a later ``run_until`` goes on from there.
 
 A node's ``on_interest`` decides what becomes of an Interest: nothing,
 an answer, or ``FLOOD`` on every face but the one it came in on.  The
@@ -66,10 +75,16 @@ request if it is still pending.  PIT entries themselves expire lazily
 (see ``balancedn.node``) and are reclaimed from one FIFO whenever a
 request is injected; the timer, as the last event of a drained flood,
 is what moves the clock past the entries a flood left.  Per-hop traces
-are recorded only when ``track_edges`` is set.  Every run is bounded:
-once the events since the queue was last empty pass a budget derived
-from the topology's size and the requests injected meanwhile,
-``run_until`` raises :class:`EventBudgetError` instead of running on.
+are recorded only when ``track_edges`` is set; the run loop's answered
+branch gives a traced Interest's trace to its own consumer's request as
+``interest_path``, if that request has none yet.
+
+Every run is bounded.  The events since the queue was last empty are
+``processed`` less its value when the heap last emptied, a mark set only
+then.  Once they pass a budget derived from the topology's size and the
+requests injected meanwhile, ``run_until`` raises
+:class:`EventBudgetError` instead of running on, so a run stepped by
+deadlines is bounded as one call is.
 """
 
 from __future__ import annotations
@@ -91,9 +106,8 @@ from .topology import DEFAULT_PAYLOAD_BITS, INTEREST_BITS, Topology
 DELIVER_INTEREST = 0
 DELIVER_DATA = 1
 PIT_EXPIRY = 2
-REQUEST_INJECTION = 3
 
-EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry", "request_injection")
+EVENT_KINDS = ("deliver_interest", "deliver_data", "pit_expiry")
 
 
 # One face of a node: (neighbour, face at the neighbour, Interest transit ns,
@@ -224,8 +238,10 @@ class Simulation:
         # expiry event with headroom to spare, and the budget allows twice
         # the sum.
         self._events_per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
+        # requests injected since the queue was last empty, and the value of
+        # ``processed`` when it last emptied
         self._requests_since_drain = 0
-        self._events_since_drain = 0
+        self._drained_at = 0
         # (name key, consumer) -> that consumer's latest request for the name
         self.requests: dict[tuple[str, int], RequestState] = {}
         self.flows: dict[str, FlowStats] = {}
@@ -296,7 +312,7 @@ class Simulation:
         self.requests[key, consumer] = state
         self.flows.setdefault(key, FlowStats())
         self._requests_since_drain += 1
-        self.queue.schedule(at, (REQUEST_INJECTION, consumer, LOCAL_FACE, interest, 0))
+        self.queue.schedule(at, (DELIVER_INTEREST, consumer, LOCAL_FACE, interest, 0))
         self.queue.schedule(at + PIT_LIFETIME_NS, (PIT_EXPIRY, consumer, LOCAL_FACE, state, 0))
         return state
 
@@ -314,10 +330,15 @@ class Simulation:
         publish the name is not scheduled.  The loop reads the leaf rows
         only at a node one of whose leaves publishes the name, or for a
         traced packet, which alone is copied per hop and counted per
-        edge.  Raises EventBudgetError once the events processed since
-        the queue was last empty outnumber what the requests injected
-        meanwhile can cost on this topology, after running the events the
-        budget allows; the rest stay queued.
+        edge.
+
+        Every popped event, one that raises included, is added to
+        ``processed`` on the way out.  A call that leaves the heap empty
+        sets the drain mark.  Raises EventBudgetError once the events
+        processed since the queue was last empty, over any number of
+        calls, outnumber what the requests injected meanwhile can cost on
+        this topology, after running the events the budget allows; the
+        rest stay queued.
         """
         queue = self.queue
         heap = queue._heap
@@ -330,7 +351,7 @@ class Simulation:
         edge_counts = self.edge_interest_counts
         log = self.log
         budget = (max(self._requests_since_drain, 1) * self._events_per_request
-                  - self._events_since_drain)
+                  - (self.processed - self._drained_at))
         processed = 0
         try:
             while heap and processed < budget:
@@ -340,9 +361,9 @@ class Simulation:
                 queue.now = now
                 processed += 1
                 if log is not None and kind != PIT_EXPIRY:
-                    log.write(f"{now} {EVENT_KINDS[kind]} {node_id} "
-                              f"{packet.name.canonical_text} {hops}\n")
-                if kind == DELIVER_INTEREST or kind == REQUEST_INJECTION:
+                    log.write(f"{now} {EVENT_KINDS[kind] if face else 'request_injection'} "
+                              f"{node_id} {packet.name.canonical_text} {hops}\n")
+                if kind == DELIVER_INTEREST:
                     verdict = nodes[node_id].on_interest(packet, face, now)
                     if verdict is None:
                         continue
@@ -363,9 +384,13 @@ class Simulation:
                                           hops))
                         flows[key].interest_traversals += len(rows)
                     else:
-                        # answered from published content: the Data starts at 0 hops
+                        # answered from published content: the Data starts at
+                        # 0 hops; a traced answer is kept as its consumer's
+                        # interest_path unless that request already has one
                         if packet.trace:
-                            self._record_answered(packet)
+                            state = self.requests[packet.name._text, packet.trace[0]]
+                            if not state.interest_path:
+                                state.interest_path = packet.trace
                         self._send_data(node_id, verdict, (face,), now, 0)
                 elif kind == DELIVER_DATA:
                     faces = nodes[node_id].on_data(packet, face, now)
@@ -375,23 +400,19 @@ class Simulation:
                     self._expire(node_id, packet, now)
                 else:
                     raise ValueError(f"unknown event kind {kind!r}")
-        except BaseException:
-            # the event that raised is spent; every other one is still queued
+        finally:
+            # an event that raised is spent and counted; every other one is
+            # still queued
             self.processed += processed
-            self._events_since_drain += processed
-            raise
-        self.processed += processed
-        if heap:
-            self._events_since_drain += processed
-            if processed == budget and (deadline is None or heap[0][0] <= deadline):
-                raise EventBudgetError(
-                    f"{self._events_since_drain} events without draining for "
-                    f"{self._requests_since_drain} request(s), past the budget of "
-                    f"{self._events_per_request} per request; the flood does not "
-                    f"converge on this topology")
-        else:
-            self._events_since_drain = 0
+        if not heap:
+            self._drained_at = self.processed
             self._requests_since_drain = 0
+        elif processed == budget and (deadline is None or heap[0][0] <= deadline):
+            raise EventBudgetError(
+                f"{self.processed - self._drained_at} events without draining for "
+                f"{self._requests_since_drain} request(s), past the budget of "
+                f"{self._events_per_request} per request; the flood does not "
+                f"converge on this topology")
         return processed
 
     def _expire(self, node_id: int, state: RequestState, now: int) -> None:
@@ -406,12 +427,6 @@ class Simulation:
         state.completed_at = now
         self.failed += 1
         self.nodes[node_id].expire_pit(state.name.canonical_text, now)
-
-    def _record_answered(self, interest: InterestPacket) -> None:
-        """Keep the trace of the first answered Interest of its own consumer."""
-        state = self.requests.get((interest.name.canonical_text, interest.trace[0]))
-        if state is not None and not state.interest_path:
-            state.interest_path = interest.trace
 
     def _send_data(self, node_id: int, data: DataPacket, faces: Sequence[int],
                    now: int, hops: int) -> None:

@@ -260,14 +260,14 @@ def test_criterion_7_forwarding_invariants():
             assert list(shard.cache) == reference
 
 
-def test_criterion_8_determinism_of_cli_runs():
+def test_criterion_8_determinism_of_cli_runs(tmp_path):
     with criterion(8, "seeded scenario runs are byte-identical", budget_s=60.0):
         payloads = []
         for name in ("det_a.csv", "det_b.csv"):
-            out = f"/tmp/{name}"
+            out = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "balancedn.cli", "run", "--scenario", "s2",
-                 "--seed", "42", "--out", out],
+                 "--seed", "42", "--out", str(out)],
                 capture_output=True, text=True, timeout=120, cwd=SRC)
             assert proc.returncode == 0, proc.stderr
             with open(out, "rb") as fh:

@@ -371,6 +371,18 @@ class TestAggregatedRequests:
         assert second.failed and second.completed_at == PIT_LIFETIME_NS
         assert sim.failed == 1 and conserved([first, second])
 
+    def test_interest_path_is_the_first_answered_trace(self):
+        # both ends of a line publish the name: the near end answers first,
+        # and the far end's later answer leaves the request's trace as it is
+        sim = Simulation(line_topology(5), track_edges=True)
+        sim.publish(0, NAME)
+        sim.publish(4, NAME)
+        state = sim.inject_request(1, NAME, at=0)
+        sim.run_until(None)
+        assert state.satisfied and state.path_hops == 1
+        assert state.interest_path == (1, 0) and state.data_path == (0, 1)
+        assert sim.flow_stats(NAME).data_traversals == 4  # the far answer came back too
+
     def test_traces_are_opt_in(self):
         sim = Simulation(line_topology(4))
         sim.publish(3, NAME)
@@ -400,6 +412,21 @@ class TestRepeatedRequests:
         # later they are past the suppression interval, so neither 12's
         # request nor 11's repeat is absorbed by them
         assert_repeats_are_served(load_preset("nsfnet"), 11, 12, 44)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="a retransmission's fresh PIT entry keeps the old "
+                              "entry's in-faces, so its Data also takes stale faces")
+    def test_repeat_moves_one_data_copy_per_path_hop(self):
+        sim = Simulation(load_preset("nsfnet"))
+        sim.publish(44, NAME)
+        for consumer in (11, 12):
+            sim.inject_request(consumer, NAME, at=sim.now)
+            sim.run_until(None)
+        before = sim.flow_stats(NAME).data_traversals
+        state = sim.inject_request(11, NAME, at=sim.now)
+        sim.run_until(None)
+        assert state.satisfied and state.path_hops == 1
+        assert sim.flow_stats(NAME).data_traversals - before == state.path_hops
 
     @pytest.mark.parametrize("preset", ["nsfnet", "oteglobe"])
     def test_repeats_are_served_on_the_presets(self, preset):
@@ -712,6 +739,21 @@ class TestRunBudget:
         assert sim.processed == per_request
         assert len(sim.queue) > 0  # the storm was still going
 
+    def test_storm_stepped_by_deadlines_raises_at_the_same_budget(self):
+        # the queue never empties between the steps, so the budget spans
+        # them: the run raises after the events one drain allows, here
+        # after 401 half-second steps, as one unbounded call does
+        topology, consumer, producer = storm_graph()
+        sim = Simulation(topology)
+        sim.publish(producer, NAME)
+        sim.inject_request(consumer, NAME, at=0)
+        with pytest.raises(EventBudgetError):
+            for step in range(1, 1_001):
+                sim.run_until(step * 500_000_000)
+        per_request = 2 * (1 + len(topology.nodes) + 6 * len(topology.links))
+        assert sim.processed == per_request
+        assert len(sim.queue) > 0
+
     def test_raise_mid_bucket_leaves_unrun_events_queued(self):
         # three storming floods, one answered: the budget runs out between
         # two events of one fire time, and every event not run stays queued
@@ -755,7 +797,7 @@ class TestDispatchErrors:
         with pytest.raises(OSError):
             sim.run_until(None)
         assert len(sim.queue) == len(scheduled) - sim.processed
-        assert 0 < sim.processed == sim._events_since_drain
+        assert sim._drained_at == 0 < sim.processed  # no drain since the start
         sim.log = None
         sim.run_until(None)
         assert len(sim.queue) == 0 and sim.processed == len(scheduled)

@@ -39,14 +39,13 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "balancedn"
 
 # Each function that no CLI run calls, with the reason it stays.
-TRACE_ONLY = "runs only with track_edges, which only the tests set"
-TRACED_AND_WRAPPED = TRACE_ONLY + "; benchmarks/worker.py also wraps it by name"
+TRACED_AND_WRAPPED = ("runs only with track_edges, which only the tests set; "
+                      "benchmarks/worker.py also wraps it by name")
 WORKER = "benchmarks/worker.py reads or wraps it by name (ROADMAP item 4)"
 TRAFFIC = "a definition that TestTraffic holds ResolutionOutcome.traffic() to"
 ALLOWLIST = {
     "core.InterestPacket.delivered_to": TRACED_AND_WRAPPED,
     "core.DataPacket.delivered_to": TRACED_AND_WRAPPED,
-    "engine.Simulation._record_answered": TRACE_ONLY,
     "engine.Simulation.duplicates_suppressed": WORKER,
     "resolution.ResolverShard.store_cached": "acceptance criterion 7 replays the LRU with it",
     "resolution.ResolutionOutcome.shortcut_taken": WORKER,
