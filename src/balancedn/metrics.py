@@ -102,8 +102,9 @@ def bin_by_distance(records: Iterable[RequestRecord]) -> dict[int, dict[str, Bin
 class ScenarioReport:
     """Per-request records plus recomputable per-bin aggregates.
 
-    ``shard_loads`` carries the authoritative record count per shard
-    index after registration (summed over sites), for balance checks.
+    ``shard_loads`` carries, per shard index, the authoritative records
+    that the hash rule places there (summed over sites), counted over
+    the scenario's whole corpus, for balance checks.
     ``rows_written`` is the number of rows, header aside, of the CSV
     ``run_scenario`` wrote from the report.
     """

@@ -321,6 +321,24 @@ class Deployment:
                 total += hops
         return total
 
+    def shard_loads(self, keys: Iterable[str]) -> dict[int, int]:
+        """Records per shard index that registering the distinct ``keys`` places.
+
+        Each name gets one record, in shard crc16(name) mod N of one
+        site, so the count per shard index, summed over sites, follows
+        from the hash alone, whichever producers own the names.  It
+        equals the shard tables' sizes after ``register_bulk`` of the
+        same names, and no table is read or written.  Names are hashed
+        CRC_CHUNK at a time, as ``register_bulk`` hashes them.
+        """
+        n = self.resolver_count
+        loads = dict.fromkeys(range(n), 0)
+        keys = iter(keys)
+        while chunk := list(islice(keys, CRC_CHUNK)):
+            for crc in crc16_many([key.encode() for key in chunk]):
+                loads[crc % n] += 1
+        return loads
+
     # -- resolution ----------------------------------------------------------
 
     def resolve_and_fetch(self, consumer: int, name: ContentName) -> ResolutionOutcome:

@@ -6,8 +6,8 @@ Scenario ids:
         One consumer fetches one 1024-bit content item at hop distance
         1 / 2 / the farthest available (>= 4), both schemes, cold caches.
     s2  All cross-subnet consumer/producer pairs on the NSFnet preset
-        (plus one extra consumer), unique names, after distributing the
-        whole content corpus over the shards by hash.
+        (plus one extra consumer), one unique corpus name per request;
+        the report's shard loads count the whole content corpus by hash.
     s3  The same sweep on the OTEGlobe preset, which offers a much
         wider spread of hop distances.
     s4  Builds shard tables per an explicit per-shard load map and
@@ -16,12 +16,14 @@ Scenario ids:
 ``run_scenario`` loads the topology and checks the resolver count
 against it once, for every scenario.  s1 and s2/s3 then only select
 their requests: ``_run_single_request`` picks one (consumer, producer,
-name) and registers that one name; ``_run_pair_sweep`` picks every
-cross-subnet pair and registers the whole corpus, which it builds in
-full only when BalanceDN runs (flooding alone reads the requested
-prefix).  Both hand their selection to ``_run_requests``, which holds
-the one measurement loop of each scheme: a flooding simulation, then a
-BalanceDN deployment.
+name); ``_run_pair_sweep`` picks every cross-subnet pair and one corpus
+slot per pair, and builds the whole corpus only when BalanceDN runs
+(flooding alone reads the requested prefix).  Both hand their requests
+and corpus to ``_run_requests``, which holds the one measurement loop of
+each scheme: a flooding simulation, then a BalanceDN deployment.  Either
+scheme publishes or registers the requested names alone, each at its
+request's producer; no row reads any other name.  The corpus enters the
+report only as ``shard_loads``, counted by hash.
 
 The synthetic corpus names look like ``/cat<k>/obj<i>-<tag>`` with k
 cycling over 16 prefixes, i sequential, and a short seeded-random tag.
@@ -35,8 +37,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass
-from itertools import cycle
-from typing import IO, Iterable
+from typing import IO
 
 from .core import parse_name, parse_names
 from .engine import Simulation
@@ -237,8 +238,7 @@ def _run_single_request(topology: Topology, config: ScenarioConfig) -> ScenarioR
             f"no producer at distance {hops or '>= 4'} from the first consumer")
     producer = picks[0]
     key = synthetic_corpus(1, config.seed)[0]
-    return _run_requests(topology, config, [(consumer, producer, key)],
-                         [(key, producer)])
+    return _run_requests(topology, config, [(consumer, producer, key)], [key])
 
 
 def _cross_subnet_pairs(topology: Topology) -> list[tuple[int, int, int]]:
@@ -264,37 +264,38 @@ def _cross_subnet_pairs(topology: Topology) -> list[tuple[int, int, int]]:
 def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioReport:
     """Scenario 2/3 protocol: every consumer fetches foreign unique content.
 
-    The corpus is built once, as large as the run reads: all
-    ``content_count`` names when BalanceDN registers them, otherwise
-    only up to the last requested slot, since flooding publishes the
-    requested names alone.  By ``synthetic_corpus``'s prefix property
-    the requested names are the same either way.
+    Pair (consumer, producer, slot) requests corpus name ``slot``, which
+    the producer owns under round-robin ownership.  The corpus is built
+    once, as large as the run reads: all ``content_count`` names when
+    BalanceDN counts them into its shard loads, otherwise only up to the
+    last requested slot.  By ``synthetic_corpus``'s prefix property the
+    requested names are the same either way.
     """
-    producers = topology.nodes_with_role("producer")
     pairs = _cross_subnet_pairs(topology)
     if not pairs:
         raise ScenarioError("no cross-subnet consumer/producer pairs")
     last_slot = max(slot for _, _, slot in pairs)
     if last_slot >= config.content_count:
         raise ScenarioError(
-            f"content_count {config.content_count} is too small for "
-            f"{len(pairs)} unique cross-subnet requests")
+            f"content_count {config.content_count} is too small: {len(pairs)} unique "
+            f"cross-subnet requests need at least {last_slot + 1} names")
     count = config.content_count if "balancedn" in config.schemes else last_slot + 1
     corpus = synthetic_corpus(count, config.seed)
     requests = [(c, p, corpus[slot]) for c, p, slot in pairs]
-    # the whole corpus, owned round-robin by the producers
-    return _run_requests(topology, config, requests, zip(corpus, cycle(producers)))
+    return _run_requests(topology, config, requests, corpus)
 
 
 def _run_requests(topology: Topology, config: ScenarioConfig,
                   requests: list[tuple[int, int, str]],
-                  registrations: Iterable[tuple[str, int]]) -> ScenarioReport:
+                  corpus: list[str]) -> ScenarioReport:
     """Measure each (consumer, producer, name) request once per scheme.
 
     Flooding publishes every requested name at its producer, then
     injects the requests one at a time, each drained before the next.
-    BalanceDN registers ``registrations`` (name, producer) in bulk, then
-    resolves and fetches each request.  Rows come flooding first.  Both
+    BalanceDN registers every requested name to its producer in bulk,
+    then resolves and fetches each request, and counts ``corpus``, the
+    names the scenario distributes, into ``report.shard_loads`` by
+    hash.  Rows come flooding first.  Both
     schemes keep one rule: a request not answered within the Interest
     lifetime, ``PIT_LIFETIME_NS``, fails, and the first failed request
     raises :class:`ScenarioError`.
@@ -316,7 +317,7 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
                                         paths.distance(consumer, producer), state))
     if "balancedn" in config.schemes:
         deployment = Deployment(topology, config.resolver_count)
-        deployment.register_bulk(registrations)
+        deployment.register_bulk((key, producer) for _, producer, key in requests)
         names = parse_names(key for _, _, key in requests)
         for (consumer, producer, _), name in zip(requests, names):
             outcome = deployment.resolve_and_fetch(consumer, name)
@@ -324,7 +325,7 @@ def _run_requests(topology: Topology, config: ScenarioConfig,
                 raise _unanswered("balancedn", consumer, producer, name)
             report.add(_balancedn_record(outcome, consumer,
                                          paths.distance(consumer, producer)))
-        report.shard_loads = _shard_loads(deployment)
+        report.shard_loads = deployment.shard_loads(corpus)
     return report
 
 
@@ -333,14 +334,6 @@ def _unanswered(scheme: str, consumer: int, producer: int, name) -> ScenarioErro
         f"{scheme} request of consumer {consumer} to producer {producer} for "
         f"{name.canonical_text} was not answered within the "
         f"{PIT_LIFETIME_NS // 1_000_000_000}-s Interest lifetime")
-
-
-def _shard_loads(deployment: Deployment) -> dict[int, int]:
-    loads = {i: 0 for i in range(deployment.resolver_count)}
-    for site in deployment.sites.values():
-        for shard in site.shards:
-            loads[shard.index] += len(shard.authoritative)
-    return loads
 
 
 def _run_skew_probe(config: ScenarioConfig) -> ScenarioReport:
@@ -363,6 +356,6 @@ def _run_skew_probe(config: ScenarioConfig) -> ScenarioReport:
     for shard, names in probe_sets:
         report.probes.append(ProbeStat(shard.index, PROBE_REPETITIONS * len(names),
                                        timings[shard.index]))
-    # every shard, empty ones included, as _shard_loads gives for s2/s3
+    # every shard, empty ones included, as Deployment.shard_loads gives for s1-s3
     report.shard_loads = {shard.index: len(shard.authoritative) for shard in shards}
     return report

@@ -2,7 +2,7 @@
 and its pairing against a commit on s1_long and the flood path.
 
 Each runs in a subprocess, because importing the script puts
-``benchmarks/`` and ``tools/`` on the import path.
+``src/`` and ``tools/`` on the import path.
 """
 
 import json

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import cycle
 
 import pytest
 
@@ -127,12 +128,19 @@ class TestCorpusSizedToUse:
                                                  content_count=self.LAST_SLOT + 1,
                                                  schemes=schemes))
             assert len(report.records) == 167 * len(schemes)
-        assert messages == {f"content_count {self.LAST_SLOT} is too small for "
-                            "167 unique cross-subnet requests"}
+        assert messages == {f"content_count {self.LAST_SLOT} is too small: 167 unique "
+                            f"cross-subnet requests need at least {self.LAST_SLOT + 1} names"}
 
 
-class TestRoundRobinOwnership:
-    def test_corpus_name_i_is_owned_by_producer_i_mod_n(self, monkeypatch):
+    def test_s3_names_the_minimum_content(self):
+        with pytest.raises(ScenarioError) as err:
+            run_scenario(ScenarioConfig(scenario="s3", content_count=14_520))
+        assert str(err.value) == ("content_count 14520 is too small: 14520 unique "
+                                  "cross-subnet requests need at least 14761 names")
+
+
+class TestRequestedRegistration:
+    def test_s2_registers_its_requested_names_to_their_slots_producers(self, monkeypatch):
         made = []
 
         class Recorded(Deployment):
@@ -147,9 +155,63 @@ class TestRoundRobinOwnership:
         (deployment,) = made
         producers = deployment.topology.nodes_with_role("producer")
         corpus = synthetic_corpus(3000, config.seed)
-        assert len(deployment.zone) == len(corpus)
-        for i, key in enumerate(corpus):
-            assert deployment.zone[key] == producers[i % len(producers)]
+        pairs = _cross_subnet_pairs(deployment.topology)
+        assert len(pairs) == 167
+        # round-robin ownership: slot i belongs to producer i mod n
+        expected = {corpus[slot]: producers[slot % len(producers)] for _, _, slot in pairs}
+        assert all(producer == expected[corpus[slot]] for _, producer, slot in pairs)
+        assert deployment.zone == expected
+        tables = [shard.authoritative for site in deployment.sites.values()
+                  for shard in site.shards]
+        assert sum(map(len, tables)) == 167
+        assert {key: owner for table in tables for key, owner in table.items()} == expected
+
+
+def registered_loads(topology, resolver_count, corpus):
+    """Shard table sizes, summed by shard index, after the whole corpus is
+    registered, owned round-robin by the producers."""
+    deployment = Deployment(topology, resolver_count)
+    deployment.register_bulk(zip(corpus, cycle(topology.nodes_with_role("producer"))))
+    loads = dict.fromkeys(range(resolver_count), 0)
+    for site in deployment.sites.values():
+        for shard in site.shards:
+            loads[shard.index] += len(shard.authoritative)
+    return loads
+
+
+class TestShardLoadsCountTheCorpus:
+    """``report.shard_loads`` equals what registering the whole corpus stores."""
+
+    @pytest.mark.parametrize("scenario", ["s2", "s3"])
+    def test_presets_at_150000_names(self, scenario):
+        config = ScenarioConfig(scenario=scenario, content_count=150_000,
+                                schemes=("balancedn",))
+        report = run_scenario(config)
+        corpus = synthetic_corpus(150_000, config.seed)
+        loads = registered_loads(load_preset(config.topology), 8, corpus)
+        assert report.shard_loads == loads
+        assert sum(loads.values()) == 150_000
+
+    def test_s1_long(self):
+        config = ScenarioConfig(scenario="s1_long")
+        report = run_scenario(config)
+        corpus = synthetic_corpus(1, config.seed)
+        assert report.shard_loads == registered_loads(load_preset("nsfnet"), 8, corpus)
+
+    def test_role_complete_graphs(self, tmp_path):
+        rng = random.Random(ROLE_SEED + 2)
+        path = tmp_path / "graph.topo"
+        for _ in range(5):
+            topology = role_complete_graph(rng)
+            path.write_text(topology_text(topology))
+            resolvers = rng.randint(1, len(topology.nodes_with_role("resolver")))
+            content = rng.randint(100, 600)
+            report = run_scenario(ScenarioConfig("s2", topology=str(path),
+                                                 resolver_count=resolvers,
+                                                 content_count=content))
+            corpus = synthetic_corpus(content, 42)
+            assert report.shard_loads == registered_loads(
+                _with_extra_consumer(topology), resolvers, corpus)
 
 
 class TestSingleRequestScenarios:

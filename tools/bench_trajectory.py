@@ -39,13 +39,9 @@ the sides, or within one, the script exits 1 and writes nothing, unless
 ``--allow-digest-change`` is given, which only a demonstrated bug fix
 should use.
 
-The file also holds, once: facts (the commit, ``-dirty`` if the
+The file also holds, once, facts: the commit, ``-dirty`` if the
 checkout differs from it, nproc, the Python version, the load average
-and the ``tools/code_lines.py`` total of ``src``) and, per layer, the
-numbers of ``benchmarks/micro.py`` ``micro_loops``, which is imported;
-nothing under ``benchmarks/`` is edited.  ``micro_loops``' own
-``resolution.resolve_us_per_request`` mostly times cold trips, so the
-read path's warm cost shows only in ``read_path``.
+and the ``tools/code_lines.py`` total of ``src``.
 """
 
 from __future__ import annotations
@@ -62,11 +58,10 @@ import sys
 import tarfile
 import tempfile
 import time
-from itertools import cycle
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-for _path in (ROOT / "src", ROOT / "benchmarks", ROOT / "tools"):
+for _path in (ROOT / "src", ROOT / "tools"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
@@ -76,7 +71,6 @@ from balancedn.resolution import Deployment  # noqa: E402
 from balancedn.scenarios import _cross_subnet_pairs, synthetic_corpus  # noqa: E402
 from balancedn.topology import load_preset  # noqa: E402
 from code_lines import code_lines  # noqa: E402
-from micro import micro_loops  # noqa: E402
 
 # the README's s4 load map
 SKEW = "0:650000,1:50000,2:50000,3:50000,4:50000,5:50000,6:50000,7:50000"
@@ -88,9 +82,7 @@ RUNS = {
     "s4": ["--scenario", "s4", "--skew", SKEW],
 }
 UNCOMPARED = {"s4"}
-MICRO_SEED = 1
-# the balancedn-ote workload's corpus size, named with the CLI runs' seed
-READ_PATH_CONTENT = 150_000
+# the read path's corpus names are the CLI runs'
 READ_PATH_SEED = 42
 WARM_PASSES = 5
 # the flood path's consumers, drawn with the benchmark's default seed
@@ -108,7 +100,7 @@ PAIRED_TIMES = {"read_path": "warm_us_per_request", "flood_path": "us_per_flood"
 # [wall s, exit code, peak RSS in KB].  Linux carries the resident peak of
 # the memory a process had before exec into its own peak, so the child must
 # come from a process as small as this one, not from the measuring process,
-# which holds what ``micro_loops`` built.
+# which holds what its blocks built.
 LAUNCHER = """\
 import json, os, sys, time
 argv, out, err = json.loads(sys.argv[1])
@@ -147,40 +139,35 @@ def run_child(argv: list[str], env: dict, out_dir: Path) -> tuple[float, float, 
     return elapsed, peak_kb / 1024, stdout.read_text()  # Linux reports kilobytes
 
 
-def micro_numbers() -> dict:
-    """``micro_loops``' numbers, by metric name."""
-    result = micro_loops(MICRO_SEED)
-    if result["errors"]:
-        raise RuntimeError(f"micro_loops checks failed: {result['errors']}")
-    return result["metrics"]
-
-
 def read_path() -> dict:
     """The s3 OTEGlobe requests on a fresh ``Deployment``: a cold pass, then warm ones.
 
-    The corpus (READ_PATH_CONTENT names, owned round-robin by the
-    producers) is registered as s3 registers it.  The cold pass makes
-    every cross-subnet request once, filling the route memo as it goes.
-    Warm pass m makes the same (consumer, producer) requests for names
-    no request has used: pair (j, k)'s slot ``k + j * producers`` becomes
-    ``k + (j + m * consumers) * producers``, a name the same producer
-    owns.  So every leg a warm pass reads is memoized, and every name
-    still misses its shard as in the cold pass.  Names are parsed, CRCs
-    included, before each timed pass.  The time is µs per request, the
-    median of WARM_PASSES warm passes.
+    The cold pass makes every cross-subnet request once, filling the
+    route memo as it goes.  Warm pass m makes the same (consumer,
+    producer) requests for names no request has used: pair (j, k)'s
+    slot ``k + j * producers`` becomes ``k + (j + m * consumers) *
+    producers``, a name the same producer owns under s3's round-robin
+    ownership.  So every leg a warm pass reads is memoized, and every
+    name still misses its shard as in the cold pass.  As s3 registers
+    its requested names, every name of the cold and the WARM_PASSES
+    warm passes is registered, to its slot's producer, before the cold
+    pass.  Names are parsed, CRCs included, before each timed pass.
+    The time is µs per request, the median of the warm passes.
     """
     topology = load_preset("oteglobe")
     consumers = len(topology.nodes_with_role("consumer"))
-    producers = topology.nodes_with_role("producer")
-    corpus = synthetic_corpus(READ_PATH_CONTENT, READ_PATH_SEED)
-    deployment = Deployment(topology)
-    deployment.register_bulk(zip(corpus, cycle(producers)))
+    shift = consumers * len(topology.nodes_with_role("producer"))
     pairs = _cross_subnet_pairs(topology)
+    # every slot is below shift, so pass m's slots are below (m + 1) * shift
+    corpus = synthetic_corpus((WARM_PASSES + 1) * shift, READ_PATH_SEED)
+    keys = [[corpus[slot + m * shift] for _, _, slot in pairs] for m in range(WARM_PASSES + 1)]
+    deployment = Deployment(topology)
+    deployment.register_bulk((key, producer) for pass_keys in keys
+                             for (_, producer, _), key in zip(pairs, pass_keys))
     resolve = deployment.resolve_and_fetch
 
     def timed_pass(m: int) -> float:
-        shift = m * consumers * len(producers)
-        names = list(parse_names(corpus[slot + shift] for _, _, slot in pairs))
+        names = list(parse_names(keys[m]))
         start = time.perf_counter()
         for (consumer, _, _), name in zip(pairs, names):
             resolve(consumer, name)
@@ -383,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--allow-digest-change", action="store_true",
                         help="write the file though a simulated digest differs from REV's")
     args = parser.parse_args(argv)
-    point = {"facts": facts(), "per_layer": micro_numbers(), "against": against(args.against)}
+    point = {"facts": facts(), "against": against(args.against)}
     changed = point["against"]["digest_changes"]
     if changed and not args.allow_digest_change:
         sys.stderr.write(f"error: {', '.join(changed)} differ from {args.against}'s; "
