@@ -17,13 +17,16 @@ Scenario ids:
 against it once, for every scenario.  s1 and s2/s3 then only select
 their requests: ``_run_single_request`` picks one (consumer, producer,
 name); ``_run_pair_sweep`` picks every cross-subnet pair and one corpus
-slot per pair, and builds the whole corpus only when BalanceDN runs
-(flooding alone reads the requested prefix).  Both hand their requests
-and corpus to ``_run_requests``, which holds the one measurement loop of
+slot per pair, and builds only the corpus prefix up to the last
+requested slot, for every scheme set.  Both hand their requests and
+corpus to ``_run_requests``, which holds the one measurement loop of
 each scheme: a flooding simulation, then a BalanceDN deployment.  Either
 scheme publishes or registers the requested names alone, each at its
 request's producer; no row reads any other name.  The corpus enters the
-report only as ``shard_loads``, counted by hash.
+report only as ``shard_loads``, counted by hash after the BalanceDN
+sweep.  A sweep's corpus is the prefix chained to a lazy tail that
+draws the remaining names CRC_CHUNK at a time, so no run holds the
+whole corpus, and a run without BalanceDN never draws the tail.
 
 The synthetic corpus names look like ``/cat<k>/obj<i>-<tag>`` with k
 cycling over 16 prefixes, i sequential, and a short seeded-random tag.
@@ -36,10 +39,12 @@ from __future__ import annotations
 
 import random
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
-from .core import parse_name, parse_names
+from .core import CRC_CHUNK, parse_name, parse_names
 from .engine import Simulation
 from .metrics import ProbeStat, RequestRecord, ScenarioReport, emit_csv
 from .node import PIT_LIFETIME_NS
@@ -135,16 +140,41 @@ def synthetic_corpus(count: int, seed: int) -> list[str]:
 
     Name i therefore depends on i and the seed alone, not on ``count``:
     ``synthetic_corpus(m, seed) == synthetic_corpus(n, seed)[:m]`` for
-    every m <= n, so a caller may build only the prefix it reads.
+    every m <= n, so a caller may build only the prefix it reads.  For
+    the same reason successive draws of whole words equal one draw:
+    ``getrandbits(32 * a)`` then ``getrandbits(32 * b)`` take the same
+    a + b outputs as ``getrandbits(32 * (a + b))``.  So names drawn
+    chunk by chunk from one generator (``_corpus_tail``) equal this list.
     """
-    rng = random.Random(seed)
+    return _corpus_names(random.Random(seed), 0, count)
+
+
+def _corpus_names(rng: random.Random, start: int, count: int) -> list[str]:
+    """Names ``start`` .. ``start + count - 1``, tagged by ``rng``'s next
+    ``count`` 32-bit outputs (see ``synthetic_corpus``)."""
     words = rng.getrandbits(32 * count).to_bytes(4 * count, "little")
     tags = bytearray(2 * count)
     tags[0::2] = words[3::4]
     tags[1::2] = words[2::4]
     hexed = tags.hex()
     stems = [f"/cat{k}/obj" for k in range(16)]
-    return [f"{stems[i & 15]}{i}-{hexed[4 * i:4 * i + 4]}" for i in range(count)]
+    return [f"{stems[i & 15]}{i}-{hexed[j:j + 4]}"
+            for i, j in zip(range(start, start + count), range(0, 4 * count, 4))]
+
+
+def _corpus_tail(start: int, stop: int, seed: int) -> Iterator[str]:
+    """Lazily yield corpus names ``start`` .. ``stop - 1``, CRC_CHUNK at a time.
+
+    Nothing is drawn until the first name is asked for.  Then one
+    ``getrandbits(32 * start)`` draw skips the words of the names before
+    ``start``, and each chunk's tags are the next words, so the names
+    equal ``synthetic_corpus(stop, seed)[start:]`` while at most one
+    chunk of them is held at once.
+    """
+    rng = random.Random(seed)
+    rng.getrandbits(32 * start)
+    for lo in range(start, stop, CRC_CHUNK):
+        yield from _corpus_names(rng, lo, min(CRC_CHUNK, stop - lo))
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
@@ -265,11 +295,13 @@ def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioRepor
     """Scenario 2/3 protocol: every consumer fetches foreign unique content.
 
     Pair (consumer, producer, slot) requests corpus name ``slot``, which
-    the producer owns under round-robin ownership.  The corpus is built
-    once, as large as the run reads: all ``content_count`` names when
-    BalanceDN counts them into its shard loads, otherwise only up to the
-    last requested slot.  By ``synthetic_corpus``'s prefix property the
-    requested names are the same either way.
+    the producer owns under round-robin ownership.  Only the prefix up
+    to the last requested slot is built before the sweep, for every
+    scheme set.  The rest of the ``content_count`` names follow it as a
+    lazy tail, drawn chunk by chunk only when BalanceDN counts the
+    corpus into its shard loads after its sweep; by
+    ``synthetic_corpus``'s prefix property prefix and tail name the
+    same items as the whole list.
     """
     pairs = _cross_subnet_pairs(topology)
     if not pairs:
@@ -279,26 +311,27 @@ def _run_pair_sweep(topology: Topology, config: ScenarioConfig) -> ScenarioRepor
         raise ScenarioError(
             f"content_count {config.content_count} is too small: {len(pairs)} unique "
             f"cross-subnet requests need at least {last_slot + 1} names")
-    count = config.content_count if "balancedn" in config.schemes else last_slot + 1
-    corpus = synthetic_corpus(count, config.seed)
-    requests = [(c, p, corpus[slot]) for c, p, slot in pairs]
-    return _run_requests(topology, config, requests, corpus)
+    prefix = synthetic_corpus(last_slot + 1, config.seed)
+    requests = [(c, p, prefix[slot]) for c, p, slot in pairs]
+    tail = _corpus_tail(last_slot + 1, config.content_count, config.seed)
+    return _run_requests(topology, config, requests, chain(prefix, tail))
 
 
 def _run_requests(topology: Topology, config: ScenarioConfig,
                   requests: list[tuple[int, int, str]],
-                  corpus: list[str]) -> ScenarioReport:
+                  corpus: Iterable[str]) -> ScenarioReport:
     """Measure each (consumer, producer, name) request once per scheme.
 
     Flooding publishes every requested name at its producer, then
     injects the requests one at a time, each drained before the next.
     BalanceDN registers every requested name to its producer in bulk,
-    then resolves and fetches each request, and counts ``corpus``, the
-    names the scenario distributes, into ``report.shard_loads`` by
-    hash.  Rows come flooding first.  Both
-    schemes keep one rule: a request not answered within the Interest
-    lifetime, ``PIT_LIFETIME_NS``, fails, and the first failed request
-    raises :class:`ScenarioError`.
+    then resolves and fetches each request, and only after its last
+    request reads ``corpus``, the names the scenario distributes, once,
+    counting them into ``report.shard_loads`` by hash; a sweep passes a
+    lazy iterable, so a run without BalanceDN never draws its tail.
+    Rows come flooding first.  Both schemes keep one rule: a request not
+    answered within the Interest lifetime, ``PIT_LIFETIME_NS``, fails,
+    and the first failed request raises :class:`ScenarioError`.
     """
     paths = topology.paths
     report = ScenarioReport(config.scenario)

@@ -1,17 +1,18 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import cycle
 
 import pytest
 
 from balancedn import scenarios
 from balancedn import topology as topology_module
-from balancedn.core import parse_name
+from balancedn.core import CRC_CHUNK, parse_name
 from balancedn.engine import EventBudgetError, Simulation
 from balancedn.metrics import emit_csv
 from balancedn.resolution import Deployment
 from balancedn.scenarios import (ScenarioConfig, ScenarioError,
-                                 _cross_subnet_pairs, _flooding_record,
+                                 _corpus_tail, _cross_subnet_pairs, _flooding_record,
                                  _with_extra_consumer, default_topology,
                                  run_scenario, synthetic_corpus)
 from balancedn.topology import load_preset, load_topology
@@ -93,29 +94,89 @@ class TestSyntheticCorpus:
         # the sweep builds only the prefix it reads; it must name the same items
         assert synthetic_corpus(m, seed) == synthetic_corpus(n, seed)[:m]
 
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2024])
+    def test_prefix_and_tail_equal_the_whole_corpus(self, seed):
+        # sizes and splits around CRC_CHUNK, and the s2 and s3 prefixes
+        sizes = (0, 1, CRC_CHUNK - 1, CRC_CHUNK, CRC_CHUNK + 1, 2 * CRC_CHUNK + 1,
+                 183, 14_761)
+        for n in sizes:
+            whole = synthetic_corpus(n, seed)
+            for split in sizes:
+                if split <= n:
+                    tail = list(_corpus_tail(split, n, seed))
+                    assert synthetic_corpus(split, seed) + tail == whole, (n, split)
+
+    def test_tail_draws_one_chunk_at_a_time_when_read(self, monkeypatch):
+        drawn = []
+        real = scenarios._corpus_names
+
+        def recorded(rng, start, count):
+            drawn.append((start, count))
+            return real(rng, start, count)
+
+        monkeypatch.setattr(scenarios, "_corpus_names", recorded)
+        tail = _corpus_tail(183, 10_000, 42)
+        assert drawn == []
+        next(tail)
+        assert drawn == [(183, CRC_CHUNK)]
+        assert len(list(tail)) == 10_000 - 183 - 1
+        assert drawn == [(183, CRC_CHUNK), (183 + CRC_CHUNK, CRC_CHUNK),
+                         (183 + 2 * CRC_CHUNK, 10_000 - 183 - 2 * CRC_CHUNK)]
+
 
 class TestCorpusSizedToUse:
     # s2's last requested slot is 182: 167 requests, 23 consumers x 8 producers
     LAST_SLOT = 182
 
-    def test_flooding_alone_builds_the_requested_prefix_and_the_same_rows(self, monkeypatch):
-        counts = []
-        real = scenarios.synthetic_corpus
+    def test_prefix_for_every_scheme_set_tail_for_balancedn(self, monkeypatch):
+        counts, yielded = [], []
+        real_corpus, real_tail = scenarios.synthetic_corpus, scenarios._corpus_tail
 
-        def recorded(count, seed):
+        def recorded_corpus(count, seed):
             counts.append(count)
-            return real(count, seed)
+            return real_corpus(count, seed)
 
-        monkeypatch.setattr(scenarios, "synthetic_corpus", recorded)
+        def recorded_tail(start, stop, seed):
+            run = len(yielded)
+            yielded.append(0)
+
+            def names():
+                for name in real_tail(start, stop, seed):
+                    yielded[run] += 1
+                    yield name
+            return names()
+
+        monkeypatch.setattr(scenarios, "synthetic_corpus", recorded_corpus)
+        monkeypatch.setattr(scenarios, "_corpus_tail", recorded_tail)
         alone = run_scenario(ScenarioConfig(scenario="s2", content_count=20_000,
                                             schemes=("flooding",)))
         both = run_scenario(ScenarioConfig(scenario="s2", content_count=20_000))
         balancedn = run_scenario(ScenarioConfig(scenario="s2", content_count=20_000,
                                                 schemes=("balancedn",)))
-        assert counts == [self.LAST_SLOT + 1, 20_000, 20_000]
+        assert counts == [self.LAST_SLOT + 1] * 3
+        tail = 20_000 - (self.LAST_SLOT + 1)
+        assert yielded == [0, tail, tail]
         assert len(alone.records) == 167
         assert alone.records == [r for r in both.records if r.scheme == "flooding"]
         assert balancedn.records == [r for r in both.records if r.scheme == "balancedn"]
+        assert sum(balancedn.shard_loads.values()) == 20_000
+
+    def test_memory_peak_does_not_grow_with_the_corpus(self):
+        # the tail is counted one CRC_CHUNK at a time, so the peak of a
+        # sweep stays flat; a whole list of 50,000 names would add ~3 MB
+        def peak(content_count):
+            tracemalloc.start()
+            try:
+                run_scenario(ScenarioConfig(scenario="s2", content_count=content_count,
+                                            schemes=("balancedn",)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_scenario(ScenarioConfig(scenario="s2", content_count=self.LAST_SLOT + 1,
+                                    schemes=("balancedn",)))
+        small, large = peak(5_000), peak(50_000)
+        assert abs(large - small) < 512 * 1024, (small, large)
 
     def test_too_small_content_fails_alike_for_every_scheme_set(self):
         messages = set()
@@ -205,7 +266,8 @@ class TestShardLoadsCountTheCorpus:
             topology = role_complete_graph(rng)
             path.write_text(topology_text(topology))
             resolvers = rng.randint(1, len(topology.nodes_with_role("resolver")))
-            content = rng.randint(100, 600)
+            # sizes past CRC_CHUNK, so the streamed tail crosses a chunk edge
+            content = rng.randint(4_000, 9_000)
             report = run_scenario(ScenarioConfig("s2", topology=str(path),
                                                  resolver_count=resolvers,
                                                  content_count=content))
